@@ -37,10 +37,8 @@ from .corpus import (
 )
 from .evaluator import (
     EvaluationCache,
-    EvaluationRequest,
     FlopsBreakdown,
     SyntheticEvaluator,
-    TerminationDecision,
     TextCnnEvaluator,
     early_termination_check,
     estimate_flops,
@@ -75,9 +73,7 @@ from .textcnn import (
     backward,
     forward,
     init_model,
-    load_model,
     loss,
-    save_model,
     train,
 )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .evaluator import ObjectiveEvaluator
@@ -144,14 +144,23 @@ class CalibrationReport:
     probe_count: int
     t_init: float
     t_final: float
+    #: the probe walk's first configuration, reused as the run's start
+    start: Configuration
+    start_objectives: ObjectiveVector
 
 
-def _probe_walk(
+def calibrate_initial_temperature(
     space: SearchSpace,
     evaluator: ObjectiveEvaluator,
+    p_init: float,
     probe_count: int,
     rng: random.Random,
-) -> tuple[list[float], Configuration, ObjectiveVector]:
+    p_final: float = 0.0357,
+) -> CalibrationReport:
+    """Short random walk; the mean of the positive scalar deteriorations
+    fixes both temperatures through the inverted acceptance law."""
+    if probe_count < 2:
+        raise ValueError("probe_count must be >= 2")
     start = random_configuration(space, rng)
     start_objectives = evaluator.evaluate(start)
     current, current_objectives = start, start_objectives
@@ -165,51 +174,20 @@ def _probe_walk(
         if delta > 0.0:
             deteriorations.append(delta)
         current, current_objectives = nxt, nxt_objectives
-    return deteriorations, start, start_objectives
-
-
-def _calibrate_with_start(
-    space: SearchSpace,
-    evaluator: ObjectiveEvaluator,
-    p_init: float,
-    probe_count: int,
-    rng: random.Random,
-    p_final: float,
-) -> tuple[CalibrationReport, Configuration, ObjectiveVector]:
-    if probe_count < 2:
-        raise ValueError("probe_count must be >= 2")
-    deteriorations, start, start_objectives = _probe_walk(
-        space, evaluator, probe_count, rng
-    )
     if not deteriorations:
         raise CalibrationError(
             f"no deteriorating step in {probe_count} probes; "
             "retry with a larger probe_count"
         )
     delta_f_ave = sum(deteriorations) / len(deteriorations)
-    report = CalibrationReport(
+    return CalibrationReport(
         delta_f_ave=delta_f_ave,
         probe_count=probe_count,
         t_init=initial_temperature(delta_f_ave, p_init),
         t_final=initial_temperature(delta_f_ave, p_final),
+        start=start,
+        start_objectives=start_objectives,
     )
-    return report, start, start_objectives
-
-
-def calibrate_initial_temperature(
-    space: SearchSpace,
-    evaluator: ObjectiveEvaluator,
-    p_init: float,
-    probe_count: int,
-    rng: random.Random,
-    p_final: float = 0.0357,
-) -> CalibrationReport:
-    """Short random walk; the mean of the positive scalar deteriorations
-    fixes both temperatures through the inverted acceptance law."""
-    report, _, _ = _calibrate_with_start(
-        space, evaluator, p_init, probe_count, rng, p_final
-    )
-    return report
 
 
 @dataclass
@@ -219,7 +197,6 @@ class AnnealerState:
     temperature: float
     iteration: int
     rng: random.Random
-    rejected_streak: int = 0
 
 
 @dataclass(frozen=True)
@@ -301,9 +278,6 @@ def step(
     if accepted:
         state.current = candidate
         state.current_objectives = candidate_objectives
-        state.rejected_streak = 0
-    else:
-        state.rejected_streak += 1
     return record
 
 
@@ -330,7 +304,7 @@ def run(run_config: RunConfig, evaluator: ObjectiveEvaluator) -> RunResult:
     if not space.mutable_domains():
         raise ValueError("search space has no mutable domain")
     rng = random.Random(run_config.seed_number)
-    calibration, start, start_objectives = _calibrate_with_start(
+    calibration = calibrate_initial_temperature(
         space,
         evaluator,
         run_config.initial_acceptance_probability,
@@ -344,6 +318,7 @@ def run(run_config: RunConfig, evaluator: ObjectiveEvaluator) -> RunResult:
         run_config.cooling_rate,
         run_config.iteration_budget,
     )
+    start, start_objectives = calibration.start, calibration.start_objectives
     archive = ParetoArchive()
     # the reused calibration start is evaluation 1 of the budget
     state = AnnealerState(

@@ -30,12 +30,13 @@ from .corpus import (
     synthetic_corpus,
 )
 from .evaluator import (
+    SYNTHETIC_NAMES,
     EvaluationCache,
     SyntheticEvaluator,
     TextCnnEvaluator,
     estimate_flops,
 )
-from .pareto import ArchiveEntry, brute_force_front
+from .pareto import ArchiveEntry, brute_force_front, front_order
 from .search_space import (
     DISPLAY_LABELS,
     SYNTHETIC_PREFIX,
@@ -56,14 +57,6 @@ EXIT_RUNTIME = 3
 
 FORMAT_VERSION = 1
 
-BUNDLED_SYNTHETIC = {
-    "kind": "synthetic",
-    "class_count": 2,
-    "samples_per_class": 50,
-    "vocab_size": 40,
-    "test_fraction": 0.2,
-}
-
 
 class UsageError(Exception):
     pass
@@ -72,6 +65,13 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit(2); remap to usage
         raise UsageError(message)
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 # --- output helpers -----------------------------------------------------------
@@ -111,7 +111,10 @@ def _entry_payload(entry: ArchiveEntry) -> dict[str, Any]:
 def archive_text(
     entries: list[ArchiveEntry], space: SearchSpace, top_k: int
 ) -> str:
-    """Front table (one row per entry) plus a transposed top-k block."""
+    """Front table (one row per entry) plus a transposed top-k block.
+
+    ``entries`` come in ``front_order``, so the top-k are the first k.
+    """
     names = list(space.names)
     lines = [f"# annealtune archive format v{FORMAT_VERSION}"]
     rows = [names + ["error_rate", "flops", "iteration_found"]]
@@ -126,8 +129,7 @@ def archive_text(
         )
     lines.append(_format_table(rows))
 
-    top = sorted(entries, key=lambda e: (e.objectives.error_rate, e.objectives.flops))
-    top = top[:top_k]
+    top = entries[:top_k]
     if top:
         lines.append("")
         lines.append(f"# top-{len(top)} by error rate")
@@ -145,12 +147,12 @@ def archive_text(
 def archive_json(
     entries: list[ArchiveEntry], top_k: int, meta: dict[str, Any]
 ) -> str:
-    top = sorted(entries, key=lambda e: (e.objectives.error_rate, e.objectives.flops))
+    """Front entries (in ``front_order``) and the first top_k of them."""
     payload = {
         "format_version": FORMAT_VERSION,
         **meta,
         "entries": [_entry_payload(e) for e in entries],
-        "top": [_entry_payload(e) for e in top[:top_k]],
+        "top": [_entry_payload(e) for e in entries[:top_k]],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -186,7 +188,11 @@ def calibration_json(result: RunResult) -> str:
 # --- dataset wiring -----------------------------------------------------------
 
 
-def _load_manifest(path: str) -> dict[str, Any]:
+def _load_manifest(path: str | None) -> dict[str, Any]:
+    """The dataset manifest at ``path``; without one, the bundled synthetic
+    corpus at prepare_corpus's defaults."""
+    if not path:
+        return {"kind": "synthetic"}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -250,11 +256,7 @@ def build_evaluator(config: RunConfig, cache_path: str | None = None):
     if config.objective_kind.startswith(SYNTHETIC_PREFIX):
         name = config.objective_kind[len(SYNTHETIC_PREFIX) :]
         return SyntheticEvaluator(space=config.space, name=name)
-    manifest = (
-        _load_manifest(config.dataset_path)
-        if config.dataset_path
-        else dict(BUNDLED_SYNTHETIC)
-    )
+    manifest = _load_manifest(config.dataset_path)
     corpus = prepare_corpus(manifest, config.ratio_init, config.seed_number)
     return TextCnnEvaluator(
         space=config.space,
@@ -375,22 +377,16 @@ def _config_from_sets(space: SearchSpace, pairs: Sequence[str]) -> Configuration
 def cmd_eval(args: argparse.Namespace) -> int:
     space = default_search_space()
     config = _config_from_sets(space, args.set or [])
-    if args.flops_only:
-        breakdown = estimate_flops(
-            config, args.sentence_length, args.embedding_dim, args.class_count
-        )
-        print(f"flops breakdown: conv={list(breakdown.conv_flops)} "
-              f"fc={breakdown.fc_flops} total={breakdown.total}")
-        return EXIT_OK
-    manifest = (
-        _load_manifest(args.corpus) if args.corpus else dict(BUNDLED_SYNTHETIC)
-    )
-    corpus = prepare_corpus(manifest, args.ratio_init, args.seed)
-    breakdown = estimate_flops(
-        config, corpus.sentence_length, args.embedding_dim, corpus.class_count
-    )
+    corpus = None
+    sentence_length, class_count = args.sentence_length, args.class_count
+    if not args.flops_only:
+        corpus = prepare_corpus(_load_manifest(args.corpus), args.ratio_init, args.seed)
+        sentence_length, class_count = corpus.sentence_length, corpus.class_count
+    breakdown = estimate_flops(config, sentence_length, args.embedding_dim, class_count)
     print(f"flops breakdown: conv={list(breakdown.conv_flops)} "
           f"fc={breakdown.fc_flops} total={breakdown.total}")
+    if corpus is None:
+        return EXIT_OK
     evaluator = TextCnnEvaluator(
         space=space,
         corpus=corpus,
@@ -427,14 +423,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         (config, evaluator.evaluate(config))
         for config in enumerate_space(space, args.cap)
     ]
-    front_set = brute_force_front(evaluated)
-    entries = [
-        ArchiveEntry(cfg, obj, iteration_found=0) for cfg, obj in front_set
-    ]
-    entries.sort(
-        key=lambda e: (e.objectives.error_rate, e.objectives.flops, e.config.sort_key())
+    entries = front_order(
+        ArchiveEntry(cfg, obj, iteration_found=0)
+        for cfg, obj in brute_force_front(evaluated)
     )
-    meta = {"objective_kind": f"synthetic:{args.objective}", "cap": args.cap}
+    meta = {"objective_kind": SYNTHETIC_PREFIX + args.objective, "cap": args.cap}
     _atomic_write(args.output, archive_text(entries, space, args.top_k))
     _atomic_write(
         os.path.splitext(args.output)[0] + ".json",
@@ -466,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune = sub.add_parser("tune", help="run the annealing search")
     p_tune.add_argument("--config", required=True, help="run config JSON path")
     p_tune.add_argument("--output-dir", required=True)
-    p_tune.add_argument("--top-k", type=int, default=3)
+    p_tune.add_argument("--top-k", type=non_negative_int, default=3)
     p_tune.add_argument("--cache", default=None, help="evaluation cache path")
     p_tune.set_defaults(func=cmd_tune)
 
@@ -490,11 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="exhaustive front on a small space")
     p_oracle.add_argument("--space", default=None, help="restriction JSON or path")
     p_oracle.add_argument(
-        "--objective", choices=("sphere_proxy", "deceptive_trap"), required=True
+        "--objective", choices=SYNTHETIC_NAMES, required=True
     )
     p_oracle.add_argument("--cap", type=int, default=10**6)
     p_oracle.add_argument("--output", required=True)
-    p_oracle.add_argument("--top-k", type=int, default=3)
+    p_oracle.add_argument("--top-k", type=non_negative_int, default=3)
     p_oracle.set_defaults(func=cmd_oracle)
     return parser
 

@@ -8,13 +8,11 @@ itself without licensed data.
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +20,6 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 PAD_ID = 0
 UNK_ID = 1
-
-TOKENIZER_VERSION = 1
 
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 _TOKEN = re.compile(r"\w+|[^\w\s]")
@@ -174,15 +170,6 @@ class PreparedCorpus:
     @property
     def vocab_size(self) -> int:
         return self.stats.vocab_size
-
-    def split(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        if name == "train":
-            return self.train_ids, self.train_labels
-        if name == "validation":
-            return self.validation_ids, self.validation_labels
-        if name == "test":
-            return self.test_ids, self.test_labels
-        raise KeyError(name)
 
 
 def _encode(
@@ -336,36 +323,3 @@ def synthetic_corpus(
                     tokens.append(rng.choice(shared))
             sentences.append(LabeledSentence(tuple(tokens), label))
     return sentences
-
-
-# --- prepared-corpus cache ----------------------------------------------------
-
-CACHE_FORMAT_VERSION = 1
-
-
-def file_digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def corpus_cache_key(
-    digests: Iterable[str], policy: SplitPolicy, ratio_init: float, seed: int
-) -> str:
-    payload = repr((sorted(digests), TOKENIZER_VERSION, policy, ratio_init, seed))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def save_prepared(prepared: PreparedCorpus, path: str) -> None:
-    with open(path, "wb") as fh:
-        pickle.dump({"version": CACHE_FORMAT_VERSION, "corpus": prepared}, fh)
-
-
-def load_prepared(path: str) -> PreparedCorpus:
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if payload.get("version") != CACHE_FORMAT_VERSION:
-        raise DataError("incompatible prepared-corpus cache")
-    return payload["corpus"]

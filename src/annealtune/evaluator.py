@@ -7,7 +7,7 @@ persistent evaluation cache, and the real text-CNN evaluator.
 
 from __future__ import annotations
 
-import enum
+import functools
 import hashlib
 import json
 import os
@@ -17,9 +17,9 @@ from typing import Protocol
 import numpy as np
 
 from . import textcnn
-from .corpus import PreparedCorpus
+from .corpus import DataError, PreparedCorpus
 from .pareto import ObjectiveVector
-from .search_space import Configuration, SearchSpace, numeric
+from .search_space import Configuration, SearchSpace
 
 #: fixed network-shape constants for the synthetic objectives
 SYNTHETIC_SENTENCE_LENGTH = 10
@@ -27,13 +27,6 @@ SYNTHETIC_EMBEDDING_DIM = 50
 SYNTHETIC_CLASS_COUNT = 6
 
 SYNTHETIC_NAMES = ("sphere_proxy", "deceptive_trap")
-
-
-@dataclass(frozen=True)
-class EvaluationRequest:
-    config: Configuration
-    data_split: str
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -161,27 +154,22 @@ class SyntheticEvaluator:
         return evaluate_synthetic(self.name, config, self.space)
 
 
-class TerminationDecision(enum.Enum):
-    CONTINUE = "continue"
-    STOP = "stop"
-
-
 def early_termination_check(
     validation_history: list[float],
     class_count: int,
     chance_margin: float = 0.02,
     patience: int = 3,
-) -> TerminationDecision:
-    """Stop hopeless trainings early.
+) -> bool:
+    """Whether to stop a hopeless training early.
 
-    Stops when the first epoch lands below chance + chance_margin, or when
+    True when the first epoch lands below chance + chance_margin, or when
     the best accuracy has not strictly improved for `patience` consecutive
     epochs.
     """
     if not validation_history:
         raise ValueError("validation history is empty")
     if validation_history[0] < 1.0 / class_count + chance_margin:
-        return TerminationDecision.STOP
+        return True
     best = validation_history[0]
     streak = 0
     for acc in validation_history[1:]:
@@ -190,9 +178,7 @@ def early_termination_check(
             streak = 0
         else:
             streak += 1
-    if streak >= patience:
-        return TerminationDecision.STOP
-    return TerminationDecision.CONTINUE
+    return streak >= patience
 
 
 def _config_digest(config: Configuration, seed: int) -> str:
@@ -203,49 +189,81 @@ def _config_digest(config: Configuration, seed: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _parse_record(line: bytes) -> tuple[str, ObjectiveVector] | None:
+    """(key, value) of one evaluation cache line; None if it is not one."""
+    try:
+        record = json.loads(line)
+        return record["key"], ObjectiveVector(record["error_rate"], record["flops"])
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
 class EvaluationCache:
-    """(config, seed) -> ObjectiveVector; optionally persisted as JSON lines.
+    """Cache key -> ObjectiveVector; optionally persisted as JSON lines.
 
     An interrupted run restarted against the same cache file skips every
-    training it already finished.
+    training it already finished. Each record is appended as one line, so an
+    interruption can only tear the last line: loading drops it and truncates
+    the file before it. A malformed line anywhere else is a DataError.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
         self._memory: dict[str, ObjectiveVector] = {}
         if path is not None and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    self._memory[record["key"]] = ObjectiveVector(
-                        record["error_rate"], record["flops"]
-                    )
+            self._load(path)
 
-    def get(self, config: Configuration, seed: int) -> ObjectiveVector | None:
-        return self._memory.get(_config_digest(config, seed))
+    def _load(self, path: str) -> None:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        for lineno, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            record = _parse_record(line) if line.endswith(b"\n") else None
+            if record is not None:
+                key, value = record
+                self._memory[key] = value
+            elif lineno == len(lines):
+                # an append cut short: drop it so the next one starts a fresh line
+                os.truncate(path, sum(map(len, lines[:-1])))
+            else:
+                raise DataError(f"{path}:{lineno}: malformed evaluation cache line")
 
-    def put(self, config: Configuration, seed: int, value: ObjectiveVector) -> None:
-        key = _config_digest(config, seed)
+    def get(self, key: str) -> ObjectiveVector | None:
+        return self._memory.get(key)
+
+    def put(self, key: str, value: ObjectiveVector) -> None:
         self._memory[key] = value
         if self.path is not None:
-            record = {
-                "key": key,
-                "error_rate": value.error_rate,
-                "flops": value.flops,
-                "config": dict(config.items),
-                "seed": seed,
-            }
+            record = {"key": key, "error_rate": value.error_rate, "flops": value.flops}
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record) + "\n")
+
+
+def _corpus_fingerprint(corpus: PreparedCorpus) -> str:
+    """Digest of everything a training reads from the corpus."""
+    h = hashlib.sha256(f"{corpus.vocab_size}:{corpus.class_count}".encode())
+    for array in (
+        corpus.train_ids,
+        corpus.train_labels,
+        corpus.validation_ids,
+        corpus.validation_labels,
+    ):
+        h.update(f"{array.dtype.str}{array.shape}".encode())
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
 
 
 @dataclass
 class TextCnnEvaluator:
     """Trains a fresh text CNN per configuration and scores it on the
-    validation split. Results are cached by (configuration, seed)."""
+    validation split.
+
+    Results are cached under a key covering the configuration, the seed,
+    the prepared corpus and the training settings, so a shared cache never
+    answers for a different corpus, epoch limit, embedding width or
+    early-stop rule.
+    """
 
     space: SearchSpace
     corpus: PreparedCorpus
@@ -257,6 +275,7 @@ class TextCnnEvaluator:
     cache: EvaluationCache = field(default_factory=EvaluationCache)
     flops_max: int = field(init=False)
     trainings: int = field(default=0, init=False)
+    _context: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.flops_max = flops_ceiling(
@@ -265,46 +284,36 @@ class TextCnnEvaluator:
             embedding_dim=self.embedding_dim,
             class_count=self.corpus.class_count,
         )
-
-    def evaluate(self, config: Configuration) -> ObjectiveVector:
-        return self.evaluate_request(
-            EvaluationRequest(config=config, data_split="validation", seed=self.seed)
+        self._context = json.dumps(
+            {
+                "corpus": _corpus_fingerprint(self.corpus),
+                "max_epochs": self.max_epochs,
+                "embedding_dim": self.embedding_dim,
+                "early_stop_margin": self.early_stop_margin,
+                "early_stop_patience": self.early_stop_patience,
+            },
+            sort_keys=True,
         )
 
-    def evaluate_request(self, request: EvaluationRequest) -> ObjectiveVector:
-        cached = self.cache.get(request.config, request.seed)
+    def evaluate(self, config: Configuration) -> ObjectiveVector:
+        digest = _config_digest(config, self.seed)
+        key = hashlib.sha256(f"{self._context}:{digest}".encode()).hexdigest()
+        cached = self.cache.get(key)
         if cached is not None:
             return cached
-        result = self._train_and_score(request)
-        self.cache.put(request.config, request.seed, result)
-        return result
-
-    def _train_and_score(self, request: EvaluationRequest) -> ObjectiveVector:
         corpus = self.corpus
         # per-(config, seed) stream so re-evaluations replay identically
-        model_seed = int(_config_digest(request.config, request.seed)[:16], 16)
-        rng = np.random.default_rng(model_seed)
+        model_seed = int(digest[:16], 16)
         model = textcnn.init_model(
-            request.config,
+            config,
             vocab_size=corpus.vocab_size,
             embedding_dim=self.embedding_dim,
             class_count=corpus.class_count,
-            rng=rng,
+            rng=np.random.default_rng(model_seed),
         )
         settings = textcnn.TrainingSettings.from_configuration(
-            request.config, max_epochs=self.max_epochs, seed=model_seed
+            config, max_epochs=self.max_epochs, seed=model_seed
         )
-
-        def stop(history: list[float]) -> bool:
-            decision = early_termination_check(
-                history,
-                corpus.class_count,
-                chance_margin=self.early_stop_margin,
-                patience=self.early_stop_patience,
-            )
-            return decision is TerminationDecision.STOP
-
-        eval_x, eval_y = corpus.split(request.data_split)
         try:
             _, history = textcnn.train(
                 model,
@@ -313,21 +322,22 @@ class TextCnnEvaluator:
                 corpus.validation_ids,
                 corpus.validation_labels,
                 settings,
-                early_stop=stop,
+                early_stop=functools.partial(
+                    early_termination_check,
+                    class_count=corpus.class_count,
+                    chance_margin=self.early_stop_margin,
+                    patience=self.early_stop_patience,
+                ),
             )
         except textcnn.DivergenceError as exc:
             raise textcnn.DivergenceError(
-                f"{exc} (config {dict(request.config.items)})"
+                f"{exc} (config {dict(config.items)})"
             ) from exc
         self.trainings += 1
-        if request.data_split == "validation":
-            best_acc = max(stats.validation_accuracy for stats in history)
-        else:
-            best_acc = textcnn.accuracy(model, eval_x, eval_y)
+        best_acc = max(stats.validation_accuracy for stats in history)
         flops = estimate_flops(
-            request.config,
-            corpus.sentence_length,
-            self.embedding_dim,
-            corpus.class_count,
+            config, corpus.sentence_length, self.embedding_dim, corpus.class_count
         ).total
-        return ObjectiveVector(error_rate=1.0 - best_acc, flops=flops)
+        result = ObjectiveVector(error_rate=1.0 - best_acc, flops=flops)
+        self.cache.put(key, result)
+        return result

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .search_space import Configuration
 
@@ -60,10 +61,11 @@ def scalar_deterioration(
         raise ValueError("flops_max must be positive")
     if flops_max < max(current.flops, candidate.flops):
         raise ValueError("flops_max below an observed flops value")
-    return 0.5 * (
-        (candidate.error_rate - current.error_rate)
-        + (candidate.flops - current.flops) / flops_max
-    )
+    total = (candidate.error_rate - current.error_rate) + (
+        candidate.flops - current.flops
+    ) / flops_max
+    # halving a subnormal total can round it to zero; keep its sign then
+    return 0.5 * total or total
 
 
 @dataclass
@@ -103,11 +105,17 @@ class ParetoArchive:
         return min(entry.objectives.error_rate for entry in self.entries)
 
     def front(self) -> list[ArchiveEntry]:
-        """Entries sorted by error rate, then flops, then configuration."""
-        return sorted(
-            self.entries,
-            key=lambda e: (e.objectives.error_rate, e.objectives.flops, e.config.sort_key()),
-        )
+        """Entries in front_order."""
+        return front_order(self.entries)
+
+
+def front_order(entries: Iterable[ArchiveEntry]) -> list[ArchiveEntry]:
+    """Entries sorted by error rate, then flops, then configuration, so the
+    first k are the top-k by error rate."""
+    return sorted(
+        entries,
+        key=lambda e: (e.objectives.error_rate, e.objectives.flops, e.config.sort_key()),
+    )
 
 
 def brute_force_front(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Iterator, Mapping
 
 Value = int | str
@@ -164,11 +164,6 @@ class SearchSpace:
         for (name, value), d in zip(config.items, self.domains):
             d.index_of(value)
 
-    def index_vector(self, config: Configuration) -> tuple[int, ...]:
-        return tuple(
-            d.index_of(value) for (_, value), d in zip(config.items, self.domains)
-        )
-
     def restrict(self, subsets: Mapping[str, list[Any]]) -> "SearchSpace":
         """Restrict named domains to subsets of their values.
 
@@ -191,12 +186,6 @@ class SearchSpace:
 
     def to_mapping(self) -> dict[str, list[Value]]:
         return {d.name: list(d.values) for d in self.domains}
-
-    @staticmethod
-    def from_mapping(mapping: Mapping[str, list[Any]]) -> "SearchSpace":
-        return SearchSpace(
-            tuple(ParamDomain(name, tuple(vals)) for name, vals in mapping.items())
-        )
 
 
 def default_search_space() -> SearchSpace:
@@ -278,25 +267,6 @@ def enumerate_space(space: SearchSpace, cap: int) -> Iterator[Configuration]:
 
 # --- run configuration -------------------------------------------------------
 
-_REQUIRED_KEYS = {
-    "seed_number",
-    "ratio_init",
-    "iteration_budget",
-    "initial_acceptance_probability",
-    "cooling_rate",
-    "objective_kind",
-}
-_OPTIONAL_KEYS = {
-    "dataset_path": None,
-    "space": None,
-    "final_acceptance_probability": 0.0357,
-    "probe_count": 20,
-    "max_epochs": 20,
-    "early_stop_margin": 0.02,
-    "early_stop_patience": 3,
-    "embedding_dim": 50,
-}
-
 SYNTHETIC_PREFIX = "synthetic:"
 
 
@@ -350,11 +320,14 @@ def load_run_config(path: str) -> RunConfig:
 def run_config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
     if not isinstance(raw, Mapping):
         raise ValueError("run config must be a key/value mapping")
-    known = _REQUIRED_KEYS | set(_OPTIONAL_KEYS)
-    unknown = set(raw) - known
+    keys = fields(RunConfig)
+    unknown = set(raw) - {f.name for f in keys}
     if unknown:
         raise ValueError(f"unknown run config keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(raw)
+    required = {
+        f.name for f in keys if f.default is MISSING and f.default_factory is MISSING
+    }
+    missing = required - set(raw)
     if missing:
         raise ValueError(f"missing run config keys: {sorted(missing)}")
     kwargs: dict[str, Any] = {k: raw[k] for k in raw if k != "space"}
@@ -364,22 +337,8 @@ def run_config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
 
 
 def save_run_config(config: RunConfig, path: str) -> None:
-    raw: dict[str, Any] = {
-        "seed_number": config.seed_number,
-        "ratio_init": config.ratio_init,
-        "iteration_budget": config.iteration_budget,
-        "initial_acceptance_probability": config.initial_acceptance_probability,
-        "final_acceptance_probability": config.final_acceptance_probability,
-        "cooling_rate": config.cooling_rate,
-        "objective_kind": config.objective_kind,
-        "dataset_path": config.dataset_path,
-        "probe_count": config.probe_count,
-        "max_epochs": config.max_epochs,
-        "early_stop_margin": config.early_stop_margin,
-        "early_stop_patience": config.early_stop_patience,
-        "embedding_dim": config.embedding_dim,
-        "space": config.space.to_mapping(),
-    }
+    raw: dict[str, Any] = {f.name: getattr(config, f.name) for f in fields(config)}
+    raw["space"] = config.space.to_mapping()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(raw, fh, indent=2)
         fh.write("\n")

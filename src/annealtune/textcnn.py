@@ -10,7 +10,6 @@ bit-identically for a fixed seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,8 +18,6 @@ import numpy as np
 from .search_space import Configuration, numeric
 
 WINDOWS = (3, 4, 5)
-
-CHECKPOINT_VERSION = 1
 
 
 class DivergenceError(RuntimeError):
@@ -397,47 +394,3 @@ def train(
 
     model.load_parameters(best_params)
     return model, history
-
-
-def history_table(history: list[EpochStats]) -> str:
-    """Per-epoch table: epoch, train loss, validation accuracy."""
-    lines = ["epoch  train_loss  validation_accuracy"]
-    for stats in history:
-        lines.append(
-            f"{stats.epoch:>5}  {stats.train_loss:<10.6f}  "
-            f"{stats.validation_accuracy:.6f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def save_model(model: TextCnnModel, path: str) -> None:
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "activation": model.activation,
-        "conv_dropout": model.conv_dropout,
-        "fc_dropout": model.fc_dropout,
-        "windows": sorted(model.conv_filters),
-    }
-    arrays = dict(model.parameters())
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-
-
-def load_model(path: str) -> TextCnnModel:
-    data = np.load(path)
-    meta = json.loads(bytes(data["__meta__"]).decode())
-    if meta["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {meta['version']}")
-    conv_filters = {w: data[f"conv_w{w}"] for w in meta["windows"]}
-    conv_bias = {w: data[f"conv_b{w}"] for w in meta["windows"]}
-    return TextCnnModel(
-        embedding=data["embedding"],
-        conv_filters=conv_filters,
-        conv_bias=conv_bias,
-        w1=data["w1"],
-        b1=data["b1"],
-        w2=data["w2"],
-        b2=data["b2"],
-        conv_dropout=meta["conv_dropout"],
-        fc_dropout=meta["fc_dropout"],
-        activation=meta["activation"],
-    )

@@ -283,11 +283,11 @@ class TestStep:
         state = make_state(space, evaluator, 0.5, seed=0)
         archive = ParetoArchive()
         before = (state.current, state.current_objectives, state.iteration,
-                  state.temperature, state.rejected_streak)
+                  state.temperature)
         with pytest.raises(RuntimeError, match="evaluation failed"):
             step(state, schedule, archive, evaluator)
         after = (state.current, state.current_objectives, state.iteration,
-                 state.temperature, state.rejected_streak)
+                 state.temperature)
         assert before == after
         assert len(archive) == 0
 

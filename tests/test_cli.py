@@ -143,7 +143,7 @@ class TestTune:
         out = tmp_path / "out"
         assert cli.main(["tune", "--config", config, "--output-dir", str(out)]) == 1
 
-    def test_evaluation_cache_resumes_without_retraining(self, tmp_path):
+    def write_textcnn_config(self, tmp_path):
         run_config = {
             "seed_number": 40,
             "ratio_init": 0.9,
@@ -163,6 +163,10 @@ class TestTune:
         }
         config_path = tmp_path / "rc.json"
         config_path.write_text(json.dumps(run_config))
+        return config_path
+
+    def test_evaluation_cache_resumes_without_retraining(self, tmp_path):
+        config_path = self.write_textcnn_config(tmp_path)
         cache = tmp_path / "cache.jsonl"
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert cli.main(["tune", "--config", str(config_path), "--cache",
@@ -176,6 +180,38 @@ class TestTune:
         assert (out1 / "trace.jsonl").read_bytes() == (
             out2 / "trace.jsonl"
         ).read_bytes()
+
+    def test_cache_torn_by_an_interruption_resumes(self, tmp_path):
+        config_path = self.write_textcnn_config(tmp_path)
+        cache = tmp_path / "cache.jsonl"
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        tune = ["tune", "--config", str(config_path), "--cache", str(cache)]
+        assert cli.main([*tune, "--output-dir", str(out1)]) == 0
+        whole = cache.read_bytes()
+        cache.write_bytes(whole[: len(whole) - 10])  # cut the last record
+        assert cli.main([*tune, "--output-dir", str(out2)]) == 0
+        assert (out1 / "trace.jsonl").read_bytes() == (
+            out2 / "trace.jsonl"
+        ).read_bytes()
+        # the retrained record replaced the torn one
+        assert cache.read_bytes() == whole
+
+    def test_malformed_cache_line_is_data_error(self, tmp_path, capsys):
+        config_path = self.write_textcnn_config(tmp_path)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text('{"key": "a"}\n{"key": "b", "error_rate": 0.5, "flops": 1}\n')
+        code = cli.main(["tune", "--config", str(config_path), "--cache",
+                         str(cache), "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "malformed evaluation cache line" in capsys.readouterr().err
+
+    def test_negative_top_k_is_usage_error(self, tmp_path):
+        config = write_run_config(tmp_path / "rc.json")
+        out = tmp_path / "out"
+        code = cli.main(["tune", "--config", config, "--output-dir", str(out),
+                         "--top-k", "-1"])
+        assert code == 1
+        assert not out.exists()
 
     def test_calibration_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
         def boom(config, evaluator):
@@ -251,6 +287,16 @@ class TestOracle:
              "--output", str(tmp_path / "front.txt")]
         )
         assert code == 1
+
+    def test_negative_top_k_is_usage_error(self, tmp_path):
+        out = tmp_path / "front.txt"
+        code = cli.main(
+            ["oracle", "--objective", "sphere_proxy",
+             "--space", json.dumps(SMALL_SPACE),
+             "--cap", "100", "--output", str(out), "--top-k", "-1"]
+        )
+        assert code == 1
+        assert not out.exists()
 
     def test_tuned_archive_subset_of_oracle_front(self, tmp_path):
         config = write_run_config(tmp_path / "rc.json")

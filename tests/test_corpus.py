@@ -11,14 +11,10 @@ from annealtune.corpus import (
     FixedTestPolicy,
     HoldoutPolicy,
     LabeledSentence,
-    corpus_cache_key,
-    file_digest,
     load_cr,
     load_mr,
-    load_prepared,
     load_trec,
     make_splits,
-    save_prepared,
     synthetic_corpus,
     tokenize,
 )
@@ -156,7 +152,7 @@ class TestMakeSplits:
         sizes = []
         for fold in range(10):
             prepared = make_splits(data, CvPolicy(10, fold), 0.9, seed=7)
-            ids, labels = prepared.split("test")
+            ids, labels = prepared.test_ids, prepared.test_labels
             sizes.append(len(labels))
             inverse = {v: k for k, v in prepared.vocabulary.items()}
             for row, label in zip(ids, labels):
@@ -169,8 +165,9 @@ class TestMakeSplits:
         data = corpus_of(60, classes=3)
         prepared = make_splits(data, HoldoutPolicy(0.2), ratio_init=0.8, seed=3)
         combined = Counter()
-        for name in ("train", "validation", "test"):
-            _, labels = prepared.split(name)
+        for labels in (
+            prepared.train_labels, prepared.validation_labels, prepared.test_labels
+        ):
             combined.update(int(l) for l in labels)
         assert combined == Counter(s.label for s in data)
 
@@ -194,8 +191,7 @@ class TestMakeSplits:
         data = synthetic_corpus(2, 30, 40, seed=3)
         prepared = make_splits(data, HoldoutPolicy(0.2), ratio_init=0.9, seed=2)
         assert PAD_ID != UNK_ID
-        for name in ("train", "validation", "test"):
-            ids, _ = prepared.split(name)
+        for ids in (prepared.train_ids, prepared.validation_ids, prepared.test_ids):
             assert ids.max() < prepared.vocab_size
             assert ids.min() >= 0
 
@@ -281,24 +277,3 @@ class TestSyntheticCorpus:
     def test_vocab_floor(self):
         with pytest.raises(ValueError):
             synthetic_corpus(4, 10, 7, seed=0)
-
-
-class TestPreparedCache:
-    def test_round_trip(self, tmp_path):
-        data = synthetic_corpus(2, 20, 40, seed=1)
-        prepared = make_splits(data, HoldoutPolicy(0.2), ratio_init=0.9, seed=1)
-        path = str(tmp_path / "corpus.bin")
-        save_prepared(prepared, path)
-        again = load_prepared(path)
-        assert again.vocabulary == prepared.vocabulary
-        assert np.array_equal(again.train_ids, prepared.train_ids)
-        assert again.stats == prepared.stats
-
-    def test_cache_key_sensitive_to_inputs(self, tmp_path):
-        f = tmp_path / "x.txt"
-        f.write_text("hello\n")
-        digest = file_digest(str(f))
-        k1 = corpus_cache_key([digest], CvPolicy(10, 0), 0.9, 40)
-        k2 = corpus_cache_key([digest], CvPolicy(10, 1), 0.9, 40)
-        k3 = corpus_cache_key([digest], CvPolicy(10, 0), 0.9, 41)
-        assert len({k1, k2, k3}) == 3

@@ -13,9 +13,7 @@ from annealtune.evaluator import (
     SYNTHETIC_EMBEDDING_DIM,
     SYNTHETIC_SENTENCE_LENGTH,
     EvaluationCache,
-    EvaluationRequest,
     SyntheticEvaluator,
-    TerminationDecision,
     TextCnnEvaluator,
     early_termination_check,
     estimate_flops,
@@ -223,35 +221,21 @@ class TestSynthetic:
 
 class TestEarlyTermination:
     def test_above_chance_continues(self):
-        decision = early_termination_check([0.90], class_count=2)
-        assert decision is TerminationDecision.CONTINUE
+        assert early_termination_check([0.90], class_count=2) is False
 
     def test_first_epoch_below_chance_margin_stops(self):
-        decision = early_termination_check([0.51], class_count=2)
-        assert decision is TerminationDecision.STOP
+        assert early_termination_check([0.51], class_count=2) is True
 
     def test_three_stale_epochs_stop(self):
         history = [0.6, 0.7, 0.7, 0.69, 0.70]
         # traced by hand: streak reaches 3 only at the last entry
         for upto in range(2, 5):
-            assert (
-                early_termination_check(history[:upto], class_count=2)
-                is TerminationDecision.CONTINUE
-            )
-        assert (
-            early_termination_check(history, class_count=2)
-            is TerminationDecision.STOP
-        )
+            assert early_termination_check(history[:upto], class_count=2) is False
+        assert early_termination_check(history, class_count=2) is True
 
     def test_margin_and_patience_overridable(self):
-        assert (
-            early_termination_check([0.51], 2, chance_margin=0.0)
-            is TerminationDecision.CONTINUE
-        )
-        assert (
-            early_termination_check([0.9, 0.8, 0.8], 2, patience=2)
-            is TerminationDecision.STOP
-        )
+        assert early_termination_check([0.51], 2, chance_margin=0.0) is False
+        assert early_termination_check([0.9, 0.8, 0.8], 2, patience=2) is True
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
@@ -263,20 +247,47 @@ class TestEvaluationCache:
         from annealtune.pareto import ObjectiveVector
 
         cache = EvaluationCache()
-        config = full_config()
-        assert cache.get(config, 40) is None
-        cache.put(config, 40, ObjectiveVector(0.25, 1000))
-        assert cache.get(config, 40) == ObjectiveVector(0.25, 1000)
-        assert cache.get(config, 41) is None  # seed participates in the key
+        assert cache.get("a") is None
+        cache.put("a", ObjectiveVector(0.25, 1000))
+        assert cache.get("a") == ObjectiveVector(0.25, 1000)
+        assert cache.get("b") is None
 
     def test_disk_persistence(self, tmp_path):
         from annealtune.pareto import ObjectiveVector
 
         path = str(tmp_path / "cache.jsonl")
         cache = EvaluationCache(path)
-        cache.put(full_config(), 40, ObjectiveVector(0.125, 777))
+        cache.put("a", ObjectiveVector(0.125, 777))
         reloaded = EvaluationCache(path)
-        assert reloaded.get(full_config(), 40) == ObjectiveVector(0.125, 777)
+        assert reloaded.get("a") == ObjectiveVector(0.125, 777)
+
+    def test_record_torn_by_an_interruption_is_dropped(self, tmp_path):
+        from annealtune.pareto import ObjectiveVector
+
+        path = tmp_path / "cache.jsonl"
+        cache = EvaluationCache(str(path))
+        cache.put("a", ObjectiveVector(0.125, 777))
+        cache.put("b", ObjectiveVector(0.25, 888))
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) - 20])  # cut "b" mid-record
+        reloaded = EvaluationCache(str(path))
+        assert reloaded.get("a") == ObjectiveVector(0.125, 777)
+        assert reloaded.get("b") is None
+        # the torn line is gone, so the next append starts a fresh line
+        reloaded.put("c", ObjectiveVector(0.5, 999))
+        again = EvaluationCache(str(path))
+        assert again.get("a") == ObjectiveVector(0.125, 777)
+        assert again.get("c") == ObjectiveVector(0.5, 999)
+
+    def test_malformed_line_before_the_last_is_a_data_error(self, tmp_path):
+        from annealtune.corpus import DataError
+        from annealtune.pareto import ObjectiveVector
+
+        path = tmp_path / "cache.jsonl"
+        EvaluationCache(str(path)).put("a", ObjectiveVector(0.125, 777))
+        path.write_text("not json\n" + path.read_text())
+        with pytest.raises(DataError, match=":1: malformed"):
+            EvaluationCache(str(path))
 
 
 def small_textcnn_space(**overrides):
@@ -372,7 +383,27 @@ class TestTextCnnEvaluator:
         for _ in range(2):
             evaluator = TextCnnEvaluator(space=space, corpus=corpus, seed=40,
                                          max_epochs=5)
-            request = EvaluationRequest(config=config, data_split="validation",
-                                        seed=40)
-            results.append(evaluator.evaluate_request(request))
+            results.append(evaluator.evaluate(config))
         assert results[0] == results[1]
+
+    def test_cache_key_covers_seed_corpus_and_training_settings(self, tmp_path):
+        space = small_textcnn_space()
+        config = space.configuration({d.name: d.values[0] for d in space.domains})
+        cache = EvaluationCache(str(tmp_path / "cache.jsonl"))
+        base = dict(space=space, corpus=small_corpus(), seed=40, max_epochs=1,
+                    cache=cache)
+        TextCnnEvaluator(**base).evaluate(config)
+        for change in (
+            {"seed": 41},
+            {"corpus": small_corpus(seed=41)},
+            {"max_epochs": 8},
+            {"embedding_dim": 49},
+            {"early_stop_margin": 0.0},
+            {"early_stop_patience": 4},
+        ):
+            evaluator = TextCnnEvaluator(**{**base, **change})
+            evaluator.evaluate(config)
+            assert evaluator.trainings == 1, change
+        again = TextCnnEvaluator(**base)
+        again.evaluate(config)
+        assert again.trainings == 0

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annealtune.pareto import (
@@ -103,6 +103,7 @@ class TestScalarDeterioration:
 
     @settings(max_examples=200)
     @given(vectors, vectors)
+    @example(ObjectiveVector(5e-324, 0), ObjectiveVector(0.0, 0))
     def test_dominating_candidate_is_negative(self, a, b):
         if dominates(b, a):
             assert scalar_deterioration(a, b, 10**6) < 0.0

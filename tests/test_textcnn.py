@@ -15,10 +15,8 @@ from annealtune.textcnn import (
     backward,
     forward,
     init_model,
-    load_model,
     loss,
     rmsprop_update,
-    save_model,
     softmax,
     train,
     xavier_uniform,
@@ -375,30 +373,6 @@ class TestTrain:
                 corpus.validation_labels,
                 settings,
             )
-
-
-def test_history_table_layout():
-    from annealtune.textcnn import EpochStats, history_table
-
-    table = history_table(
-        [EpochStats(1, 1.25, 0.5), EpochStats(2, 0.75, 0.875)]
-    )
-    lines = table.strip().splitlines()
-    assert lines[0].split() == ["epoch", "train_loss", "validation_accuracy"]
-    assert lines[1].split() == ["1", "1.250000", "0.500000"]
-    assert lines[2].split() == ["2", "0.750000", "0.875000"]
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        model = tiny_model(activation="elu")
-        path = str(tmp_path / "model.npz")
-        save_model(model, path)
-        again = load_model(path)
-        assert again.activation == "elu"
-        assert again.conv_dropout == model.conv_dropout
-        for name, arr in model.parameters().items():
-            assert np.array_equal(arr, again.parameters()[name]), name
 
 
 def test_softmax_stability():
