@@ -42,7 +42,6 @@ from .evaluator import (
     TextCnnEvaluator,
     early_termination_check,
     estimate_flops,
-    evaluate_synthetic,
     flops_ceiling,
 )
 from .pareto import (
@@ -64,7 +63,6 @@ from .search_space import (
     load_run_config,
     neighbor,
     random_configuration,
-    save_run_config,
 )
 from .textcnn import (
     DivergenceError,

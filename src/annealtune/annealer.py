@@ -25,7 +25,6 @@ from .pareto import (
 from .search_space import (
     Configuration,
     RunConfig,
-    SearchSpace,
     neighbor,
     random_configuration,
 )
@@ -150,17 +149,18 @@ class CalibrationReport:
 
 
 def calibrate_initial_temperature(
-    space: SearchSpace,
     evaluator: ObjectiveEvaluator,
     p_init: float,
+    p_final: float,
     probe_count: int,
     rng: random.Random,
-    p_final: float = 0.0357,
 ) -> CalibrationReport:
-    """Short random walk; the mean of the positive scalar deteriorations
-    fixes both temperatures through the inverted acceptance law."""
+    """Short random walk over ``evaluator.space``; the mean of the positive
+    scalar deteriorations fixes both temperatures through the inverted
+    acceptance law."""
     if probe_count < 2:
         raise ValueError("probe_count must be >= 2")
+    space = evaluator.space
     start = random_configuration(space, rng)
     start_objectives = evaluator.evaluate(start)
     current, current_objectives = start, start_objectives
@@ -300,17 +300,15 @@ def run(run_config: RunConfig, evaluator: ObjectiveEvaluator) -> RunResult:
     past t_final, or when the best archived error rate stagnates for
     STAGNATION_OUTER_STEPS consecutive outer steps.
     """
-    space = evaluator.space
-    if not space.mutable_domains():
+    if not evaluator.space.mutable_domains():
         raise ValueError("search space has no mutable domain")
     rng = random.Random(run_config.seed_number)
     calibration = calibrate_initial_temperature(
-        space,
         evaluator,
         run_config.initial_acceptance_probability,
+        run_config.final_acceptance_probability,
         run_config.probe_count,
         rng,
-        run_config.final_acceptance_probability,
     )
     schedule = plan_schedule(
         calibration.t_init,

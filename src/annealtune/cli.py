@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from typing import Any, Sequence
 
 from .annealer import CalibrationError, RunResult, plan_schedule, run
@@ -30,7 +31,9 @@ from .corpus import (
     synthetic_corpus,
 )
 from .evaluator import (
+    SYNTHETIC_CLASS_COUNT,
     SYNTHETIC_NAMES,
+    SYNTHETIC_SENTENCE_LENGTH,
     EvaluationCache,
     SyntheticEvaluator,
     TextCnnEvaluator,
@@ -57,6 +60,9 @@ EXIT_RUNTIME = 3
 
 FORMAT_VERSION = 1
 
+#: RunConfig's field defaults; eval trains with the same settings as tune
+_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
 
 class UsageError(Exception):
     pass
@@ -71,6 +77,13 @@ def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -205,6 +218,14 @@ def _load_manifest(path: str | None) -> dict[str, Any]:
     return manifest
 
 
+def _manifest_values(manifest: dict[str, Any], *keys: str) -> list[Any]:
+    """The manifest's values at ``keys``; a missing key is a DataError."""
+    for key in keys:
+        if key not in manifest:
+            raise DataError(f"{manifest['kind']} dataset manifest lacks key {key!r}")
+    return [manifest[key] for key in keys]
+
+
 def prepare_corpus(
     manifest: dict[str, Any], ratio_init: float, seed: int
 ) -> PreparedCorpus:
@@ -224,31 +245,18 @@ def prepare_corpus(
         )
         policy = HoldoutPolicy(float(manifest.get("test_fraction", 0.2)))
         return make_splits(data, policy, ratio_init, seed)
-    if kind == "mr":
-        data = load_mr(manifest["pos"], manifest["neg"])
+    if kind in ("mr", "cr"):
+        if kind == "mr":
+            data = load_mr(*_manifest_values(manifest, "pos", "neg"))
+        else:
+            data = load_cr(*_manifest_values(manifest, "path"))
         policy = CvPolicy(
             int(manifest.get("folds", 10)), int(manifest.get("fold_index", 0))
         )
-        return make_splits(
-            data, policy, ratio_init, seed, class_names=("negative", "positive")
-        )
-    if kind == "cr":
-        data = load_cr(manifest["path"])
-        policy = CvPolicy(
-            int(manifest.get("folds", 10)), int(manifest.get("fold_index", 0))
-        )
-        return make_splits(
-            data, policy, ratio_init, seed, class_names=("negative", "positive")
-        )
+        return make_splits(data, policy, ratio_init, seed)
     if kind == "trec":
-        train, test, class_names = load_trec(manifest["train"], manifest["test"])
-        return make_splits(
-            train,
-            FixedTestPolicy(tuple(test)),
-            ratio_init,
-            seed,
-            class_names=class_names,
-        )
+        train, test, _ = load_trec(*_manifest_values(manifest, "train", "test"))
+        return make_splits(train, FixedTestPolicy(tuple(test)), ratio_init, seed)
     raise DataError(f"unknown dataset kind {kind!r}")
 
 
@@ -379,10 +387,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from_sets(space, args.set or [])
     corpus = None
     sentence_length, class_count = args.sentence_length, args.class_count
-    if not args.flops_only:
-        corpus = prepare_corpus(_load_manifest(args.corpus), args.ratio_init, args.seed)
-        sentence_length, class_count = corpus.sentence_length, corpus.class_count
-    breakdown = estimate_flops(config, sentence_length, args.embedding_dim, class_count)
+    try:
+        if not args.flops_only:
+            manifest = _load_manifest(args.corpus)
+            corpus = prepare_corpus(manifest, args.ratio_init, args.seed)
+            sentence_length, class_count = corpus.sentence_length, corpus.class_count
+        breakdown = estimate_flops(
+            config, sentence_length, args.embedding_dim, class_count
+        )
+    except DataError:
+        raise
+    except ValueError as exc:  # e.g. ratio_init outside (0, 1)
+        raise UsageError(str(exc)) from None
     print(f"flops breakdown: conv={list(breakdown.conv_flops)} "
           f"fc={breakdown.fc_flops} total={breakdown.total}")
     if corpus is None:
@@ -393,6 +409,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         seed=args.seed,
         max_epochs=args.max_epochs,
         embedding_dim=args.embedding_dim,
+        early_stop_margin=_RUN_DEFAULTS["early_stop_margin"],
+        early_stop_patience=_RUN_DEFAULTS["early_stop_patience"],
     )
     objectives = evaluator.evaluate(config)
     print(f"error_rate: {objectives.error_rate!r}")
@@ -474,10 +492,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--flops-only", action="store_true")
     p_eval.add_argument("--seed", type=int, default=40)
     p_eval.add_argument("--ratio-init", type=float, default=0.9)
-    p_eval.add_argument("--max-epochs", type=int, default=20)
-    p_eval.add_argument("--sentence-length", type=int, default=10)
-    p_eval.add_argument("--embedding-dim", type=int, default=50)
-    p_eval.add_argument("--class-count", type=int, default=6)
+    p_eval.add_argument(
+        "--max-epochs", type=positive_int, default=_RUN_DEFAULTS["max_epochs"]
+    )
+    p_eval.add_argument(
+        "--sentence-length", type=int, default=SYNTHETIC_SENTENCE_LENGTH
+    )
+    p_eval.add_argument(
+        "--embedding-dim", type=positive_int, default=_RUN_DEFAULTS["embedding_dim"]
+    )
+    p_eval.add_argument("--class-count", type=int, default=SYNTHETIC_CLASS_COUNT)
     p_eval.set_defaults(func=cmd_eval)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive front on a small space")

@@ -142,18 +142,8 @@ class FixedTestPolicy:
 SplitPolicy = CvPolicy | HoldoutPolicy | FixedTestPolicy
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    class_count: int
-    average_length: float
-    dataset_size: int
-    vocab_size: int
-
-
 @dataclass
 class PreparedCorpus:
-    vocabulary: dict[str, int]
-    class_names: tuple[str, ...]
     train_ids: np.ndarray
     train_labels: np.ndarray
     validation_ids: np.ndarray
@@ -161,15 +151,8 @@ class PreparedCorpus:
     test_ids: np.ndarray
     test_labels: np.ndarray
     sentence_length: int
-    stats: CorpusStats
-
-    @property
-    def class_count(self) -> int:
-        return self.stats.class_count
-
-    @property
-    def vocab_size(self) -> int:
-        return self.stats.vocab_size
+    class_count: int
+    vocab_size: int
 
 
 def _encode(
@@ -189,7 +172,6 @@ def make_splits(
     policy: SplitPolicy,
     ratio_init: float,
     seed: int,
-    class_names: Sequence[str] | None = None,
 ) -> PreparedCorpus:
     """Carve test / train / validation splits and encode them.
 
@@ -256,15 +238,6 @@ def make_splits(
     train = [original_train[i] for i in train_idx]
     validation = [original_train[i] for i in val_idx]
 
-    all_labels = {s.label for s in data} | {s.label for s in test}
-    class_count = max(all_labels) + 1
-    if class_names is None:
-        class_names = tuple(str(c) for c in range(class_count))
-    else:
-        class_names = tuple(class_names)
-        if len(class_names) < class_count:
-            raise ValueError("fewer class names than observed classes")
-
     vocab = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
     for sentence in train:
         for token in sentence.tokens:
@@ -274,19 +247,10 @@ def make_splits(
     train_lengths = [len(s.tokens) for s in train]
     sentence_length = max(5, int(np.ceil(np.percentile(train_lengths, 95))))
 
-    everything = list(data) + (test if isinstance(policy, FixedTestPolicy) else [])
-    stats = CorpusStats(
-        class_count=class_count,
-        average_length=float(np.mean([len(s.tokens) for s in everything])),
-        dataset_size=len(everything),
-        vocab_size=len(vocab),
-    )
     train_ids, train_labels = _encode(train, vocab, sentence_length)
     val_ids, val_labels = _encode(validation, vocab, sentence_length)
     test_ids, test_labels = _encode(test, vocab, sentence_length)
     return PreparedCorpus(
-        vocabulary=vocab,
-        class_names=class_names,
         train_ids=train_ids,
         train_labels=train_labels,
         validation_ids=val_ids,
@@ -294,7 +258,8 @@ def make_splits(
         test_ids=test_ids,
         test_labels=test_labels,
         sentence_length=sentence_length,
-        stats=stats,
+        class_count=max(s.label for s in (*data, *test)) + 1,
+        vocab_size=len(vocab),
     )
 
 

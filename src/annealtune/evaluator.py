@@ -67,10 +67,7 @@ def estimate_flops(
 
 
 def flops_ceiling(
-    space: SearchSpace,
-    sentence_length: int = SYNTHETIC_SENTENCE_LENGTH,
-    embedding_dim: int = SYNTHETIC_EMBEDDING_DIM,
-    class_count: int = SYNTHETIC_CLASS_COUNT,
+    space: SearchSpace, sentence_length: int, embedding_dim: int, class_count: int
 ) -> int:
     """Largest FLOPs total the space can produce.
 
@@ -105,9 +102,8 @@ def _index_fractions(space: SearchSpace, config: Configuration) -> list[float]:
     return fractions
 
 
-def evaluate_synthetic(
-    name: str, config: Configuration, space: SearchSpace
-) -> ObjectiveVector:
+@dataclass
+class SyntheticEvaluator:
     """Deterministic, instantaneous objectives for testing the search loop.
 
     sphere_proxy: error = mean squared index fraction over the mutable
@@ -120,26 +116,6 @@ def evaluate_synthetic(
     Both report flops from the estimator under the fixed synthetic
     network-shape constants.
     """
-    flops = estimate_flops(
-        config,
-        SYNTHETIC_SENTENCE_LENGTH,
-        SYNTHETIC_EMBEDDING_DIM,
-        SYNTHETIC_CLASS_COUNT,
-    ).total
-    fractions = _index_fractions(space, config)
-    if name == "sphere_proxy":
-        error = sum(f * f for f in fractions) / len(fractions) if fractions else 0.0
-    elif name == "deceptive_trap":
-        t = sum(fractions) / len(fractions) if fractions else 0.0
-        error = 0.05 if t >= 1.0 else 0.25 + 0.5 * t
-    else:
-        raise ValueError(f"unknown synthetic objective {name!r}")
-    return ObjectiveVector(error_rate=error, flops=flops)
-
-
-@dataclass
-class SyntheticEvaluator:
-    """ObjectiveEvaluator adapter around evaluate_synthetic."""
 
     space: SearchSpace
     name: str
@@ -148,17 +124,34 @@ class SyntheticEvaluator:
     def __post_init__(self) -> None:
         if self.name not in SYNTHETIC_NAMES:
             raise ValueError(f"unknown synthetic objective {self.name!r}")
-        self.flops_max = flops_ceiling(self.space)
+        self.flops_max = flops_ceiling(
+            self.space,
+            SYNTHETIC_SENTENCE_LENGTH,
+            SYNTHETIC_EMBEDDING_DIM,
+            SYNTHETIC_CLASS_COUNT,
+        )
 
     def evaluate(self, config: Configuration) -> ObjectiveVector:
-        return evaluate_synthetic(self.name, config, self.space)
+        flops = estimate_flops(
+            config,
+            SYNTHETIC_SENTENCE_LENGTH,
+            SYNTHETIC_EMBEDDING_DIM,
+            SYNTHETIC_CLASS_COUNT,
+        ).total
+        fractions = _index_fractions(self.space, config)
+        if self.name == "sphere_proxy":
+            error = sum(f * f for f in fractions) / len(fractions) if fractions else 0.0
+        else:
+            t = sum(fractions) / len(fractions) if fractions else 0.0
+            error = 0.05 if t >= 1.0 else 0.25 + 0.5 * t
+        return ObjectiveVector(error_rate=error, flops=flops)
 
 
 def early_termination_check(
     validation_history: list[float],
     class_count: int,
-    chance_margin: float = 0.02,
-    patience: int = 3,
+    chance_margin: float,
+    patience: int,
 ) -> bool:
     """Whether to stop a hopeless training early.
 
@@ -268,10 +261,10 @@ class TextCnnEvaluator:
     space: SearchSpace
     corpus: PreparedCorpus
     seed: int
-    max_epochs: int = 20
-    embedding_dim: int = 50
-    early_stop_margin: float = 0.02
-    early_stop_patience: int = 3
+    max_epochs: int
+    embedding_dim: int
+    early_stop_margin: float
+    early_stop_patience: int
     cache: EvaluationCache = field(default_factory=EvaluationCache)
     flops_max: int = field(init=False)
     trainings: int = field(default=0, init=False)

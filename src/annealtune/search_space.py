@@ -45,11 +45,6 @@ def canonical_value(raw: Any) -> Value:
     raise ValueError(f"unsupported domain value type: {raw!r}")
 
 
-def numeric(value: Value) -> float:
-    """Interpret a stored value as a number. Raises ValueError for symbols."""
-    return float(value)
-
-
 def parse_value(domain: "ParamDomain", text: str) -> Value:
     """Resolve command-line text to the domain value it denotes."""
     for v in domain.values:
@@ -95,9 +90,6 @@ class Configuration:
             if key == name:
                 return value
         raise KeyError(name)
-
-    def __contains__(self, name: str) -> bool:
-        return any(key == name for key, _ in self.items)
 
     def as_dict(self) -> dict[str, Value]:
         return dict(self.items)
@@ -183,9 +175,6 @@ class SearchSpace:
             else:
                 domains.append(d)
         return SearchSpace(tuple(domains))
-
-    def to_mapping(self) -> dict[str, list[Value]]:
-        return {d.name: list(d.values) for d in self.domains}
 
 
 def default_search_space() -> SearchSpace:
@@ -304,6 +293,9 @@ class RunConfig:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if self.probe_count < 2:
             raise ValueError("probe_count must be >= 2")
+        for name in ("max_epochs", "embedding_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         kind = self.objective_kind
         if kind != "textcnn" and not kind.startswith(SYNTHETIC_PREFIX):
             raise ValueError(f"unknown objective_kind: {kind!r}")
@@ -334,11 +326,3 @@ def run_config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
     if raw.get("space") is not None:
         kwargs["space"] = default_search_space().restrict(raw["space"])
     return RunConfig(**kwargs)
-
-
-def save_run_config(config: RunConfig, path: str) -> None:
-    raw: dict[str, Any] = {f.name: getattr(config, f.name) for f in fields(config)}
-    raw["space"] = config.space.to_mapping()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(raw, fh, indent=2)
-        fh.write("\n")

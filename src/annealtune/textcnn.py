@@ -15,9 +15,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .search_space import Configuration, numeric
+from .search_space import Configuration
 
 WINDOWS = (3, 4, 5)
+
+#: Rmsprop's squared-gradient decay and the epsilon under its square root
+RMSPROP_DECAY = 0.9
+RMSPROP_EPSILON = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -63,19 +67,16 @@ class TrainingSettings:
     batch_size: int
     max_epochs: int
     seed: int
-    rmsprop_decay: float = 0.9
-    rmsprop_epsilon: float = 1e-8
 
     @staticmethod
     def from_configuration(
         config: Configuration, max_epochs: int, seed: int
     ) -> "TrainingSettings":
-        # searchable values win; the fixed fallbacks apply only when the
-        # space omits the domain
-        lr = numeric(config["learning_rate"]) if "learning_rate" in config else 0.001
-        batch = int(config["batch_size"]) if "batch_size" in config else 32
         return TrainingSettings(
-            learning_rate=lr, batch_size=batch, max_epochs=max_epochs, seed=seed
+            learning_rate=float(config["learning_rate"]),
+            batch_size=int(config["batch_size"]),
+            max_epochs=max_epochs,
+            seed=seed,
         )
 
 
@@ -155,8 +156,8 @@ def init_model(
         b1=np.zeros(units),
         w2=xavier_uniform(rng, units, class_count, (units, class_count)),
         b2=np.zeros(class_count),
-        conv_dropout=numeric(config["conv_dropout"]),
-        fc_dropout=numeric(config["fc_dropout"]),
+        conv_dropout=float(config["conv_dropout"]),
+        fc_dropout=float(config["fc_dropout"]),
         activation=activation,
     )
 
@@ -317,14 +318,12 @@ def rmsprop_update(
     grad: np.ndarray,
     acc: np.ndarray,
     learning_rate: float,
-    decay: float = 0.9,
-    epsilon: float = 1e-8,
 ) -> None:
     """In-place Rmsprop step: decayed squared-gradient accumulator, then
     param -= lr * grad / sqrt(acc + eps)."""
-    acc *= decay
-    acc += (1.0 - decay) * grad * grad
-    param -= learning_rate * grad / np.sqrt(acc + epsilon)
+    acc *= RMSPROP_DECAY
+    acc += (1.0 - RMSPROP_DECAY) * grad * grad
+    param -= learning_rate * grad / np.sqrt(acc + RMSPROP_EPSILON)
 
 
 @dataclass(frozen=True)
@@ -375,12 +374,7 @@ def train(
             epoch_losses.append(batch_loss)
             for name, arr in params.items():
                 rmsprop_update(
-                    arr,
-                    grad_sum[name] / len(batch),
-                    rms[name],
-                    settings.learning_rate,
-                    settings.rmsprop_decay,
-                    settings.rmsprop_epsilon,
+                    arr, grad_sum[name] / len(batch), rms[name], settings.learning_rate
                 )
 
         val_acc = accuracy(model, val_x, val_y)

@@ -1,8 +1,30 @@
-"""Shared test oracles: finite-difference gradients and comparison metrics."""
+"""Shared test oracles and builders: finite-difference gradients,
+comparison metrics, and evaluators with the run configuration's defaults."""
+
+from dataclasses import fields
 
 import numpy as np
 
+from annealtune.evaluator import TextCnnEvaluator
+from annealtune.search_space import RunConfig
 from annealtune.textcnn import forward, loss
+
+#: RunConfig's field defaults (MISSING for required fields)
+RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+TRAINING_SETTINGS = (
+    "max_epochs",
+    "embedding_dim",
+    "early_stop_margin",
+    "early_stop_patience",
+)
+
+
+def text_cnn_evaluator(**kwargs) -> TextCnnEvaluator:
+    """A TextCnnEvaluator that takes each training setting not given from
+    RunConfig's defaults."""
+    settings = {name: RUN_DEFAULTS[name] for name in TRAINING_SETTINGS}
+    return TextCnnEvaluator(**{**settings, **kwargs})
 
 
 def finite_difference_gradients(model, ids, label, mask_seed, eps=1e-4):

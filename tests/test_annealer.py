@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import pytest
+from helpers import RUN_DEFAULTS
 
 from annealtune.annealer import (
     AnnealerState,
@@ -16,7 +17,7 @@ from annealtune.annealer import (
     run,
     step,
 )
-from annealtune.evaluator import SyntheticEvaluator, evaluate_synthetic
+from annealtune.evaluator import SyntheticEvaluator
 from annealtune.pareto import (
     ArchiveAction,
     ObjectiveVector,
@@ -32,6 +33,8 @@ from annealtune.search_space import (
     enumerate_space,
     random_configuration,
 )
+
+P_FINAL = RUN_DEFAULTS["final_acceptance_probability"]
 
 TABLE_ROWS = [
     (0.99, 156.2, 1.6),
@@ -127,7 +130,7 @@ class TestCalibration:
     def test_exact_average_deterioration(self):
         evaluator = self.alternating_evaluator()
         report = calibrate_initial_temperature(
-            evaluator.space, evaluator, p_init=0.5, probe_count=10,
+            evaluator, p_init=0.5, p_final=P_FINAL, probe_count=10,
             rng=random.Random(40),
         )
         assert report.delta_f_ave == pytest.approx(0.4)
@@ -139,23 +142,19 @@ class TestCalibration:
 
     def test_walk_evaluates_start_plus_probe_count(self):
         evaluator = self.alternating_evaluator()
-        calibrate_initial_temperature(
-            evaluator.space, evaluator, 0.5, 10, random.Random(1)
-        )
+        calibrate_initial_temperature(evaluator, 0.5, P_FINAL, 10, random.Random(1))
         assert evaluator.calls == 11
 
     def test_no_deterioration_is_an_error(self):
         space = two_value_space()
         flat = StubEvaluator(space=space, fn=lambda c: ObjectiveVector(0.5, 100))
         with pytest.raises(CalibrationError):
-            calibrate_initial_temperature(space, flat, 0.5, 10, random.Random(0))
+            calibrate_initial_temperature(flat, 0.5, P_FINAL, 10, random.Random(0))
 
     def test_probe_count_precondition(self):
         evaluator = self.alternating_evaluator()
         with pytest.raises(ValueError):
-            calibrate_initial_temperature(
-                evaluator.space, evaluator, 0.5, 1, random.Random(0)
-            )
+            calibrate_initial_temperature(evaluator, 0.5, P_FINAL, 1, random.Random(0))
 
 
 class TestPlanSchedule:

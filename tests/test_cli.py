@@ -136,6 +136,28 @@ class TestTune:
         assert cli.main(["tune", "--config", config, "--output-dir", str(out)]) == 2
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "manifest,missing",
+        [
+            ({"kind": "mr", "pos": "x"}, "neg"),
+            ({"kind": "cr"}, "path"),
+            ({"kind": "trec", "train": "x"}, "test"),
+        ],
+        ids=["mr", "cr", "trec"],
+    )
+    def test_manifest_missing_key_is_data_error(
+        self, tmp_path, capsys, manifest, missing
+    ):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(manifest))
+        config = write_run_config(
+            tmp_path / "rc.json", objective_kind="textcnn", dataset_path=str(dataset)
+        )
+        out = tmp_path / "out"
+        assert cli.main(["tune", "--config", config, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest['kind']} dataset manifest lacks key {missing!r}" in err
+
     def test_unknown_synthetic_objective_usage_error(self, tmp_path):
         config = write_run_config(
             tmp_path / "rc.json", objective_kind="synthetic:rosenbrock"
@@ -238,6 +260,25 @@ class TestEval:
     def test_bad_value_usage_error(self):
         args = TOP1_SETS + ["--set", "batch_size=65"]
         assert cli.main(["eval", *args, "--flops-only"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-epochs", "0"],
+            ["--embedding-dim", "0"],
+            ["--ratio-init", "1.5"],
+            ["--flops-only", "--sentence-length", "2"],
+        ],
+    )
+    def test_out_of_range_setting_is_usage_error(self, capsys, flags):
+        assert cli.main(["eval", *TOP1_SETS, *flags]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_manifest_missing_key_is_data_error(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps({"kind": "mr", "pos": "x"}))
+        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
+        assert "mr dataset manifest lacks key 'neg'" in capsys.readouterr().err
 
     def test_full_evaluation_on_bundled_synthetic(self, capsys):
         code = cli.main(["eval", *TOP1_SETS, "--max-epochs", "3"])

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from helpers import RUN_DEFAULTS, text_cnn_evaluator
 
 from annealtune.corpus import (
     HoldoutPolicy,
@@ -14,10 +15,8 @@ from annealtune.evaluator import (
     SYNTHETIC_SENTENCE_LENGTH,
     EvaluationCache,
     SyntheticEvaluator,
-    TextCnnEvaluator,
     early_termination_check,
     estimate_flops,
-    evaluate_synthetic,
     flops_ceiling,
 )
 from annealtune.search_space import (
@@ -121,7 +120,12 @@ class TestFlopsCeiling:
                 "batch_size": [64],
             }
         )
-        ceiling = flops_ceiling(space)
+        ceiling = flops_ceiling(
+            space,
+            SYNTHETIC_SENTENCE_LENGTH,
+            SYNTHETIC_EMBEDDING_DIM,
+            SYNTHETIC_CLASS_COUNT,
+        )
         totals = [
             estimate_flops(
                 c,
@@ -144,8 +148,9 @@ def all_index_config(space, index):
 class TestSynthetic:
     def test_sphere_extremes(self):
         space = default_search_space()
-        first = evaluate_synthetic("sphere_proxy", all_index_config(space, 0), space)
-        last = evaluate_synthetic("sphere_proxy", all_index_config(space, -1), space)
+        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
+        first = evaluator.evaluate(all_index_config(space, 0))
+        last = evaluator.evaluate(all_index_config(space, -1))
         assert first.error_rate == 0.0
         assert last.error_rate == 1.0
 
@@ -158,7 +163,8 @@ class TestSynthetic:
             SYNTHETIC_EMBEDDING_DIM,
             SYNTHETIC_CLASS_COUNT,
         ).total
-        assert evaluate_synthetic("sphere_proxy", config, space).flops == expected
+        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
+        assert evaluator.evaluate(config).flops == expected
 
     def test_trap_has_deceptive_shape(self):
         space = default_search_space().restrict(
@@ -166,12 +172,9 @@ class TestSynthetic:
                 "kernel_count_w3": [32, 64, 96, 100, 128, 160, 256],
             }
         )
-        at_first = evaluate_synthetic(
-            "deceptive_trap", all_index_config(space, 0), space
-        )
-        at_last = evaluate_synthetic(
-            "deceptive_trap", all_index_config(space, -1), space
-        )
+        evaluator = SyntheticEvaluator(space=space, name="deceptive_trap")
+        at_first = evaluator.evaluate(all_index_config(space, 0))
+        at_last = evaluator.evaluate(all_index_config(space, -1))
         assert at_last.error_rate == 0.05  # narrow global optimum
         assert at_first.error_rate == pytest.approx(0.25)  # wide local optimum
         # the slope between them points away from the global optimum
@@ -181,15 +184,12 @@ class TestSynthetic:
                 for d in space.domains
             }
         )
-        mid_error = evaluate_synthetic("deceptive_trap", mid, space).error_rate
+        mid_error = evaluator.evaluate(mid).error_rate
         assert 0.25 < mid_error < 0.75
 
     def test_unknown_name_rejected(self):
-        space = default_search_space()
         with pytest.raises(ValueError):
-            evaluate_synthetic("rosenbrock", all_index_config(space, 0), space)
-        with pytest.raises(ValueError):
-            SyntheticEvaluator(space=space, name="rosenbrock")
+            SyntheticEvaluator(space=default_search_space(), name="rosenbrock")
 
     def test_pure_function(self):
         space = default_search_space()
@@ -219,27 +219,34 @@ class TestSynthetic:
                 assert 0 <= objectives.flops <= evaluator.flops_max
 
 
+def stops(history, chance_margin=RUN_DEFAULTS["early_stop_margin"],
+          patience=RUN_DEFAULTS["early_stop_patience"]):
+    """early_termination_check on two classes, by default under the run
+    configuration's rule."""
+    return early_termination_check(history, 2, chance_margin, patience)
+
+
 class TestEarlyTermination:
     def test_above_chance_continues(self):
-        assert early_termination_check([0.90], class_count=2) is False
+        assert stops([0.90]) is False
 
     def test_first_epoch_below_chance_margin_stops(self):
-        assert early_termination_check([0.51], class_count=2) is True
+        assert stops([0.51]) is True
 
     def test_three_stale_epochs_stop(self):
         history = [0.6, 0.7, 0.7, 0.69, 0.70]
         # traced by hand: streak reaches 3 only at the last entry
         for upto in range(2, 5):
-            assert early_termination_check(history[:upto], class_count=2) is False
-        assert early_termination_check(history, class_count=2) is True
+            assert stops(history[:upto]) is False
+        assert stops(history) is True
 
     def test_margin_and_patience_overridable(self):
-        assert early_termination_check([0.51], 2, chance_margin=0.0) is False
-        assert early_termination_check([0.9, 0.8, 0.8], 2, patience=2) is True
+        assert stops([0.51], chance_margin=0.0) is False
+        assert stops([0.9, 0.8, 0.8], patience=2) is True
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            early_termination_check([], class_count=2)
+            stops([])
 
 
 class TestEvaluationCache:
@@ -317,8 +324,8 @@ class TestTextCnnEvaluator:
     def test_repeated_request_hits_cache(self):
         corpus = small_corpus()
         space = small_textcnn_space()
-        evaluator = TextCnnEvaluator(space=space, corpus=corpus, seed=40,
-                                     max_epochs=10)
+        evaluator = text_cnn_evaluator(space=space, corpus=corpus, seed=40,
+                                       max_epochs=10)
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         first = evaluator.evaluate(config)
         second = evaluator.evaluate(config)
@@ -328,8 +335,8 @@ class TestTextCnnEvaluator:
     def test_trainings_bounded_by_distinct_configs(self):
         corpus = small_corpus()
         space = small_textcnn_space(learning_rate=("0.01", "0.004"))
-        evaluator = TextCnnEvaluator(space=space, corpus=corpus, seed=40,
-                                     max_epochs=5)
+        evaluator = text_cnn_evaluator(space=space, corpus=corpus, seed=40,
+                                       max_epochs=5)
         configs = list(enumerate_space(space, 10))
         for config in configs * 3:
             evaluator.evaluate(config)
@@ -340,8 +347,8 @@ class TestTextCnnEvaluator:
         # the corpus tests; the network should match it within 20 epochs
         corpus = small_corpus()
         space = small_textcnn_space()
-        evaluator = TextCnnEvaluator(space=space, corpus=corpus, seed=40,
-                                     max_epochs=20)
+        evaluator = text_cnn_evaluator(space=space, corpus=corpus, seed=40,
+                                       max_epochs=20)
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         objectives = evaluator.evaluate(config)
         assert objectives.error_rate <= 0.05
@@ -349,12 +356,15 @@ class TestTextCnnEvaluator:
     def test_flops_reported_from_estimator(self):
         corpus = small_corpus()
         space = small_textcnn_space()
-        evaluator = TextCnnEvaluator(space=space, corpus=corpus, seed=40,
-                                     max_epochs=2)
+        evaluator = text_cnn_evaluator(space=space, corpus=corpus, seed=40,
+                                       max_epochs=2)
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         objectives = evaluator.evaluate(config)
         expected = estimate_flops(
-            config, corpus.sentence_length, 50, corpus.class_count
+            config,
+            corpus.sentence_length,
+            RUN_DEFAULTS["embedding_dim"],
+            corpus.class_count,
         ).total
         assert objectives.flops == expected
 
@@ -369,8 +379,8 @@ class TestTextCnnEvaluator:
         corpus = make_splits(shuffled, HoldoutPolicy(0.0), ratio_init=0.9,
                              seed=seed)
         space = small_textcnn_space()
-        evaluator = TextCnnEvaluator(space=space, corpus=corpus, seed=seed,
-                                     max_epochs=5)
+        evaluator = text_cnn_evaluator(space=space, corpus=corpus, seed=seed,
+                                       max_epochs=5)
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         objectives = evaluator.evaluate(config)
         assert abs(objectives.error_rate - 0.5) <= 0.05
@@ -381,8 +391,8 @@ class TestTextCnnEvaluator:
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         results = []
         for _ in range(2):
-            evaluator = TextCnnEvaluator(space=space, corpus=corpus, seed=40,
-                                         max_epochs=5)
+            evaluator = text_cnn_evaluator(space=space, corpus=corpus, seed=40,
+                                           max_epochs=5)
             results.append(evaluator.evaluate(config))
         assert results[0] == results[1]
 
@@ -392,7 +402,7 @@ class TestTextCnnEvaluator:
         cache = EvaluationCache(str(tmp_path / "cache.jsonl"))
         base = dict(space=space, corpus=small_corpus(), seed=40, max_epochs=1,
                     cache=cache)
-        TextCnnEvaluator(**base).evaluate(config)
+        text_cnn_evaluator(**base).evaluate(config)
         for change in (
             {"seed": 41},
             {"corpus": small_corpus(seed=41)},
@@ -401,9 +411,9 @@ class TestTextCnnEvaluator:
             {"early_stop_margin": 0.0},
             {"early_stop_patience": 4},
         ):
-            evaluator = TextCnnEvaluator(**{**base, **change})
+            evaluator = text_cnn_evaluator(**{**base, **change})
             evaluator.evaluate(config)
             assert evaluator.trainings == 1, change
-        again = TextCnnEvaluator(**base)
+        again = text_cnn_evaluator(**base)
         again.evaluate(config)
         assert again.trainings == 0

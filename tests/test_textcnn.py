@@ -348,15 +348,6 @@ class TestTrain:
         assert settings.batch_size == 64
         assert settings.max_epochs == 7
 
-    def test_fixed_fallbacks_when_domains_absent(self):
-        space = SearchSpace((ParamDomain("activation", ("relu",)),))
-        config = space.configuration({"activation": "relu"})
-        settings = TrainingSettings.from_configuration(config, max_epochs=5, seed=0)
-        assert settings.learning_rate == 0.001
-        assert settings.batch_size == 32
-        assert settings.rmsprop_decay == 0.9
-        assert settings.rmsprop_epsilon == 1e-8
-
     def test_divergence_raises(self):
         corpus = prepared_synthetic()
         model = model_for_corpus(corpus)
