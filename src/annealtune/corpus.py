@@ -237,6 +237,12 @@ def make_splits(
     val_idx.sort()
     train = [original_train[i] for i in train_idx]
     validation = [original_train[i] for i in val_idx]
+    for name, split in (("train", train), ("validation", validation)):
+        if not split:
+            raise DataError(
+                f"the {name} split is empty: {len(original_train)} sentences "
+                f"outside the test split, ratio_init {ratio_init}"
+            )
 
     vocab = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
     for sentence in train:

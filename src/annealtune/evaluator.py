@@ -197,13 +197,19 @@ class EvaluationCache:
     An interrupted run restarted against the same cache file skips every
     training it already finished. Each record is appended as one line, so an
     interruption can only tear the last line: loading drops it and truncates
-    the file before it. A malformed line anywhere else is a DataError.
+    the file before it. A malformed line anywhere else is a DataError, and
+    so is a path that cannot be opened for appending (a missing directory,
+    a directory): that fails here, before any training is spent on it.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
         self._memory: dict[str, ObjectiveVector] = {}
-        if path is not None and os.path.exists(path):
+        if path is not None:
+            try:
+                open(path, "ab").close()
+            except OSError as exc:
+                raise DataError(f"evaluation cache {path}: {exc.strerror}") from None
             self._load(path)
 
     def _load(self, path: str) -> None:

@@ -3,15 +3,17 @@
 Pipeline: embedding lookup -> parallel convolutions over word windows of
 height 3/4/5 (filter width = embedding dim) -> max-over-time pooling ->
 inverted dropout -> hidden fully connected stage -> dropout -> softmax.
-Gradients are derived by hand; training uses an Rmsprop update. All
-randomness flows through an explicit numpy Generator so runs replay
-bit-identically for a fixed seed.
+Every pass works on a whole mini-batch: a (B, n) matrix of token ids,
+every sentence padded to the corpus's one sentence length. Gradients are
+derived by hand; training makes one forward and one backward call per
+mini-batch and uses an Rmsprop update. All randomness flows through an
+explicit numpy Generator so runs replay bit-identically for a fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -163,37 +165,41 @@ def init_model(
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
+    """Softmax over the last axis: one distribution per row of logits."""
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _window_matrix(embedded: np.ndarray, w: int) -> np.ndarray:
-    """(n, k) embedded sentence -> (n-w+1, w*k) stacked windows."""
-    n, k = embedded.shape
-    view = np.lib.stride_tricks.sliding_window_view(embedded, (w, k))
-    return view.reshape(n - w + 1, w * k)
+def _windows(embedded: np.ndarray, w: int) -> np.ndarray:
+    """(B, n, k) embedded batch -> (B * (n-w+1), w*k) stacked windows, one
+    row per (sentence, position)."""
+    k = embedded.shape[2]
+    view = np.lib.stride_tricks.sliding_window_view(embedded, (w, k), axis=(1, 2))
+    return view.reshape(-1, w * k)
 
 
 def forward(
     model: TextCnnModel,
-    token_ids: Sequence[int],
+    token_ids: np.ndarray,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """One sentence through the network.
+    """One mini-batch of equal-length sentences through the network.
 
-    Returns (class probabilities, cache of intermediates for backward).
-    In train mode the two inverted-dropout masks are drawn from rng; in
-    eval mode the pass is a pure function of (model, token_ids).
+    token_ids is a (B, n) id matrix. Returns ((B, classes) probabilities,
+    cache of intermediates for backward). In train mode each sentence's two
+    inverted-dropout masks are drawn from rng in sentence order, the conv
+    mask before the fc mask; in eval mode the pass is a pure function of
+    (model, token_ids).
     """
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ValueError("token_ids must be one-dimensional")
+    if ids.ndim != 2:
+        raise ValueError("token_ids must be a (batch, length) matrix")
     if ids.min(initial=0) < 0 or ids.max(initial=-1) >= model.vocab_size:
         raise ValueError("token id outside vocabulary; map unknowns first")
     model_windows = sorted(model.conv_filters)
-    if len(ids) < max(model_windows):
+    if ids.shape[1] < max(model_windows):
         raise ValueError(
             f"sentence shorter than the largest window {max(model_windows)}"
         )
@@ -201,46 +207,47 @@ def forward(
         raise ValueError("train mode requires an rng for dropout masks")
     act, _ = ACTIVATIONS[model.activation]
 
-    embedded = model.embedding[ids]  # (n, k)
-    windows: dict[int, np.ndarray] = {}
-    pre_act: dict[int, np.ndarray] = {}
+    batch, n = ids.shape
+    rows = np.arange(batch)[:, None]
+    embedded = model.embedding[ids]  # (B, n, k)
     argmax: dict[int, np.ndarray] = {}
+    pooled_pre: dict[int, np.ndarray] = {}
     pooled_parts = []
     for w in model_windows:
-        win = _window_matrix(embedded, w)
-        flat = model.conv_filters[w].reshape(model.conv_filters[w].shape[0], -1)
-        z = win @ flat.T + model.conv_bias[w]  # (positions, f_w)
+        f_w = model.conv_filters[w].shape[0]
+        flat = model.conv_filters[w].reshape(f_w, -1)
+        z = (_windows(embedded, w) @ flat.T + model.conv_bias[w]).reshape(
+            batch, n - w + 1, f_w
+        )
         a = act(z)
-        idx = a.argmax(axis=0)
-        windows[w] = win
-        pre_act[w] = z
+        idx = a.argmax(axis=1)  # (B, f_w): each filter's max-over-time position
+        at_max = (rows, idx, np.arange(f_w))
         argmax[w] = idx
-        pooled_parts.append(a[idx, np.arange(a.shape[1])])
-    h = np.concatenate(pooled_parts)
+        pooled_pre[w] = z[at_max]
+        pooled_parts.append(a[at_max])
+    h = np.concatenate(pooled_parts, axis=1)  # (B, sum f_w)
 
     if train_mode:
+        # row b is sentence b's conv mask then its fc mask: the order in
+        # which one-sentence passes drew them, so the stream is unchanged
+        filters = h.shape[1]
+        draws = rng.random((batch, filters + model.b1.shape[0]))
         keep = 1.0 - model.conv_dropout
-        mask_h = (rng.random(h.shape) < keep) / keep
+        mask_h = (draws[:, :filters] < keep) / keep
+        keep = 1.0 - model.fc_dropout
+        mask_fc = (draws[:, filters:] < keep) / keep
     else:
-        mask_h = np.ones_like(h)
+        mask_h = mask_fc = 1.0
     h_dropped = h * mask_h
 
     z1 = h_dropped @ model.w1 + model.b1
-    a1 = act(z1)
-    if train_mode:
-        keep = 1.0 - model.fc_dropout
-        mask_fc = (rng.random(a1.shape) < keep) / keep
-    else:
-        mask_fc = np.ones_like(a1)
-    a1_dropped = a1 * mask_fc
-
-    logits = a1_dropped @ model.w2 + model.b2
-    probs = softmax(logits)
+    a1_dropped = act(z1) * mask_fc
+    probs = softmax(a1_dropped @ model.w2 + model.b2)
     cache = {
         "ids": ids,
-        "windows": windows,
-        "pre_act": pre_act,
+        "embedded": embedded,
         "argmax": argmax,
+        "pooled_pre": pooled_pre,
         "h_dropped": h_dropped,
         "mask_h": mask_h,
         "z1": z1,
@@ -252,13 +259,19 @@ def forward(
     return probs, cache
 
 
-def loss(probs: np.ndarray, label: int) -> float:
-    """Cross entropy against a one-hot target, clamped away from log(0)."""
-    return -float(np.log(max(probs[label], 1e-12)))
+def loss(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Summed cross entropy of (B, classes) probabilities against (B,)
+    labels, each term clamped away from log(0)."""
+    picked = probs[np.arange(len(labels)), labels]
+    return -float(np.log(np.maximum(picked, 1e-12)).sum())
 
 
-def backward(model: TextCnnModel, cache: dict, label: int) -> dict[str, np.ndarray]:
-    """Exact gradients of the cross-entropy loss for one cached forward pass.
+def backward(
+    model: TextCnnModel, cache: dict, labels: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Exact gradients of the batch's summed cross-entropy loss for one
+    cached train-mode forward pass, i.e. the sum of the per-sentence
+    gradients.
 
     Max-pooling routes each filter's gradient to its argmax position only;
     dropout masks from the cache gate the fully connected path.
@@ -267,50 +280,53 @@ def backward(model: TextCnnModel, cache: dict, label: int) -> dict[str, np.ndarr
         raise ValueError("backward requires a cache from a train-mode forward")
     _, dact = ACTIVATIONS[model.activation]
     grads: dict[str, np.ndarray] = {}
+    rows = np.arange(len(labels))
 
     dlogits = cache["probs"].copy()
-    dlogits[label] -= 1.0
-    grads["w2"] = np.outer(cache["a1_dropped"], dlogits)
-    grads["b2"] = dlogits
+    dlogits[rows, labels] -= 1.0
+    grads["w2"] = cache["a1_dropped"].T @ dlogits
+    grads["b2"] = dlogits.sum(axis=0)
 
-    da1 = (model.w2 @ dlogits) * cache["mask_fc"]
+    da1 = (dlogits @ model.w2.T) * cache["mask_fc"]
     dz1 = da1 * dact(cache["z1"])
-    grads["w1"] = np.outer(cache["h_dropped"], dz1)
-    grads["b1"] = dz1
+    grads["w1"] = cache["h_dropped"].T @ dz1
+    grads["b1"] = dz1.sum(axis=0)
 
-    dh = (model.w1 @ dz1) * cache["mask_h"]
-    dembedded = np.zeros_like(model.embedding[cache["ids"]])
+    dh = (dz1 @ model.w1.T) * cache["mask_h"]
+    embedded = cache["embedded"]
+    batch, n, k = embedded.shape
+    dembedded = np.zeros_like(embedded)
     offset = 0
-    k = model.embedding.shape[1]
     for w in sorted(model.conv_filters):
-        f_w = model.conv_filters[w].shape[0]
-        dpooled = dh[offset : offset + f_w]
+        filters = model.conv_filters[w]
+        f_w = filters.shape[0]
+        dpooled = dh[:, offset : offset + f_w]
         offset += f_w
-        z = cache["pre_act"][w]
-        dz = np.zeros_like(z)
-        cols = np.arange(f_w)
-        rows = cache["argmax"][w]
-        dz[rows, cols] = dpooled * dact(z[rows, cols])
-        flat = model.conv_filters[w].reshape(f_w, -1)
-        grads[f"conv_w{w}"] = (dz.T @ cache["windows"][w]).reshape(f_w, w, k)
-        grads[f"conv_b{w}"] = dz.sum(axis=0)
-        dwin = dz @ flat  # (positions, w*k)
-        for pos in range(dwin.shape[0]):
-            dembedded[pos : pos + w] += dwin[pos].reshape(w, k)
+        dpre = dpooled * dact(cache["pooled_pre"][w])  # (B, f_w)
+        grads[f"conv_b{w}"] = dpre.sum(axis=0)
+        positions = n - w + 1
+        dz = np.zeros((batch, positions, f_w))
+        dz[rows[:, None], cache["argmax"][w], np.arange(f_w)] = dpre
+        dz = dz.reshape(batch * positions, f_w)
+        dfilters = np.empty_like(filters)
+        # row j of every window reads embedded rows j..j+positions-1
+        for j in range(w):
+            shifted = embedded[:, j : j + positions].reshape(-1, k)
+            dfilters[:, j] = dz.T @ shifted
+            dembedded[:, j : j + positions] += (dz @ filters[:, j]).reshape(
+                batch, positions, k
+            )
+        grads[f"conv_w{w}"] = dfilters
 
     grads["embedding"] = np.zeros_like(model.embedding)
-    np.add.at(grads["embedding"], cache["ids"], dembedded)
+    np.add.at(grads["embedding"], cache["ids"].ravel(), dembedded.reshape(-1, k))
     return grads
 
 
-def predict(model: TextCnnModel, token_ids: Sequence[int]) -> int:
-    probs, _ = forward(model, token_ids, train_mode=False)
-    return int(np.argmax(probs))
-
-
 def accuracy(model: TextCnnModel, xs: np.ndarray, ys: np.ndarray) -> float:
-    correct = sum(predict(model, x) == int(y) for x, y in zip(xs, ys))
-    return correct / len(ys)
+    """Share of the (B, n) sentences xs whose eval-mode prediction is ys."""
+    probs, _ = forward(model, xs)
+    return float(np.mean(probs.argmax(axis=1) == ys))
 
 
 def rmsprop_update(
@@ -344,6 +360,10 @@ def train(
 ) -> tuple[TextCnnModel, list[EpochStats]]:
     """Rmsprop training with per-epoch validation.
 
+    train_x and val_x are (sentences, n) id matrices. Each mini-batch takes
+    one step along the mean of its sentences' gradients; validation is one
+    eval-mode pass over val_x.
+
     Restores the parameters of the best-validation epoch before returning.
     early_stop sees the validation-accuracy history after each epoch and
     returns True to halt.
@@ -361,20 +381,15 @@ def train(
         epoch_losses = []
         for start in range(0, len(order), settings.batch_size):
             batch = order[start : start + settings.batch_size]
-            grad_sum = {name: np.zeros_like(arr) for name, arr in params.items()}
-            batch_loss = 0.0
-            for i in batch:
-                probs, cache = forward(model, train_x[i], train_mode=True, rng=rng)
-                batch_loss += loss(probs, int(train_y[i]))
-                for name, g in backward(model, cache, int(train_y[i])).items():
-                    grad_sum[name] += g
-            batch_loss /= len(batch)
+            labels = train_y[batch]
+            probs, cache = forward(model, train_x[batch], train_mode=True, rng=rng)
+            batch_loss = loss(probs, labels) / len(batch)
             if not np.isfinite(batch_loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             epoch_losses.append(batch_loss)
-            for name, arr in params.items():
+            for name, g in backward(model, cache, labels).items():
                 rmsprop_update(
-                    arr, grad_sum[name] / len(batch), rms[name], settings.learning_rate
+                    params[name], g / len(batch), rms[name], settings.learning_rate
                 )
 
         val_acc = accuracy(model, val_x, val_y)

@@ -27,14 +27,15 @@ def text_cnn_evaluator(**kwargs) -> TextCnnEvaluator:
     return TextCnnEvaluator(**{**settings, **kwargs})
 
 
-def finite_difference_gradients(model, ids, label, mask_seed, eps=1e-4):
-    """Central differences over every parameter, replaying identical
-    dropout masks through a reseeded generator."""
+def finite_difference_gradients(model, ids, labels, mask_seed, eps=1e-4):
+    """Central differences of a (B, n) batch's summed loss over every
+    parameter, replaying identical dropout masks through a reseeded
+    generator."""
 
     def loss_at() -> float:
         rng = np.random.default_rng(mask_seed)
         probs, _ = forward(model, ids, train_mode=True, rng=rng)
-        return loss(probs, label)
+        return loss(probs, labels)
 
     grads = {}
     for name, arr in model.parameters().items():

@@ -162,12 +162,12 @@ def test_criterion_6_gradient_fidelity():
         for w in (3, 4, 5):
             model.conv_bias[w] += 0.05  # clear of the relu-family kink
         model.b1 += 0.05
-        ids = np.array([3, 1, 4, 1, 5, 9, 2, 6])
-        mask_seed, label = 99, 2
+        ids = np.array([[3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8]])
+        mask_seed, labels = 99, np.array([2, 0])
         rng = np.random.default_rng(mask_seed)
         _, cache = forward(model, ids, train_mode=True, rng=rng)
-        analytic = backward(model, cache, label)
-        numeric = finite_difference_gradients(model, ids, label, mask_seed)
+        analytic = backward(model, cache, labels)
+        numeric = finite_difference_gradients(model, ids, labels, mask_seed)
         for name in analytic:
             worst = max(worst, relative_error(analytic[name], numeric[name]))
     ok = worst < 1e-4

@@ -227,6 +227,34 @@ class TestTune:
         assert code == 2
         assert "malformed evaluation cache line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cache,reason",
+        [("no-such-dir/cache.jsonl", "No such file"), (".", "Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unusable_cache_path_is_data_error(self, tmp_path, capsys, cache, reason):
+        config_path = self.write_textcnn_config(tmp_path)
+        code = cli.main(["tune", "--config", str(config_path), "--cache",
+                         str(tmp_path / cache), "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "evaluation cache" in err and reason in err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_validation_split_is_data_error(self, tmp_path, capsys):
+        # 2 sentences per class, none held out: ratio_init 0.9 puts both in train
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(
+            {"kind": "synthetic", "samples_per_class": 2, "test_fraction": 0}
+        ))
+        config = write_run_config(
+            tmp_path / "rc.json", objective_kind="textcnn", dataset_path=str(dataset)
+        )
+        out = tmp_path / "out"
+        assert cli.main(["tune", "--config", config, "--output-dir", str(out)]) == 2
+        assert "validation split is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_top_k_is_usage_error(self, tmp_path):
         config = write_run_config(tmp_path / "rc.json")
         out = tmp_path / "out"

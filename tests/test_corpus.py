@@ -181,6 +181,17 @@ class TestMakeSplits:
         with pytest.raises(DataError, match="stratification"):
             make_splits(data, HoldoutPolicy(0.0), ratio_init=0.4, seed=1)
 
+    @pytest.mark.parametrize(
+        "policy,ratio_init,empty",
+        [(HoldoutPolicy(0.0), 0.9, "validation"), (HoldoutPolicy(0.9), 0.5, "train")],
+        ids=["validation", "train"],
+    )
+    def test_empty_split_is_an_error(self, policy, ratio_init, empty):
+        # 4 sentences: 0.9 keeps both of a class in train; a 0.9 test
+        # fraction leaves nothing outside the test split
+        with pytest.raises(DataError, match=f"the {empty} split is empty"):
+            make_splits(corpus_of(4), policy, ratio_init, seed=1)
+
     def test_all_ids_below_vocab_size_and_reserved_ids_distinct(self):
         data = synthetic_corpus(2, 30, 40, seed=3)
         prepared = make_splits(data, HoldoutPolicy(0.2), ratio_init=0.9, seed=2)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import reference_textcnn as reference
 from helpers import finite_difference_gradients, relative_error
 
 from annealtune.corpus import make_splits, synthetic_corpus, HoldoutPolicy
@@ -84,12 +85,12 @@ class TestForward:
         model = tiny_model()
         for arr in model.parameters().values():
             arr[...] = 0.0
-        probs, _ = forward(model, np.arange(LENGTH))
+        probs, _ = forward(model, np.arange(2 * LENGTH).reshape(2, LENGTH))
         assert np.allclose(probs, 1.0 / CLASSES, atol=1e-12)
 
     def test_eval_mode_is_deterministic(self):
         model = tiny_model()
-        ids = np.array([1, 3, 5, 7, 2, 4, 6, 0])
+        ids = np.array([[1, 3, 5, 7, 2, 4, 6, 0], [0, 0, 9, 9, 1, 2, 3, 4]])
         p1, _ = forward(model, ids)
         p2, _ = forward(model, ids)
         assert np.array_equal(p1, p2)
@@ -97,34 +98,45 @@ class TestForward:
     def test_probabilities_on_simplex(self):
         model = tiny_model(activation="elu")
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            ids = rng.integers(0, VOCAB, size=LENGTH)
-            probs, _ = forward(model, ids)
-            assert np.all(probs >= 0)
-            assert abs(probs.sum() - 1.0) < 1e-9
+        probs, _ = forward(model, rng.integers(0, VOCAB, size=(50, LENGTH)))
+        assert probs.shape == (50, CLASSES)
+        assert np.all(probs >= 0)
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
 
     def test_out_of_vocabulary_id_rejected(self):
         model = tiny_model()
+        ids = np.array([[0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, 6, VOCAB]])
         with pytest.raises(ValueError, match="vocabulary"):
-            forward(model, np.array([0, 1, 2, 3, 4, 5, 6, VOCAB]))
+            forward(model, ids)
 
     def test_short_sentence_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError, match="shorter"):
-            forward(model, np.array([0, 1, 2, 3]))
+            forward(model, np.array([[0, 1, 2, 3], [4, 5, 6, 7]]))
+
+    def test_one_sentence_vector_rejected(self):
+        model = tiny_model()
+        with pytest.raises(ValueError, match="matrix"):
+            forward(model, np.arange(LENGTH))
+
+    def test_train_mode_without_rng_rejected(self):
+        model = tiny_model()
+        with pytest.raises(ValueError, match="rng"):
+            forward(model, np.arange(2 * LENGTH).reshape(2, LENGTH), train_mode=True)
 
     def test_single_filter_hand_computation(self):
-        # n=4, k=2, one window of height 3: two positions, linear activation.
+        # n=4, k=2, window height 3: two positions, linear activation.
         # position 0 covers rows 0..2, position 1 covers rows 1..3.
         embedding = np.array(
             [[1.0, 0.0], [0.0, 1.0], [2.0, -1.0], [1.0, 1.0]]
         )
-        filt = np.array([[[1.0, 2.0], [0.5, 0.0], [1.0, 1.0]]])  # (1, 3, 2)
+        filt = np.array([[1.0, 2.0], [0.5, 0.0], [1.0, 1.0]])  # (3, 2)
         model = TextCnnModel(
             embedding=embedding,
-            conv_filters={3: filt},
-            conv_bias={3: np.array([0.25])},
-            w1=np.ones((1, 1)),
+            # the second filter negates the first, so its max is position 0
+            conv_filters={3: np.stack([filt, -filt])},
+            conv_bias={3: np.array([0.25, -0.25])},
+            w1=np.ones((2, 1)),
             b1=np.zeros(1),
             w2=np.ones((1, 2)),
             b2=np.zeros(2),
@@ -134,25 +146,47 @@ class TestForward:
         )
         # pos0: 1*1 + 0*2 + 0*0.5 + 1*0 + 2*1 + (-1)*1 + 0.25 = 2.25
         # pos1: 0*1 + 1*2 + 2*0.5 + (-1)*0 + 1*1 + 1*1 + 0.25 = 5.25
-        _, cache = forward(model, np.array([0, 1, 2, 3]))
-        assert cache["pre_act"][3][:, 0] == pytest.approx([2.25, 5.25])
-        assert cache["argmax"][3][0] == 1  # max over time picks position 1
+        _, cache = forward(model, np.array([[0, 1, 2, 3]]))
+        assert cache["pooled_pre"][3][0] == pytest.approx([5.25, -2.25])
+        assert list(cache["argmax"][3][0]) == [1, 0]  # max over time
 
 
 class TestLoss:
     def test_perfect_prediction(self):
-        assert loss(np.array([0.0, 1.0, 0.0]), 1) == 0.0
+        assert loss(np.array([[0.0, 1.0, 0.0]]), np.array([1])) == 0.0
 
     def test_uniform_over_six_classes(self):
-        probs = np.full(6, 1 / 6)
-        assert loss(probs, 4) == pytest.approx(math.log(6), abs=1e-12)
+        probs = np.full((1, 6), 1 / 6)
+        assert loss(probs, np.array([4])) == pytest.approx(math.log(6), abs=1e-12)
 
     def test_batch_mean_over_correct_one_hots_is_zero(self):
-        probs = np.eye(4)
-        assert sum(loss(probs[i], i) for i in range(4)) == 0.0
+        assert loss(np.eye(4), np.arange(4)) == 0.0
 
     def test_clamped_away_from_log_zero(self):
-        assert np.isfinite(loss(np.array([1.0, 0.0]), 1))
+        assert np.isfinite(loss(np.array([[1.0, 0.0]]), np.array([1])))
+
+    def test_sums_the_rows(self):
+        probs = np.array([[0.5, 0.5], [0.25, 0.75]])
+        assert loss(probs, np.array([0, 1])) == pytest.approx(
+            math.log(2) + math.log(4 / 3), abs=1e-12
+        )
+
+
+#: three sentences whose ids repeat within and across rows, so the
+#: embedding gradient's scatter-add sums several rows into one
+REPEATING_IDS = np.array(
+    [[3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8], [1, 1, 1, 3, 3, 3, 0, 19]]
+)
+REPEATING_LABELS = np.array([2, 0, 2])
+
+
+def kink_free_model(activation):
+    model = tiny_model(activation=activation, seed=12)
+    # keep pre-activations away from the relu-family kink at zero
+    for w in (3, 4, 5):
+        model.conv_bias[w] += 0.05
+    model.b1 += 0.05
+    return model
 
 
 class TestBackward:
@@ -160,17 +194,14 @@ class TestBackward:
         "activation", ["relu", "leaky_relu", "elu", "tanh", "linear"]
     )
     def test_gradients_match_finite_differences(self, activation):
-        model = tiny_model(activation=activation, seed=12)
-        # keep pre-activations away from the relu-family kink at zero
-        for w in (3, 4, 5):
-            model.conv_bias[w] += 0.05
-        model.b1 += 0.05
-        ids = np.array([3, 1, 4, 1, 5, 9, 2, 6])  # repeated ids hit scatter-add
-        label, mask_seed = 2, 99
+        model = kink_free_model(activation)
+        mask_seed = 99
         rng = np.random.default_rng(mask_seed)
-        probs, cache = forward(model, ids, train_mode=True, rng=rng)
-        analytic = backward(model, cache, label)
-        numeric = finite_difference_gradients(model, ids, label, mask_seed)
+        _, cache = forward(model, REPEATING_IDS, train_mode=True, rng=rng)
+        analytic = backward(model, cache, REPEATING_LABELS)
+        numeric = finite_difference_gradients(
+            model, REPEATING_IDS, REPEATING_LABELS, mask_seed
+        )
         for name in analytic:
             err = relative_error(analytic[name], numeric[name])
             assert err < 1e-4, (name, err)
@@ -178,34 +209,91 @@ class TestBackward:
     def test_softmax_layer_gradient_identity(self):
         model = tiny_model()
         rng = np.random.default_rng(5)
-        probs, cache = forward(model, np.arange(LENGTH), train_mode=True, rng=rng)
-        grads = backward(model, cache, 1)
-        onehot = np.zeros(CLASSES)
-        onehot[1] = 1.0
-        assert np.allclose(grads["b2"], probs - onehot, atol=1e-12)
-        # at p_label = 1 exactly the identity gives the zero vector
-        assert np.allclose(onehot - onehot, 0.0)
+        ids = np.arange(2 * LENGTH).reshape(2, LENGTH)
+        probs, cache = forward(model, ids, train_mode=True, rng=rng)
+        grads = backward(model, cache, np.array([1, 2]))
+        onehot = np.eye(CLASSES)[[1, 2]]
+        assert np.allclose(grads["b2"], (probs - onehot).sum(axis=0), atol=1e-12)
 
     def test_only_argmax_windows_touch_the_embedding(self):
         model = tiny_model(conv_dropout="0.0", fc_dropout="0.0")
-        ids = np.arange(LENGTH)  # distinct tokens, one row per position
+        # distinct tokens, one embedding row per (sentence, position)
+        ids = np.arange(2 * LENGTH).reshape(2, LENGTH)
         rng = np.random.default_rng(8)
         _, cache = forward(model, ids, train_mode=True, rng=rng)
-        grads = backward(model, cache, 0)
-        covered = set()
-        for w in (3, 4, 5):
-            for pos in cache["argmax"][w]:
-                covered.update(range(pos, pos + w))
-        for row in range(LENGTH):
-            row_grad = grads["embedding"][ids[row]]
-            if row not in covered:
-                assert np.all(row_grad == 0.0), row
+        grads = backward(model, cache, np.array([0, 1]))
+        for b in range(len(ids)):
+            covered = set()
+            for w in (3, 4, 5):
+                for pos in cache["argmax"][w][b]:
+                    covered.update(range(pos, pos + w))
+            for row in range(LENGTH):
+                row_grad = grads["embedding"][ids[b, row]]
+                if row not in covered:
+                    assert np.all(row_grad == 0.0), (b, row)
 
     def test_eval_cache_rejected(self):
         model = tiny_model()
-        _, cache = forward(model, np.arange(LENGTH))
+        _, cache = forward(model, np.arange(2 * LENGTH).reshape(2, LENGTH))
         with pytest.raises(ValueError):
-            backward(model, cache, 0)
+            backward(model, cache, np.array([0, 1]))
+
+
+class TestBatchedEqualsPerSentence:
+    """The batched passes against the per-sentence reference they replaced."""
+
+    @pytest.mark.parametrize(
+        "activation", ["relu", "leaky_relu", "elu", "tanh", "linear"]
+    )
+    def test_gradients_equal_summed_reference(self, activation):
+        model = kink_free_model(activation)
+        probs, cache = forward(
+            model, REPEATING_IDS, train_mode=True, rng=np.random.default_rng(31)
+        )
+        grads = backward(model, cache, REPEATING_LABELS)
+        rng = np.random.default_rng(31)  # one stream, drawn sentence by sentence
+        expected = {name: np.zeros_like(arr) for name, arr in grads.items()}
+        for b, (ids, label) in enumerate(zip(REPEATING_IDS, REPEATING_LABELS)):
+            ref_probs, ref_cache = reference.forward(model, ids, True, rng)
+            assert np.array_equal(cache["mask_h"][b], ref_cache["mask_h"])
+            assert np.array_equal(cache["mask_fc"][b], ref_cache["mask_fc"])
+            assert np.allclose(probs[b], ref_probs, rtol=0, atol=1e-12)
+            for name, g in reference.backward(model, ref_cache, int(label)).items():
+                expected[name] += g
+        assert grads.keys() == expected.keys()
+        for name in grads:
+            assert np.allclose(grads[name], expected[name], rtol=0, atol=1e-10), name
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_eval_predictions_identical(self, activation):
+        model = tiny_model(activation=activation)
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, VOCAB, size=(200, LENGTH))
+        labels = rng.integers(0, CLASSES, size=200)
+        probs, _ = forward(model, ids)
+        predicted = [reference.predict(model, row) for row in ids]
+        assert probs.argmax(axis=1).tolist() == predicted
+        assert accuracy(model, ids, labels) == reference.accuracy(model, ids, labels)
+
+    def test_train_history_matches_reference(self):
+        corpus = prepared_synthetic()
+        settings = TrainingSettings(
+            learning_rate=0.01, batch_size=16, max_epochs=4, seed=40
+        )
+        splits = (
+            corpus.train_ids,
+            corpus.train_labels,
+            corpus.validation_ids,
+            corpus.validation_labels,
+        )
+        _, history = train(model_for_corpus(corpus), *splits, settings)
+        accuracies, losses = reference.train_history(
+            model_for_corpus(corpus), *splits, settings
+        )
+        assert [stats.validation_accuracy for stats in history] == accuracies
+        assert [stats.train_loss for stats in history] == pytest.approx(
+            losses, rel=1e-10
+        )
 
 
 class TestDropout:
@@ -222,7 +310,8 @@ class TestDropout:
     def test_train_mode_scales_surviving_activations(self):
         model = tiny_model(conv_dropout="0.5", fc_dropout="0.0")
         rng = np.random.default_rng(2)
-        _, cache = forward(model, np.arange(LENGTH), train_mode=True, rng=rng)
+        ids = np.arange(2 * LENGTH).reshape(2, LENGTH)
+        _, cache = forward(model, ids, train_mode=True, rng=rng)
         surviving = cache["mask_h"][cache["mask_h"] > 0]
         assert np.allclose(surviving, 2.0)
 
