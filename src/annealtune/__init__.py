@@ -49,9 +49,9 @@ from .pareto import (
     ArchiveEntry,
     ObjectiveVector,
     ParetoArchive,
-    brute_force_front,
     dominates,
     scalar_deterioration,
+    two_objective_front,
 )
 from .search_space import (
     Configuration,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any
 
 from .evaluator import ObjectiveEvaluator
 from .pareto import (
@@ -212,25 +211,22 @@ class StepRecord:
     accepted: bool
     archive_action: ArchiveAction
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "iteration": self.iteration,
-            "temperature": self.temperature,
-            "current": self.current_config.as_dict(),
-            "current_objectives": [
-                self.current_objectives.error_rate,
-                self.current_objectives.flops,
-            ],
-            "candidate": self.candidate_config.as_dict(),
-            "candidate_objectives": [
-                self.candidate_objectives.error_rate,
-                self.candidate_objectives.flops,
-            ],
-            "delta_f": self.delta_f,
-            "probability": self.probability,
-            "accepted": self.accepted,
-            "archive": self.archive_action.value,
-        }
+    def to_json(self) -> str:
+        """One trace line: what ``json.dumps`` writes for this record's
+        fields, built from the configurations' memoized JSON. Every float
+        here is finite, and json.dumps writes a finite float as its repr."""
+        r = float.__repr__
+        cur, cand = self.current_objectives, self.candidate_objectives
+        return (
+            f'{{"iteration": {self.iteration}, "temperature": {r(self.temperature)}, '
+            f'"current": {self.current_config.to_json()}, '
+            f'"current_objectives": [{r(cur.error_rate)}, {cur.flops}], '
+            f'"candidate": {self.candidate_config.to_json()}, '
+            f'"candidate_objectives": [{r(cand.error_rate)}, {cand.flops}], '
+            f'"delta_f": {r(self.delta_f)}, "probability": {r(self.probability)}, '
+            f'"accepted": {"true" if self.accepted else "false"}, '
+            f'"archive": "{self.archive_action.value}"}}'
+        )
 
 
 def step(

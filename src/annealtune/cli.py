@@ -39,7 +39,7 @@ from .evaluator import (
     TextCnnEvaluator,
     estimate_flops,
 )
-from .pareto import ArchiveEntry, brute_force_front, front_order
+from .pareto import ArchiveEntry, front_order, two_objective_front
 from .search_space import (
     DISPLAY_LABELS,
     SYNTHETIC_PREFIX,
@@ -172,8 +172,7 @@ def archive_json(
 
 def trace_jsonl(result: RunResult) -> str:
     lines = [json.dumps({"format_version": FORMAT_VERSION, "kind": "trace"})]
-    for record in result.trace:
-        lines.append(json.dumps(record.to_dict()))
+    lines.extend(record.to_json() for record in result.trace)
     return "\n".join(lines) + "\n"
 
 
@@ -443,7 +442,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     ]
     entries = front_order(
         ArchiveEntry(cfg, obj, iteration_found=0)
-        for cfg, obj in brute_force_front(evaluated)
+        for cfg, obj in two_objective_front(evaluated)
     )
     meta = {"objective_kind": SYNTHETIC_PREFIX + args.objective, "cap": args.cap}
     _atomic_write(args.output, archive_text(entries, space, args.top_k))

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Mapping, Protocol
 
 import numpy as np
 
@@ -28,6 +28,9 @@ SYNTHETIC_CLASS_COUNT = 6
 
 SYNTHETIC_NAMES = ("sphere_proxy", "deceptive_trap")
 
+#: (window, its filter-count hyperparameter), ascending window size
+_KERNEL_COUNTS = tuple((w, f"kernel_count_w{w}") for w in textcnn.WINDOWS)
+
 
 @dataclass(frozen=True)
 class FlopsBreakdown:
@@ -40,7 +43,7 @@ class FlopsBreakdown:
 
 
 def estimate_flops(
-    config: Configuration,
+    config: Configuration | Mapping[str, int],
     sentence_length: int,
     embedding_dim: int,
     class_count: int,
@@ -50,15 +53,16 @@ def estimate_flops(
     Convolution of f filters of height w over n positions costs
     f * (n - w + 1) * 2*w*k; the two fully connected stages cost
     2 * sum(f) * units + 2 * units * classes. Pooling, dropout, and
-    activations are excluded from the count.
+    activations are excluded from the count. ``config`` may also be a plain
+    mapping that holds just the filter counts and ``fc_units``.
     """
     n, k = sentence_length, embedding_dim
     conv = []
     total_filters = 0
-    for w in textcnn.WINDOWS:
+    for w, name in _KERNEL_COUNTS:
         if w > n:
             raise ValueError(f"window {w} exceeds sentence length {n}")
-        f = int(config[f"kernel_count_w{w}"])
+        f = int(config[name])
         conv.append(f * (n - w + 1) * 2 * w * k)
         total_filters += f
     units = int(config["fc_units"])
@@ -94,12 +98,8 @@ class ObjectiveEvaluator(Protocol):
 
 
 def _index_fractions(space: SearchSpace, config: Configuration) -> list[float]:
-    fractions = []
-    for d in space.domains:
-        if len(d.values) < 2:
-            continue  # pinned domains carry no signal
-        fractions.append(d.index_of(config[d.name]) / (len(d.values) - 1))
-    return fractions
+    # pinned domains carry no signal
+    return [d.fraction[config[d.name]] for d in space.mutable_domains()]
 
 
 @dataclass

@@ -8,6 +8,8 @@ replay exactly.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -118,17 +120,26 @@ def front_order(entries: Iterable[ArchiveEntry]) -> list[ArchiveEntry]:
     )
 
 
-def brute_force_front(
-    candidates: list[tuple[Configuration, ObjectiveVector]],
+def two_objective_front(
+    candidates: Iterable[tuple[Configuration, ObjectiveVector]],
 ) -> set[tuple[Configuration, ObjectiveVector]]:
-    """O(n^2) reference front used by tests and the exhaustive oracle.
+    """Every candidate whose objectives no other candidate dominates.
 
-    Keeps every candidate whose objectives no other candidate dominates;
-    duplicate (config, objectives) pairs collapse to one.
+    Sort-and-sweep in O(n log n): in (error rate, flops) order, a candidate
+    is on the front when its flops are the least at its error rate and
+    below the least flops at every lower error rate. Duplicate (config,
+    objectives) pairs collapse to one; candidates tying on both objectives
+    under different configurations are all kept.
     """
-    unique = list(dict.fromkeys(candidates))
+    ordered = sorted(
+        dict.fromkeys(candidates), key=lambda c: (c[1].error_rate, c[1].flops)
+    )
     front = set()
-    for config, obj in unique:
-        if not any(dominates(other, obj) for _, other in unique):
-            front.add((config, obj))
+    lowest = math.inf  # least flops at any lower error rate
+    for _, tied in itertools.groupby(ordered, key=lambda c: c[1].error_rate):
+        tied = list(tied)
+        least = tied[0][1].flops
+        if least < lowest:
+            front.update(c for c in tied if c[1].flops == least)
+            lowest = least
     return front

@@ -55,10 +55,22 @@ def parse_value(domain: "ParamDomain", text: str) -> Value:
 
 @dataclass(frozen=True)
 class ParamDomain:
-    """One tunable parameter: a name and its ordered finite value list."""
+    """One tunable parameter: a name and its ordered finite value list.
+
+    Lookups by value (index, index fraction, the other values) are built
+    once here, because the annealer makes them on every step.
+    """
 
     name: str
     values: tuple[Value, ...]
+    #: value -> position in ``values``
+    index: dict[Value, int] = field(init=False, repr=False, compare=False)
+    #: value -> index / (len(values) - 1); empty when there is one value
+    fraction: dict[Value, float] = field(init=False, repr=False, compare=False)
+    #: value -> every other value, in ``values`` order
+    alternatives: dict[Value, tuple[Value, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -68,12 +80,23 @@ class ParamDomain:
             raise ValueError(f"domain {self.name!r} has no values")
         if len(set(values)) != len(values):
             raise ValueError(f"domain {self.name!r} has duplicate values")
+        index = {v: i for i, v in enumerate(values)}
+        last = len(values) - 1
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(
+            self, "fraction", {v: i / last for v, i in index.items()} if last else {}
+        )
+        object.__setattr__(
+            self,
+            "alternatives",
+            {v: tuple(u for u in values if u != v) for v in values},
+        )
 
     def index_of(self, value: Value) -> int:
         try:
-            return self.values.index(value)
-        except ValueError:
+            return self.index[value]
+        except KeyError:
             raise ValueError(
                 f"{value!r} is not a value of domain {self.name!r}"
             ) from None
@@ -84,20 +107,31 @@ class Configuration:
     """One concrete assignment, ordered like the owning space's domains."""
 
     items: tuple[tuple[str, Value], ...]
+    _values: dict[str, Value] = field(init=False, repr=False, compare=False)
+    #: the JSON object text, written on first use; the instance is frozen
+    _json: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_values", dict(self.items))
 
     def __getitem__(self, name: str) -> Value:
-        for key, value in self.items:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return self._values[name]
 
     def as_dict(self) -> dict[str, Value]:
         return dict(self.items)
 
+    def to_json(self) -> str:
+        """``json.dumps(self.as_dict())``, computed once per instance."""
+        if self._json is None:
+            object.__setattr__(self, "_json", json.dumps(self._values))
+        return self._json
+
     def replace(self, name: str, value: Value) -> "Configuration":
-        return Configuration(
-            tuple((k, value if k == name else v) for k, v in self.items)
-        )
+        values = dict(self._values)
+        if name not in values:
+            raise KeyError(name)
+        values[name] = value
+        return Configuration(tuple(values.items()))
 
     def sort_key(self) -> tuple[tuple[str, str], ...]:
         """Deterministic lexicographic key, independent of domain order."""
@@ -110,16 +144,19 @@ class SearchSpace:
 
     domains: tuple[ParamDomain, ...]
 
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _mutable: tuple[ParamDomain, ...] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
-        names = [d.name for d in self.domains]
+        names = tuple(d.name for d in self.domains)
         if len(set(names)) != len(names):
             raise ValueError("duplicate domain names in search space")
         if not self.domains:
             raise ValueError("search space needs at least one domain")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.domains)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(
+            self, "_mutable", tuple(d for d in self.domains if len(d.values) >= 2)
+        )
 
     def domain(self, name: str) -> ParamDomain:
         for d in self.domains:
@@ -134,7 +171,7 @@ class SearchSpace:
         return n
 
     def mutable_domains(self) -> tuple[ParamDomain, ...]:
-        return tuple(d for d in self.domains if len(d.values) >= 2)
+        return self._mutable
 
     def configuration(self, assignments: Mapping[str, Any]) -> Configuration:
         """Build a validated Configuration (every domain, members only)."""
@@ -151,10 +188,12 @@ class SearchSpace:
         return Configuration(tuple(items))
 
     def validate(self, config: Configuration) -> None:
-        if tuple(k for k, _ in config.items) != self.names:
+        # a repeated name leaves fewer keys than items
+        if len(config.items) != len(self.names) or tuple(config._values) != self.names:
             raise ValueError("configuration does not match space domains")
-        for (name, value), d in zip(config.items, self.domains):
-            d.index_of(value)
+        for (_, value), d in zip(config.items, self.domains):
+            if value not in d.index:
+                d.index_of(value)  # raises the error that names the domain
 
     def restrict(self, subsets: Mapping[str, list[Any]]) -> "SearchSpace":
         """Restrict named domains to subsets of their values.
@@ -229,9 +268,7 @@ def neighbor(
     if not mutable:
         raise ValueError("no neighbor exists: every domain has a single value")
     d = rng.choice(mutable)
-    current = config[d.name]
-    alternatives = [v for v in d.values if v != current]
-    return config.replace(d.name, rng.choice(alternatives))
+    return config.replace(d.name, rng.choice(d.alternatives[config[d.name]]))
 
 
 def enumerate_space(space: SearchSpace, cap: int) -> Iterator[Configuration]:

@@ -25,6 +25,10 @@ WINDOWS = (3, 4, 5)
 RMSPROP_DECAY = 0.9
 RMSPROP_EPSILON = 1e-8
 
+#: sentences per eval-mode pass in accuracy: the default space's smallest
+#: batch size, so validation needs no more memory than a training step
+EVAL_BATCH = 64
+
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
@@ -324,9 +328,16 @@ def backward(
 
 
 def accuracy(model: TextCnnModel, xs: np.ndarray, ys: np.ndarray) -> float:
-    """Share of the (B, n) sentences xs whose eval-mode prediction is ys."""
-    probs, _ = forward(model, xs)
-    return float(np.mean(probs.argmax(axis=1) == ys))
+    """Share of the (B, n) sentences xs whose eval-mode prediction is ys.
+
+    Predicts EVAL_BATCH sentences per pass, so the window matrices and
+    activations stay the size of one slice however large xs is.
+    """
+    correct = 0
+    for start in range(0, len(ys), EVAL_BATCH):
+        probs, _ = forward(model, xs[start : start + EVAL_BATCH])
+        correct += int((probs.argmax(axis=1) == ys[start : start + EVAL_BATCH]).sum())
+    return correct / len(ys)
 
 
 def rmsprop_update(

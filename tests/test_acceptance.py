@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 from helpers import finite_difference_gradients, relative_error
+from reference_pareto import brute_force_front
 
 import annealtune.cli as cli
 from annealtune.annealer import initial_temperature, metropolis_accepts, run
@@ -22,7 +23,6 @@ from annealtune.pareto import (
     ArchiveEntry,
     ObjectiveVector,
     ParetoArchive,
-    brute_force_front,
 )
 from annealtune.search_space import (
     Configuration,

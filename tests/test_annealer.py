@@ -5,6 +5,7 @@ from typing import Callable
 
 import pytest
 from helpers import RUN_DEFAULTS
+from reference_pareto import brute_force_front
 
 from annealtune.annealer import (
     AnnealerState,
@@ -22,7 +23,6 @@ from annealtune.pareto import (
     ArchiveAction,
     ObjectiveVector,
     ParetoArchive,
-    brute_force_front,
 )
 from annealtune.search_space import (
     Configuration,

@@ -1,10 +1,13 @@
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
 import annealtune.cli as cli
-from annealtune.annealer import CalibrationError
+from annealtune.annealer import CalibrationError, StepRecord
+from annealtune.pareto import ArchiveAction, ObjectiveVector
+from annealtune.search_space import Configuration
 
 SMALL_SPACE = {
     "kernel_count_w3": [256, 100, 32],
@@ -272,6 +275,41 @@ class TestTune:
         out = tmp_path / "out"
         assert cli.main(["tune", "--config", config, "--output-dir", str(out)]) == 3
         assert not out.exists() or not list(out.iterdir())
+
+
+class TestTraceJsonl:
+    def test_every_line_is_what_json_dumps_writes(self):
+        edge = Configuration((("id", 'quote " and \u00e9'), ("n", 10**18)))
+        plain = Configuration((("id", "x"), ("n", 3)))
+        records = [
+            StepRecord(1, 5e-324, plain, ObjectiveVector(5e-324, 0), edge,
+                       ObjectiveVector(0.1 + 0.2, 10**18), -0.0, 1.0, True,
+                       ArchiveAction.ADDED),
+            StepRecord(2, 1.0, edge, ObjectiveVector(1.0, 10**18), plain,
+                       ObjectiveVector(0.0, 7), 0.1 + 0.2, 5e-324, False,
+                       ArchiveAction.REJECTED_DOMINATED),
+        ]
+        lines = cli.trace_jsonl(SimpleNamespace(trace=records)).splitlines()
+        assert json.loads(lines[0]) == {"format_version": 1, "kind": "trace"}
+        for line, r in zip(lines[1:], records, strict=True):
+            parsed = json.loads(line)
+            assert json.dumps(parsed) == line
+            assert parsed == {
+                "iteration": r.iteration,
+                "temperature": r.temperature,
+                "current": r.current_config.as_dict(),
+                "current_objectives": [
+                    r.current_objectives.error_rate, r.current_objectives.flops
+                ],
+                "candidate": r.candidate_config.as_dict(),
+                "candidate_objectives": [
+                    r.candidate_objectives.error_rate, r.candidate_objectives.flops
+                ],
+                "delta_f": r.delta_f,
+                "probability": r.probability,
+                "accepted": r.accepted,
+                "archive": r.archive_action.value,
+            }
 
 
 class TestEval:

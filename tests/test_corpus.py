@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealtune.corpus import (
     PAD_ID,
@@ -248,6 +250,40 @@ def perceptron_reaches_full_accuracy(sentences, class_count, epochs=60):
         if mistakes == 0:
             return True
     return False
+
+
+sentences = st.builds(
+    LabeledSentence,
+    st.lists(st.sampled_from(["a", "b", "c", "?"]), max_size=7).map(tuple),
+    st.integers(0, 2),
+)
+tiny_corpora = st.lists(sentences, max_size=8)
+
+
+POLICIES = {
+    "holdout": st.builds(HoldoutPolicy, st.floats(0.0, 1.0, exclude_max=True)),
+    "cv": st.integers(2, 10).flatmap(
+        lambda folds: st.builds(CvPolicy, st.just(folds), st.integers(0, folds - 1))
+    ),
+    "fixed": st.lists(sentences, max_size=3).map(lambda t: FixedTestPolicy(tuple(t))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POLICIES))
+@settings(max_examples=150, deadline=None)
+@given(draw=st.data())
+def test_tiny_corpus_splits_are_non_empty_or_a_data_error(kind, draw):
+    data = draw.draw(tiny_corpora)
+    policy = draw.draw(POLICIES[kind])
+    ratio_init = draw.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    try:
+        prepared = make_splits(data, policy, ratio_init, seed=draw.draw(st.integers(0, 99)))
+    except DataError:
+        return
+    assert len(prepared.train_labels) > 0
+    assert len(prepared.validation_labels) > 0
+    assert prepared.train_ids.shape == (len(prepared.train_labels), prepared.sentence_length)
+    assert prepared.validation_ids.shape[1] == prepared.sentence_length
 
 
 class TestSyntheticCorpus:

@@ -104,6 +104,15 @@ class TestEstimateFlops:
             estimate_flops(full_config(), sentence_length=4, embedding_dim=50,
                            class_count=6)
 
+    def test_plain_mapping_of_the_shape_keys_accepted(self):
+        # bench/tracer.py passes a model's shape as a dict
+        config = full_config()
+        shape = {
+            name: config[name]
+            for name in ("kernel_count_w3", "kernel_count_w4", "kernel_count_w5", "fc_units")
+        }
+        assert estimate_flops(shape, 10, 50, 6) == estimate_flops(config, 10, 50, 6)
+
 
 class TestFlopsCeiling:
     def test_ceiling_attained_by_enumeration(self):

@@ -3,15 +3,16 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_pareto import brute_force_front
 
 from annealtune.pareto import (
     ArchiveAction,
     ArchiveEntry,
     ObjectiveVector,
     ParetoArchive,
-    brute_force_front,
     dominates,
     scalar_deterioration,
+    two_objective_front,
 )
 from annealtune.search_space import Configuration
 
@@ -194,6 +195,39 @@ class TestArchiveEqualsBruteForce:
         assert {(e.config, e.objectives) for e in archive.entries} == (
             brute_force_front(offered)
         )
+
+
+class TestTwoObjectiveFront:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),  # few configs: duplicate pairs and ties
+                st.sampled_from([0.0, 0.1, 0.1 + 0.2, 0.3, 0.5, 1.0]),
+                st.integers(0, 6),
+            ),
+            max_size=40,
+        )
+    )
+    def test_equals_brute_force(self, raw):
+        offered = [(cfg(tag), ObjectiveVector(e, f)) for tag, e, f in raw]
+        assert two_objective_front(offered) == brute_force_front(offered)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 10**6)), max_size=60))
+    def test_equals_brute_force_on_distinct_configs(self, raw):
+        offered = [(cfg(i), ObjectiveVector(e, f)) for i, (e, f) in enumerate(raw)]
+        assert two_objective_front(offered) == brute_force_front(offered)
+
+    def test_ties_under_different_configs_are_kept_and_duplicates_collapse(self):
+        offered = [
+            (cfg("a"), ObjectiveVector(0.2, 10)),
+            (cfg("b"), ObjectiveVector(0.2, 10)),
+            (cfg("a"), ObjectiveVector(0.2, 10)),
+            (cfg("c"), ObjectiveVector(0.2, 11)),
+            (cfg("d"), ObjectiveVector(0.1, 20)),
+        ]
+        assert two_objective_front(offered) == {offered[0], offered[1], offered[4]}
 
 
 class TestFront:

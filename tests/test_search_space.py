@@ -290,3 +290,19 @@ def test_configuration_membership_enforced():
     space.validate(config)
     with pytest.raises(ValueError):
         space.validate(Configuration((("a", 3),)))
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        (("a", 1), ("b", "z")),  # a value of no domain
+        (("b", "x"), ("a", 1)),  # names reordered
+        (("a", 1),),  # a name missing
+        (("a", 1), ("b", "x"), ("a", 2)),  # a name repeated
+    ],
+    ids=["foreign-value", "reordered", "missing", "repeated"],
+)
+def test_validate_rejects_configurations_outside_the_space(items):
+    space = toy_space(a=[1, 2], b=["x", "y"])
+    with pytest.raises(ValueError):
+        space.validate(Configuration(items))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import reference_textcnn as reference
 from helpers import finite_difference_gradients, relative_error
 
 from annealtune.corpus import make_splits, synthetic_corpus, HoldoutPolicy
-from annealtune.search_space import ParamDomain, SearchSpace
+from annealtune.search_space import ParamDomain, SearchSpace, default_search_space
 from annealtune.textcnn import (
     ACTIVATIONS,
+    EVAL_BATCH,
     DivergenceError,
     TextCnnModel,
     TrainingSettings,
@@ -237,6 +239,39 @@ class TestBackward:
         _, cache = forward(model, np.arange(2 * LENGTH).reshape(2, LENGTH))
         with pytest.raises(ValueError):
             backward(model, cache, np.array([0, 1]))
+
+
+class TestAccuracyInSlices:
+    @pytest.mark.parametrize("count", [1, EVAL_BATCH, 3 * EVAL_BATCH + 8])
+    def test_equals_one_batch_pass(self, count):
+        model = tiny_model(activation="relu")
+        rng = np.random.default_rng(count)
+        ids = rng.integers(0, VOCAB, size=(count, LENGTH))
+        labels = rng.integers(0, CLASSES, size=count)
+        probs, _ = forward(model, ids)
+        assert accuracy(model, ids, labels) == float(
+            np.mean(probs.argmax(axis=1) == labels)
+        )
+
+    def test_peak_memory_bounded_on_a_large_split(self):
+        # about one MR cross-validation fold; one pass over all 960
+        # sentences peaked at 174 MB, slices of EVAL_BATCH at 13 MB
+        space = default_search_space()
+        config = space.configuration(
+            {d.name: d.values[0] for d in space.domains}
+            | {f"kernel_count_w{w}": 100 for w in (3, 4, 5)}
+        )
+        model = init_model(config, 5000, 50, 2, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        ids = rng.integers(0, 5000, size=(960, 40))
+        labels = rng.integers(0, 2, size=960)
+        tracemalloc.start()
+        try:
+            accuracy(model, ids, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestBatchedEqualsPerSentence:
