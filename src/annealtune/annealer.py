@@ -296,7 +296,7 @@ def run(run_config: RunConfig, evaluator: ObjectiveEvaluator) -> RunResult:
     past t_final, or when the best archived error rate stagnates for
     STAGNATION_OUTER_STEPS consecutive outer steps.
     """
-    if not evaluator.space.mutable_domains():
+    if not evaluator.space.mutable:
         raise ValueError("search space has no mutable domain")
     rng = random.Random(run_config.seed_number)
     calibration = calibrate_initial_temperature(
@@ -364,7 +364,7 @@ def run(run_config: RunConfig, evaluator: ObjectiveEvaluator) -> RunResult:
             if stagnant >= STAGNATION_OUTER_STEPS:
                 stop_reason = "stagnation"
                 break
-        if len(archive) > 0 and rng.random() < RETURN_TO_BASE_PROBABILITY:
+        if rng.random() < RETURN_TO_BASE_PROBABILITY:
             base = rng.choice(archive.entries)
             state.current = base.config
             state.current_objectives = base.objectives

@@ -210,19 +210,35 @@ def _load_manifest(path: str | None) -> dict[str, Any]:
             manifest = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"dataset manifest not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise DataError(f"dataset manifest {path}: {exc.strerror}") from None
+    except ValueError as exc:  # undecodable bytes or malformed JSON
         raise DataError(f"dataset manifest is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict) or "kind" not in manifest:
         raise DataError("dataset manifest must be an object with a 'kind' key")
     return manifest
 
 
-def _manifest_values(manifest: dict[str, Any], *keys: str) -> list[Any]:
-    """The manifest's values at ``keys``; a missing key is a DataError."""
+def _manifest_paths(manifest: dict[str, Any], *keys: str) -> list[str]:
+    """The manifest's file paths at ``keys``; a missing key or a value that
+    is not a string is a DataError."""
+    kind = manifest["kind"]
     for key in keys:
         if key not in manifest:
-            raise DataError(f"{manifest['kind']} dataset manifest lacks key {key!r}")
+            raise DataError(f"{kind} dataset manifest lacks key {key!r}")
+        if not isinstance(manifest[key], str):
+            raise DataError(f"{kind} dataset manifest key {key!r} is not a path")
     return [manifest[key] for key in keys]
+
+
+def _manifest_number(manifest: dict[str, Any], key: str, convert, default):
+    """``convert`` of the manifest's value at ``key``, or of ``default``
+    without one; a value it cannot convert is a DataError."""
+    try:
+        return convert(manifest.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        message = f"{manifest['kind']} dataset manifest key {key!r} is not a number"
+        raise DataError(message) from None
 
 
 def prepare_corpus(
@@ -237,24 +253,25 @@ def prepare_corpus(
     kind = manifest["kind"]
     if kind == "synthetic":
         data = synthetic_corpus(
-            class_count=int(manifest.get("class_count", 2)),
-            samples_per_class=int(manifest.get("samples_per_class", 50)),
-            vocab_size=int(manifest.get("vocab_size", 40)),
-            seed=int(manifest.get("seed", seed)),
+            class_count=_manifest_number(manifest, "class_count", int, 2),
+            samples_per_class=_manifest_number(manifest, "samples_per_class", int, 50),
+            vocab_size=_manifest_number(manifest, "vocab_size", int, 40),
+            seed=_manifest_number(manifest, "seed", int, seed),
         )
-        policy = HoldoutPolicy(float(manifest.get("test_fraction", 0.2)))
+        policy = HoldoutPolicy(_manifest_number(manifest, "test_fraction", float, 0.2))
         return make_splits(data, policy, ratio_init, seed)
     if kind in ("mr", "cr"):
         if kind == "mr":
-            data = load_mr(*_manifest_values(manifest, "pos", "neg"))
+            data = load_mr(*_manifest_paths(manifest, "pos", "neg"))
         else:
-            data = load_cr(*_manifest_values(manifest, "path"))
+            data = load_cr(*_manifest_paths(manifest, "path"))
         policy = CvPolicy(
-            int(manifest.get("folds", 10)), int(manifest.get("fold_index", 0))
+            _manifest_number(manifest, "folds", int, 10),
+            _manifest_number(manifest, "fold_index", int, 0),
         )
         return make_splits(data, policy, ratio_init, seed)
     if kind == "trec":
-        train, test, _ = load_trec(*_manifest_values(manifest, "train", "test"))
+        train, test, _ = load_trec(*_manifest_paths(manifest, "train", "test"))
         return make_splits(train, FixedTestPolicy(tuple(test)), ratio_init, seed)
     raise DataError(f"unknown dataset kind {kind!r}")
 
@@ -334,7 +351,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
         config = load_run_config(args.config)
     except FileNotFoundError:
         raise UsageError(f"run config not found: {args.config}") from None
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+    except OSError as exc:
+        raise UsageError(f"run config {args.config}: {exc.strerror}") from None
+    except (ValueError, TypeError) as exc:  # malformed JSON or settings
         raise UsageError(f"bad run config: {exc}") from None
     try:
         evaluator = build_evaluator(config, cache_path=args.cache)
@@ -421,15 +440,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     space = default_search_space()
     if args.space:
         text = args.space
-        if not text.lstrip().startswith("{"):
-            try:
+        try:
+            if not text.lstrip().startswith("{"):
                 with open(text, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except FileNotFoundError:
-                raise UsageError(f"space file not found: {args.space}") from None
-        try:
             space = space.restrict(json.loads(text))
-        except (json.JSONDecodeError, ValueError) as exc:
+        except FileNotFoundError:
+            raise UsageError(f"space file not found: {args.space}") from None
+        except OSError as exc:
+            raise UsageError(f"space file {args.space}: {exc.strerror}") from None
+        except ValueError as exc:  # undecodable bytes, malformed JSON, bad values
             raise UsageError(f"bad space restriction: {exc}") from None
     if space.cardinality() > args.cap:
         raise UsageError(

@@ -8,7 +8,6 @@ itself without licensed data.
 
 from __future__ import annotations
 
-import os
 import random
 import re
 from dataclasses import dataclass
@@ -43,10 +42,13 @@ def tokenize(text: str) -> tuple[str, ...]:
 
 
 def _read_lines(path: str) -> list[str]:
-    if not os.path.exists(path):
-        raise DataError(f"dataset file not found: {path}")
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            return fh.read().splitlines()
+    except FileNotFoundError:
+        raise DataError(f"dataset file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"dataset file {path}: {exc.strerror}") from None
 
 
 def load_mr(pos_path: str, neg_path: str) -> list[LabeledSentence]:
@@ -148,8 +150,6 @@ class PreparedCorpus:
     train_labels: np.ndarray
     validation_ids: np.ndarray
     validation_labels: np.ndarray
-    test_ids: np.ndarray
-    test_labels: np.ndarray
     sentence_length: int
     class_count: int
     vocab_size: int
@@ -167,55 +167,56 @@ def _encode(
     return ids, labels
 
 
+def split_off_test(
+    data: Sequence[LabeledSentence], policy: SplitPolicy, rng: random.Random
+) -> tuple[list[LabeledSentence], list[LabeledSentence]]:
+    """The policy's test split and the rest of ``data`` (the "original
+    training set"). CV and holdout pick the test sentences by shuffling
+    with ``rng`` and keep ``data`` order in both parts."""
+    data = list(data)
+    if isinstance(policy, FixedTestPolicy):
+        return list(policy.test), data
+    if isinstance(policy, CvPolicy):
+        if policy.folds < 2:
+            raise ValueError("cross validation needs at least 2 folds")
+        if not 0 <= policy.fold_index < policy.folds:
+            raise ValueError("fold_index outside range")
+        base, extra = divmod(len(data), policy.folds)
+        start = policy.fold_index * base + min(policy.fold_index, extra)
+        stop = start + base + (policy.fold_index < extra)
+    elif isinstance(policy, HoldoutPolicy):
+        if not 0.0 <= policy.test_fraction < 1.0:
+            raise ValueError("test_fraction must lie in [0, 1)")
+        start, stop = 0, round(policy.test_fraction * len(data))
+    else:
+        raise TypeError(f"unknown split policy: {policy!r}")
+    indices = list(range(len(data)))
+    rng.shuffle(indices)
+    chosen = set(indices[start:stop])
+    test = [data[i] for i in sorted(chosen)]
+    return test, [s for i, s in enumerate(data) if i not in chosen]
+
+
 def make_splits(
     data: Sequence[LabeledSentence],
     policy: SplitPolicy,
     ratio_init: float,
     seed: int,
 ) -> PreparedCorpus:
-    """Carve test / train / validation splits and encode them.
+    """Hold out the policy's test split and encode train / validation.
 
-    The policy fixes the test split; the remaining "original training set"
-    is split train/validation by ratio_init, stratified per class with a
-    seeded shuffle. The vocabulary comes from the train split only, so
-    unknown-token handling in validation/test is exercised honestly.
+    The policy fixes the test split, which stays out of both; the remaining
+    "original training set" is split train/validation by ratio_init,
+    stratified per class with a seeded shuffle. The vocabulary comes from
+    the train split only, so unknown-token handling in validation is
+    exercised honestly.
     """
     if not data:
         raise DataError("empty dataset")
     if not 0.0 < ratio_init < 1.0:
         raise ValueError("ratio_init must lie in (0, 1)")
     rng = random.Random(seed)
-    data = list(data)
-
-    if isinstance(policy, CvPolicy):
-        if policy.folds < 2:
-            raise ValueError("cross validation needs at least 2 folds")
-        if not 0 <= policy.fold_index < policy.folds:
-            raise ValueError("fold_index outside range")
-        indices = list(range(len(data)))
-        rng.shuffle(indices)
-        fold_sizes = [
-            len(data) // policy.folds + (1 if i < len(data) % policy.folds else 0)
-            for i in range(policy.folds)
-        ]
-        start = sum(fold_sizes[: policy.fold_index])
-        fold = set(indices[start : start + fold_sizes[policy.fold_index]])
-        test = [data[i] for i in sorted(fold)]
-        original_train = [data[i] for i in range(len(data)) if i not in fold]
-    elif isinstance(policy, HoldoutPolicy):
-        if not 0.0 <= policy.test_fraction < 1.0:
-            raise ValueError("test_fraction must lie in [0, 1)")
-        indices = list(range(len(data)))
-        rng.shuffle(indices)
-        n_test = round(policy.test_fraction * len(data))
-        chosen = set(indices[:n_test])
-        test = [data[i] for i in sorted(chosen)]
-        original_train = [data[i] for i in range(len(data)) if i not in chosen]
-    elif isinstance(policy, FixedTestPolicy):
-        test = list(policy.test)
-        original_train = data
-    else:
-        raise TypeError(f"unknown split policy: {policy!r}")
+    test, original_train = split_off_test(data, policy, rng)
 
     # stratified train/validation split of the original training set
     by_class: dict[int, list[int]] = {}
@@ -255,14 +256,11 @@ def make_splits(
 
     train_ids, train_labels = _encode(train, vocab, sentence_length)
     val_ids, val_labels = _encode(validation, vocab, sentence_length)
-    test_ids, test_labels = _encode(test, vocab, sentence_length)
     return PreparedCorpus(
         train_ids=train_ids,
         train_labels=train_labels,
         validation_ids=val_ids,
         validation_labels=val_labels,
-        test_ids=test_ids,
-        test_labels=test_labels,
         sentence_length=sentence_length,
         class_count=max(s.label for s in (*data, *test)) + 1,
         vocab_size=len(vocab),

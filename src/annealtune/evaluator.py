@@ -54,7 +54,8 @@ def estimate_flops(
     f * (n - w + 1) * 2*w*k; the two fully connected stages cost
     2 * sum(f) * units + 2 * units * classes. Pooling, dropout, and
     activations are excluded from the count. ``config`` may also be a plain
-    mapping that holds just the filter counts and ``fc_units``.
+    mapping that holds just the filter counts and ``fc_units``, as
+    ``flops_ceiling`` passes.
     """
     n, k = sentence_length, embedding_dim
     conv = []
@@ -78,14 +79,9 @@ def flops_ceiling(
     Valid because the estimate is monotone in every filter count and in the
     fully connected width: the all-maximum configuration attains the bound.
     """
-    assignments = {}
-    for d in space.domains:
-        if d.name in ("kernel_count_w3", "kernel_count_w4", "kernel_count_w5", "fc_units"):
-            assignments[d.name] = max(int(v) for v in d.values)
-        else:
-            assignments[d.name] = d.values[0]
-    config = space.configuration(assignments)
-    return estimate_flops(config, sentence_length, embedding_dim, class_count).total
+    names = [name for _, name in _KERNEL_COUNTS] + ["fc_units"]
+    shape = {name: max(int(v) for v in space.domain(name).values) for name in names}
+    return estimate_flops(shape, sentence_length, embedding_dim, class_count).total
 
 
 class ObjectiveEvaluator(Protocol):
@@ -99,7 +95,7 @@ class ObjectiveEvaluator(Protocol):
 
 def _index_fractions(space: SearchSpace, config: Configuration) -> list[float]:
     # pinned domains carry no signal
-    return [d.fraction[config[d.name]] for d in space.mutable_domains()]
+    return [d.fraction[config[d.name]] for d in space.mutable]
 
 
 @dataclass

@@ -7,7 +7,9 @@ bit-exact and makes configurations hashable.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Iterator, Mapping
@@ -145,7 +147,8 @@ class SearchSpace:
     domains: tuple[ParamDomain, ...]
 
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _mutable: tuple[ParamDomain, ...] = field(init=False, repr=False, compare=False)
+    #: the domains with two or more values, the only ones a move can change
+    mutable: tuple[ParamDomain, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = tuple(d.name for d in self.domains)
@@ -155,7 +158,7 @@ class SearchSpace:
             raise ValueError("search space needs at least one domain")
         object.__setattr__(self, "names", names)
         object.__setattr__(
-            self, "_mutable", tuple(d for d in self.domains if len(d.values) >= 2)
+            self, "mutable", tuple(d for d in self.domains if len(d.values) >= 2)
         )
 
     def domain(self, name: str) -> ParamDomain:
@@ -165,13 +168,7 @@ class SearchSpace:
         raise KeyError(name)
 
     def cardinality(self) -> int:
-        n = 1
-        for d in self.domains:
-            n *= len(d.values)
-        return n
-
-    def mutable_domains(self) -> tuple[ParamDomain, ...]:
-        return self._mutable
+        return math.prod(len(d.values) for d in self.domains)
 
     def configuration(self, assignments: Mapping[str, Any]) -> Configuration:
         """Build a validated Configuration (every domain, members only)."""
@@ -201,12 +198,16 @@ class SearchSpace:
         Unlisted domains keep their full value lists. Subset order is kept
         as given, so restrictions may reorder values.
         """
+        if not isinstance(subsets, Mapping):
+            raise ValueError("a restriction maps domain names to value lists")
         extra = set(subsets) - set(self.names)
         if extra:
             raise ValueError(f"restriction names unknown domains: {sorted(extra)}")
         domains = []
         for d in self.domains:
             if d.name in subsets:
+                if not isinstance(subsets[d.name], list):
+                    raise ValueError(f"restriction of {d.name!r} is not a list")
                 chosen = tuple(canonical_value(v) for v in subsets[d.name])
                 for v in chosen:
                     d.index_of(v)
@@ -264,10 +265,9 @@ def neighbor(
 ) -> Configuration:
     """Reassign exactly one mutable domain to a different value of itself."""
     space.validate(config)
-    mutable = space.mutable_domains()
-    if not mutable:
+    if not space.mutable:
         raise ValueError("no neighbor exists: every domain has a single value")
-    d = rng.choice(mutable)
+    d = rng.choice(space.mutable)
     return config.replace(d.name, rng.choice(d.alternatives[config[d.name]]))
 
 
@@ -279,16 +279,10 @@ def enumerate_space(space: SearchSpace, cap: int) -> Iterator[Configuration]:
     card = space.cardinality()
     if card > cap:
         raise ValueError(f"cardinality {card} exceeds cap {cap}")
-
-    def rec(prefix: tuple[tuple[str, Value], ...], rest: tuple[ParamDomain, ...]):
-        if not rest:
-            yield Configuration(prefix)
-            return
-        head, tail = rest[0], rest[1:]
-        for value in head.values:
-            yield from rec(prefix + ((head.name, value),), tail)
-
-    return rec((), space.domains)
+    return (
+        Configuration(tuple(zip(space.names, values)))
+        for values in itertools.product(*(d.values for d in space.domains))
+    )
 
 
 # --- run configuration -------------------------------------------------------

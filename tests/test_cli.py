@@ -355,6 +355,151 @@ class TestEval:
         assert 0.0 <= error <= 1.0
 
 
+class TestUnreadablePaths:
+    """A directory, or bytes that are not UTF-8, where a file belongs ends
+    in a named error that names the path, never in a traceback."""
+
+    def test_manifest_directory_is_data_error(self, tmp_path, capsys):
+        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(tmp_path)]) == 2
+        assert f"data error: dataset manifest {tmp_path}:" in capsys.readouterr().err
+
+    def test_undecodable_manifest_is_data_error(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_bytes(b'{"kind": "\xff"}')
+        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
+        assert "data error: dataset manifest is not valid JSON" in capsys.readouterr().err
+
+    def test_dataset_file_directory_is_data_error(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps({"kind": "cr", "path": str(tmp_path)}))
+        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
+        assert f"data error: dataset file {tmp_path}:" in capsys.readouterr().err
+
+    def test_run_config_directory_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["tune", "--config", str(tmp_path), "--output-dir", str(out)]
+        assert cli.main(argv) == 1
+        assert f"usage error: run config {tmp_path}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_space_file_directory_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "front.txt"
+        argv = ["oracle", "--objective", "sphere_proxy", "--space", str(tmp_path),
+                "--output", str(out)]
+        assert cli.main(argv) == 1
+        assert f"usage error: space file {tmp_path}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_undecodable_space_file_is_usage_error(self, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.write_bytes(b'{"fc_units": ["\xff"]}')
+        argv = ["oracle", "--objective", "sphere_proxy", "--space", str(space),
+                "--output", str(tmp_path / "front.txt")]
+        assert cli.main(argv) == 1
+        assert "usage error: bad space restriction" in capsys.readouterr().err
+
+
+def dataset_files(tmp_path) -> dict[str, dict]:
+    """A working manifest of each kind, over small files in ``tmp_path``."""
+    pos, neg, labeled = tmp_path / "pos.txt", tmp_path / "neg.txt", tmp_path / "cr.txt"
+    train, test = tmp_path / "train.label", tmp_path / "test.label"
+    pos.write_text("".join(f"good fine movie {i}\n" for i in range(10)))
+    neg.write_text("".join(f"bad dull movie {i}\n" for i in range(10)))
+    labeled.write_text("".join(f"{i % 2}\tword{i % 2} other {i}\n" for i in range(20)))
+    train.write_text("".join(
+        f"{c}:x what is {c.lower()} thing {i} ?\n" for i in range(6) for c in ("HUM", "LOC")
+    ))
+    test.write_text("HUM:x who is it ?\nLOC:x where is it ?\n")
+    return {
+        "synthetic": {
+            "kind": "synthetic", "class_count": 2, "samples_per_class": 10,
+            "vocab_size": 40, "seed": 1, "test_fraction": 0.2,
+        },
+        "mr": {"kind": "mr", "pos": str(pos), "neg": str(neg), "folds": 5,
+               "fold_index": 1},
+        "cr": {"kind": "cr", "path": str(labeled), "folds": 5, "fold_index": 0},
+        "trec": {"kind": "trec", "train": str(train), "test": str(test)},
+    }
+
+
+PATH_KEYS = {"pos", "neg", "path", "train", "test"}
+JSON_VALUES = {
+    "null": None, "bool": True, "int": 3, "string": "x", "list": [1],
+    "object": {"a": 1},
+}
+MANIFEST_KEYS = {
+    "synthetic": ["kind", "class_count", "samples_per_class", "vocab_size", "seed",
+                  "test_fraction"],
+    "mr": ["kind", "pos", "neg", "folds", "fold_index"],
+    "cr": ["kind", "path", "folds", "fold_index"],
+    "trec": ["kind", "train", "test"],
+}
+
+
+def wrong_type_message(kind: str, key: str, value) -> str | None:
+    """The data error a manifest value of the wrong JSON type must give, or
+    None if the key can take the value."""
+    if key == "kind":
+        return "unknown dataset kind"
+    if key in PATH_KEYS:
+        return None if isinstance(value, str) else f"{kind} dataset manifest key {key!r}"
+    try:  # the number keys take what int() and float() convert
+        int(value)
+    except (TypeError, ValueError):
+        return f"{kind} dataset manifest key {key!r}"
+    return None
+
+
+class TestManifestValues:
+    @pytest.mark.parametrize(
+        "kind,key,value,problem",
+        [
+            ("cr", "path", 0, "is not a path"),
+            ("cr", "path", ["a"], "is not a path"),
+            ("trec", "train", None, "is not a path"),
+            ("synthetic", "seed", None, "is not a number"),
+            ("synthetic", "test_fraction", [], "is not a number"),
+            ("mr", "folds", "x", "is not a number"),
+            ("cr", "fold_index", float("inf"), "is not a number"),
+        ],
+        ids=["path-int", "path-list", "path-null", "seed-null", "fraction-list",
+             "folds-string", "fold-index-infinite"],
+    )
+    def test_wrong_json_type_is_data_error(
+        self, tmp_path, capsys, kind, key, value, problem
+    ):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps({**dataset_files(tmp_path)[kind], key: value}))
+        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
+        message = f"data error: {kind} dataset manifest key {key!r} {problem}"
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(MANIFEST_KEYS))
+    def test_working_manifest_evaluates(self, tmp_path, capsys, kind):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(dataset_files(tmp_path)[kind]))
+        argv = ["eval", *TOP1_SETS, "--max-epochs", "1", "--corpus", str(dataset)]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("json_type", sorted(JSON_VALUES))
+    @pytest.mark.parametrize(
+        "kind,key", [(k, key) for k in sorted(MANIFEST_KEYS) for key in MANIFEST_KEYS[k]]
+    )
+    def test_every_key_takes_every_json_type(self, tmp_path, capsys, kind, key, json_type):
+        value = JSON_VALUES[json_type]
+        manifest = {**dataset_files(tmp_path)[kind], key: value}
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(manifest))
+        argv = ["eval", *TOP1_SETS, "--max-epochs", "1", "--corpus", str(dataset)]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        message = wrong_type_message(kind, key, value)
+        if message is not None:
+            assert code == 2
+            assert err.startswith(f"data error: {message}")
+
+
 class TestOracle:
     def test_front_matches_hand_enumeration(self, tmp_path, capsys):
         # kernel values listed descending, so error grows with the index
@@ -403,6 +548,19 @@ class TestOracle:
              "--cap", "100", "--output", str(out), "--top-k", "-1"]
         )
         assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "restriction", ['{"fc_units": 16}', '{"fc_units": null}', '{"fc_units": {}}']
+    )
+    def test_restriction_that_is_not_a_list_is_usage_error(
+        self, tmp_path, capsys, restriction
+    ):
+        out = tmp_path / "front.txt"
+        argv = ["oracle", "--objective", "sphere_proxy", "--space", restriction,
+                "--output", str(out)]
+        assert cli.main(argv) == 1
+        assert "'fc_units' is not a list" in capsys.readouterr().err
         assert not out.exists()
 
     def test_tuned_archive_subset_of_oracle_front(self, tmp_path):

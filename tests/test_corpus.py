@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from annealtune.corpus import (
     load_mr,
     load_trec,
     make_splits,
+    split_off_test,
     synthetic_corpus,
     tokenize,
 )
@@ -143,29 +145,56 @@ def corpus_of(n, classes=2, seed=0):
 class TestMakeSplits:
     def test_cv_fold_arithmetic(self):
         data = corpus_of(100)
+        test, rest = split_off_test(data, CvPolicy(10, 0), random.Random(1))
+        assert len(test) == 10
+        assert len(rest) == 90
         prepared = make_splits(data, CvPolicy(10, 0), ratio_init=0.9, seed=1)
-        assert len(prepared.test_labels) == 10
         assert len(prepared.train_labels) == 81
         assert len(prepared.validation_labels) == 9
 
     def test_cv_folds_partition_dataset(self):
-        data = corpus_of(103)  # uneven fold sizes
-        sizes = []
-        for fold in range(10):
-            prepared = make_splits(data, CvPolicy(10, fold), 0.9, seed=7)
-            sizes.append(len(prepared.test_labels))
+        data = corpus_of(103)  # uneven fold sizes, no repeated sentence
+        folds = [
+            split_off_test(data, CvPolicy(10, fold), random.Random(7))[0]
+            for fold in range(10)
+        ]
+        sizes = [len(fold) for fold in folds]
         assert sum(sizes) == 103
         assert max(sizes) - min(sizes) <= 1
+        assert Counter(s for fold in folds for s in fold) == Counter(data)
 
     def test_splits_partition_input_exactly(self):
         data = corpus_of(60, classes=3)
+        # make_splits draws the test split first from its seed's stream
+        test, _ = split_off_test(data, HoldoutPolicy(0.2), random.Random(3))
         prepared = make_splits(data, HoldoutPolicy(0.2), ratio_init=0.8, seed=3)
-        combined = Counter()
-        for labels in (
-            prepared.train_labels, prepared.validation_labels, prepared.test_labels
-        ):
+        combined = Counter(s.label for s in test)
+        for labels in (prepared.train_labels, prepared.validation_labels):
             combined.update(int(l) for l in labels)
+        assert len(test) == 12
         assert combined == Counter(s.label for s in data)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [CvPolicy(4, 1), HoldoutPolicy(0.3), HoldoutPolicy(0.0)],
+        ids=["cv", "holdout", "holdout-empty"],
+    )
+    def test_test_split_stays_out_of_train_and_validation(self, policy):
+        data = corpus_of(40)
+        test, rest = split_off_test(data, policy, random.Random(5))
+        assert not set(test) & set(rest)
+        assert sorted(test + rest, key=data.index) == data
+        assert rest == [s for s in data if s not in test]
+
+    def test_fixed_test_split_is_the_policy_s_own(self):
+        data = corpus_of(10)
+        held_out = (LabeledSentence(("zeta",), 1),)
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert split_off_test(data, FixedTestPolicy(held_out), rng) == (
+            list(held_out), data
+        )
+        assert rng.getstate() == state
 
     def test_stratified_mix_preserved(self):
         data = [
@@ -198,22 +227,20 @@ class TestMakeSplits:
         data = synthetic_corpus(2, 30, 40, seed=3)
         prepared = make_splits(data, HoldoutPolicy(0.2), ratio_init=0.9, seed=2)
         assert PAD_ID != UNK_ID
-        for ids in (prepared.train_ids, prepared.validation_ids, prepared.test_ids):
+        for ids in (prepared.train_ids, prepared.validation_ids):
             assert ids.max() < prepared.vocab_size
             assert ids.min() >= 0
 
     def test_unknown_tokens_map_to_unk(self):
-        train_only = [
-            LabeledSentence(("alpha", "beta", "gamma", "delta", "eps"), 0)
-            for _ in range(10)
+        # every sentence has its own words, so validation sees none of train's
+        data = [
+            LabeledSentence(tuple(f"s{i}w{j}" for j in range(5)), 0)
+            for i in range(10)
         ]
-        test_new = [LabeledSentence(("zeta", "zeta", "zeta", "zeta", "zeta"), 0)]
-        prepared = make_splits(
-            train_only, FixedTestPolicy(tuple(test_new)), ratio_init=0.9, seed=0
-        )
-        assert np.all(
-            (prepared.test_ids == UNK_ID) | (prepared.test_ids == PAD_ID)
-        )
+        prepared = make_splits(data, HoldoutPolicy(0.0), ratio_init=0.9, seed=0)
+        assert prepared.validation_ids.shape == (1, 5)
+        assert np.all(prepared.validation_ids == UNK_ID)
+        assert np.all(prepared.train_ids > UNK_ID)
 
     def test_stats_recomputed_from_content(self):
         data = corpus_of(50, classes=4)

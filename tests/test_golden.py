@@ -1,11 +1,12 @@
-"""Golden outputs: ``annealtune tune`` on two fixed synthetic run configs.
+"""Golden outputs: ``annealtune tune`` on two fixed synthetic run configs
+and ``annealtune oracle`` on one fixed restricted space.
 
-The expected values are sha256 digests of ``trace.jsonl`` and
-``archive.json``. A change meant to keep the program's outputs
-byte-identical must leave them passing; a deliberate change to what
-``tune`` writes must update the digests in the same change and say why.
-Only synthetic objectives are used: they run on Python floats, so no BLAS
-build can move a digest.
+The expected values are sha256 digests of every file each command writes.
+A change meant to keep the program's outputs byte-identical must leave them
+passing; a deliberate change to what ``tune`` or ``oracle`` writes must
+update the digests in the same change and say why. Only synthetic
+objectives are used: they run on Python floats, so no BLAS build can move a
+digest.
 """
 
 import hashlib
@@ -40,6 +41,12 @@ GOLDEN = [
             "archive.json": (
                 "a3082688e7cfa66ae1288e7ca6c4d929dd1df63b21fee02ab479604d5451799a"
             ),
+            "archive.txt": (
+                "4ddf9ffb0248a0957018a05ea9ae6bd79e4e69fa1f65d4995143cc8861bca5fd"
+            ),
+            "calibration.json": (
+                "c6ffe505dade19deb0419dd7dfc4ca956e8e73412e5d1bee86f4f72e1a61cbb5"
+            ),
         },
     ),
     (
@@ -60,6 +67,12 @@ GOLDEN = [
             "archive.json": (
                 "950237d9abb4574a2e189ac3dd94456b3a7ebf0188e170063ce84afda313a05f"
             ),
+            "archive.txt": (
+                "978807f726814d99a1954d5098a4326339cdc8c4ea4522a37412fb6d1a1a2262"
+            ),
+            "calibration.json": (
+                "1f7238992ba351b1871a0a5e6eab7c868c73503551a79b66eced1d081ed09108"
+            ),
         },
     ),
 ]
@@ -73,8 +86,47 @@ def test_tune_outputs_match_recorded_digests(tmp_path, run_config, digests):
     config.write_text(json.dumps(run_config))
     out = tmp_path / "out"
     assert cli.main(["tune", "--config", str(config), "--output-dir", str(out)]) == 0
-    got = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in digests
+    assert digests_of(out) == digests
+
+
+#: several multi-valued domains, some listed against the default order, so
+#: the restriction's value order reaches the index-based objectives
+ORACLE_SPACE = {
+    "kernel_count_w3": [256, 100, 32],
+    "kernel_count_w4": [160, 32],
+    "kernel_count_w5": [32, 64],
+    "conv_dropout": ["0.1"],
+    "fc_units": [512, 64, 16],
+    "fc_dropout": ["0.5", "0.1"],
+    "activation": ["tanh", "relu", "elu"],
+    "learning_rate": ["0.01", "0.001"],
+    "batch_size": [64],
+}
+
+ORACLE_DIGESTS = {
+    "front.txt": (
+        "0b22c91e1c84ae015dfc7b8b4ce95643556e1665e834d52bdde6e2581f6afaa7"
+    ),
+    "front.json": (
+        "b9fa89286e39d2045518b1fcd030f99ed1caddef76eee969000a6aba6f0fcc90"
+    ),
+}
+
+
+def test_oracle_outputs_match_recorded_digests(tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(
+        ["oracle", "--objective", "sphere_proxy", "--space",
+         json.dumps(ORACLE_SPACE), "--cap", "1000", "--top-k", "5",
+         "--output", str(out / "front.txt")]
+    )
+    assert code == 0
+    assert digests_of(out) == ORACLE_DIGESTS
+
+
+def digests_of(directory) -> dict[str, str]:
+    """sha256 of every file in ``directory``, by file name."""
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in directory.iterdir()
     }
-    assert got == digests

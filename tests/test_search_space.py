@@ -210,6 +210,16 @@ class TestRestriction:
         with pytest.raises(ValueError):
             space.restrict({"no_such_domain": [1]})
 
+    @pytest.mark.parametrize(
+        "restriction",
+        [{"fc_units": 16}, {"fc_units": "16"}, {"fc_units": (16, 32)},
+         {"fc_units": {"16": 1}}, {"fc_units": None}, [["fc_units", [16]]], 5, None],
+        ids=["int", "string", "tuple", "object", "null", "pairs", "number", "none"],
+    )
+    def test_restrict_rejects_what_is_not_a_mapping_of_lists(self, restriction):
+        with pytest.raises(ValueError, match="restriction"):
+            default_search_space().restrict(restriction)
+
 
 class TestRunConfig:
     def base(self, **overrides):
