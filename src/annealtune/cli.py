@@ -10,6 +10,7 @@ leave partial outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -231,14 +232,30 @@ def _manifest_paths(manifest: dict[str, Any], *keys: str) -> list[str]:
     return [manifest[key] for key in keys]
 
 
+#: largest synthetic corpus sizes a manifest may ask for: 50 classes (TREC's
+#: fine-grained label count), 10,000 sentences a class and a 100,000-word
+#: vocabulary (five times MR's), so a typo cannot exhaust memory
+MANIFEST_CEILINGS = {"class_count": 50, "samples_per_class": 10_000, "vocab_size": 100_000}
+
+
 def _manifest_number(manifest: dict[str, Any], key: str, convert, default):
     """``convert`` of the manifest's value at ``key``, or of ``default``
-    without one; a value it cannot convert is a DataError."""
+    without one. A value it cannot convert, a fractional value for an int
+    key and a value above the key's MANIFEST_CEILINGS entry are DataErrors."""
+    value = manifest.get(key, default)
     try:
-        return convert(manifest.get(key, default))
+        number = convert(value)
     except (TypeError, ValueError, OverflowError):
-        message = f"{manifest['kind']} dataset manifest key {key!r} is not a number"
-        raise DataError(message) from None
+        problem = "is not a number"
+    else:
+        ceiling = MANIFEST_CEILINGS.get(key)
+        if convert is int and isinstance(value, float) and number != value:
+            problem = "is not an integer"
+        elif ceiling is not None and number > ceiling:
+            problem = f"is above {ceiling}"
+        else:
+            return number
+    raise DataError(f"{manifest['kind']} dataset manifest key {key!r} {problem}")
 
 
 def prepare_corpus(
@@ -535,7 +552,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Have the C allocator serve blocks up to 32 MiB from the heap and hand
+    the heap top back to the kernel only past 64 MiB free.
+
+    By default glibc maps numpy's larger temporaries (window matrices, conv
+    outputs, Rmsprop terms) fresh and trims the heap after they are freed,
+    so every training step faults the same pages in again. Once per process;
+    where the C library has no mallopt this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

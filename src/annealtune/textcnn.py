@@ -224,6 +224,11 @@ def forward(
             batch, n - w + 1, f_w
         )
         a = act(z)
+        if not train_mode:
+            # max returns the value a[argmax] would pick, ties and NaN
+            # included; only backward needs the positions
+            pooled_parts.append(a.max(axis=1))
+            continue
         idx = a.argmax(axis=1)  # (B, f_w): each filter's max-over-time position
         at_max = (rows, idx, np.arange(f_w))
         argmax[w] = idx
@@ -250,8 +255,6 @@ def forward(
     cache = {
         "ids": ids,
         "embedded": embedded,
-        "argmax": argmax,
-        "pooled_pre": pooled_pre,
         "h_dropped": h_dropped,
         "mask_h": mask_h,
         "z1": z1,
@@ -260,6 +263,8 @@ def forward(
         "probs": probs,
         "train_mode": train_mode,
     }
+    if train_mode:
+        cache.update(argmax=argmax, pooled_pre=pooled_pre)
     return probs, cache
 
 

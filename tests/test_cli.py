@@ -1,5 +1,8 @@
+import ctypes
 import json
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -461,9 +464,13 @@ class TestManifestValues:
             ("synthetic", "test_fraction", [], "is not a number"),
             ("mr", "folds", "x", "is not a number"),
             ("cr", "fold_index", float("inf"), "is not a number"),
+            ("synthetic", "samples_per_class", 10.9, "is not an integer"),
+            ("synthetic", "seed", 1.5, "is not an integer"),
+            ("mr", "folds", 2.9, "is not an integer"),
         ],
         ids=["path-int", "path-list", "path-null", "seed-null", "fraction-list",
-             "folds-string", "fold-index-infinite"],
+             "folds-string", "fold-index-infinite", "samples-fractional",
+             "seed-fractional", "folds-fractional"],
     )
     def test_wrong_json_type_is_data_error(
         self, tmp_path, capsys, kind, key, value, problem
@@ -472,6 +479,24 @@ class TestManifestValues:
         dataset.write_text(json.dumps({**dataset_files(tmp_path)[kind], key: value}))
         assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
         message = f"data error: {kind} dataset manifest key {key!r} {problem}"
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("class_count", 10**6), ("samples_per_class", 10**9), ("vocab_size", 10**8)],
+    )
+    def test_synthetic_size_above_ceiling_is_data_error(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        def generator_must_not_run(**sizes):
+            raise AssertionError(f"synthetic corpus generated at {sizes}")
+
+        monkeypatch.setattr(cli, "synthetic_corpus", generator_must_not_run)
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps({"kind": "synthetic", key: value}))
+        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
+        ceiling = cli.MANIFEST_CEILINGS[key]
+        message = f"data error: synthetic dataset manifest key {key!r} is above {ceiling}"
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", sorted(MANIFEST_KEYS))
@@ -583,3 +608,42 @@ class TestOracle:
             for e in tuned["entries"]
         }
         assert tuned_set <= oracle_set
+
+
+#: two evals in one fresh interpreter; prints the second one's minor faults
+REPEAT_EVAL = """
+import io, json, resource, sys
+from contextlib import redirect_stdout
+from annealtune import cli
+argv = ["eval", *json.loads(sys.argv[1])]
+with redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):  # no C library to load by name
+        return False
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(not has_mallopt(), reason="C library has no mallopt")
+    def test_repeat_run_faults_in_few_pages(self):
+        # freed numpy buffers stay in the heap, so a repeat run reuses their
+        # pages; a fresh interpreter, since a long-lived one may already have
+        # raised glibc's own mmap threshold (about 325 faults without the policy)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", REPEAT_EVAL, json.dumps(TOP1_SETS)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            )},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        faults = int(done.stdout)
+        assert faults < 150, faults

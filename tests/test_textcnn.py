@@ -148,7 +148,12 @@ class TestForward:
         )
         # pos0: 1*1 + 0*2 + 0*0.5 + 1*0 + 2*1 + (-1)*1 + 0.25 = 2.25
         # pos1: 0*1 + 1*2 + 2*0.5 + (-1)*0 + 1*1 + 1*1 + 0.25 = 5.25
-        _, cache = forward(model, np.array([[0, 1, 2, 3]]))
+        # eval passes keep no positions; at zero dropout every mask is one
+        _, cache = forward(
+            model, np.array([[0, 1, 2, 3]]), train_mode=True,
+            rng=np.random.default_rng(0),
+        )
+        assert np.array_equal(cache["mask_h"], [[1.0, 1.0]])
         assert cache["pooled_pre"][3][0] == pytest.approx([5.25, -2.25])
         assert list(cache["argmax"][3][0]) == [1, 0]  # max over time
 
@@ -308,6 +313,36 @@ class TestBatchedEqualsPerSentence:
         probs, _ = forward(model, ids)
         predicted = [reference.predict(model, row) for row in ids]
         assert probs.argmax(axis=1).tolist() == predicted
+        assert accuracy(model, ids, labels) == reference.accuracy(model, ids, labels)
+
+    @pytest.mark.parametrize(
+        "case", ["relu-ties-at-zero", "tanh-ties-at-one", "nan-filter", "nan-token"]
+    )
+    def test_eval_pooling_equals_argmax_gather(self, case):
+        # inputs where a max and a gather at the argmax could part: ties and NaN
+        activation = "relu" if case in ("relu-ties-at-zero", "nan-filter") else "tanh"
+        model = tiny_model(activation=activation, conv_dropout="0.0", fc_dropout="0.0")
+        if case == "relu-ties-at-zero":  # every pre-activation negative
+            for w in (3, 4, 5):
+                model.conv_bias[w][:] = -100.0
+        elif case == "tanh-ties-at-one":  # one saturated filter per window
+            for w in (3, 4, 5):
+                model.conv_bias[w][0] = 50.0
+        elif case == "nan-filter":  # NaN at every position of one filter
+            model.conv_bias[4][1] = np.nan
+        else:  # NaN at the positions covering one token, finite elsewhere
+            model.embedding[7] = np.nan
+        rng = np.random.default_rng(6)
+        ids = rng.integers(0, VOCAB, size=(200, LENGTH))
+        labels = rng.integers(0, CLASSES, size=200)
+        probs, _ = forward(model, ids)
+        # train mode pools by the argmax gather; at zero dropout its masks are one
+        gathered, _ = forward(model, ids, train_mode=True, rng=np.random.default_rng(0))
+        assert np.array_equal(probs, gathered, equal_nan=True)
+        # a one-sentence pass does the reference's arithmetic exactly
+        for row in ids:
+            expected, _ = reference.forward(model, row)
+            assert np.array_equal(forward(model, row[None])[0][0], expected, equal_nan=True)
         assert accuracy(model, ids, labels) == reference.accuracy(model, ids, labels)
 
     def test_train_history_matches_reference(self):
