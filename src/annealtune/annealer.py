@@ -23,6 +23,7 @@ from .pareto import (
 )
 from .search_space import (
     Configuration,
+    JsonFragments,
     RunConfig,
     neighbor,
     random_configuration,
@@ -198,8 +199,24 @@ class AnnealerState:
     rng: random.Random
 
 
-@dataclass(frozen=True)
+class FloatReprs(dict):
+    """float -> ``repr``, memoized over one trace, where temperatures and
+    error rates repeat from line to line. Zeros are not stored: 0.0 and
+    -0.0 are one dict key with two texts."""
+
+    def __missing__(self, x: float) -> str:
+        text = float.__repr__(x)
+        if x:
+            self[x] = text
+        return text
+
+
+@dataclass(slots=True)
 class StepRecord:
+    """One annealing step, as its trace line reports it. Nothing mutates a
+    record once built; it is not frozen, because a frozen dataclass is
+    several times dearer to build and the loop builds one per step."""
+
     iteration: int
     temperature: float
     current_config: Configuration
@@ -211,17 +228,18 @@ class StepRecord:
     accepted: bool
     archive_action: ArchiveAction
 
-    def to_json(self) -> str:
+    def to_json(self, reprs: FloatReprs, fragments: JsonFragments) -> str:
         """One trace line: what ``json.dumps`` writes for this record's
         fields, built from the configurations' memoized JSON. Every float
-        here is finite, and json.dumps writes a finite float as its repr."""
-        r = float.__repr__
+        here is finite, and json.dumps writes a finite float as its repr.
+        A trace's lines share ``reprs`` and ``fragments``."""
+        r = reprs.__getitem__
         cur, cand = self.current_objectives, self.candidate_objectives
         return (
             f'{{"iteration": {self.iteration}, "temperature": {r(self.temperature)}, '
-            f'"current": {self.current_config.to_json()}, '
+            f'"current": {self.current_config.to_json(fragments)}, '
             f'"current_objectives": [{r(cur.error_rate)}, {cur.flops}], '
-            f'"candidate": {self.candidate_config.to_json()}, '
+            f'"candidate": {self.candidate_config.to_json(fragments)}, '
             f'"candidate_objectives": [{r(cand.error_rate)}, {cand.flops}], '
             f'"delta_f": {r(self.delta_f)}, "probability": {r(self.probability)}, '
             f'"accepted": {"true" if self.accepted else "false"}, '

@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import fields
 from typing import Any, Sequence
 
-from .annealer import CalibrationError, RunResult, plan_schedule, run
+from .annealer import CalibrationError, FloatReprs, RunResult, plan_schedule, run
 from .corpus import (
     CvPolicy,
     DataError,
@@ -45,6 +45,7 @@ from .search_space import (
     DISPLAY_LABELS,
     SYNTHETIC_PREFIX,
     Configuration,
+    JsonFragments,
     RunConfig,
     SearchSpace,
     default_search_space,
@@ -173,7 +174,8 @@ def archive_json(
 
 def trace_jsonl(result: RunResult) -> str:
     lines = [json.dumps({"format_version": FORMAT_VERSION, "kind": "trace"})]
-    lines.extend(record.to_json() for record in result.trace)
+    reprs, fragments = FloatReprs(), JsonFragments()
+    lines.extend(record.to_json(reprs, fragments) for record in result.trace)
     return "\n".join(lines) + "\n"
 
 
@@ -236,12 +238,20 @@ def _manifest_paths(manifest: dict[str, Any], *keys: str) -> list[str]:
 #: fine-grained label count), 10,000 sentences a class and a 100,000-word
 #: vocabulary (five times MR's), so a typo cannot exhaust memory
 MANIFEST_CEILINGS = {"class_count": 50, "samples_per_class": 10_000, "vocab_size": 100_000}
+#: smallest synthetic corpus sizes: one class of one sentence (the vocabulary
+#: floor, two words a class, depends on class_count)
+MANIFEST_FLOORS = {"class_count": 1, "samples_per_class": 1}
+
+
+def _manifest_error(manifest: dict[str, Any], key: str, problem: str) -> DataError:
+    return DataError(f"{manifest['kind']} dataset manifest key {key!r} {problem}")
 
 
 def _manifest_number(manifest: dict[str, Any], key: str, convert, default):
     """``convert`` of the manifest's value at ``key``, or of ``default``
     without one. A value it cannot convert, a fractional value for an int
-    key and a value above the key's MANIFEST_CEILINGS entry are DataErrors."""
+    key and a value outside the key's MANIFEST_FLOORS and MANIFEST_CEILINGS
+    entries are DataErrors."""
     value = manifest.get(key, default)
     try:
         number = convert(value)
@@ -249,13 +259,16 @@ def _manifest_number(manifest: dict[str, Any], key: str, convert, default):
         problem = "is not a number"
     else:
         ceiling = MANIFEST_CEILINGS.get(key)
+        floor = MANIFEST_FLOORS.get(key)
         if convert is int and isinstance(value, float) and number != value:
             problem = "is not an integer"
         elif ceiling is not None and number > ceiling:
             problem = f"is above {ceiling}"
+        elif floor is not None and number < floor:
+            problem = f"is below {floor}"
         else:
             return number
-    raise DataError(f"{manifest['kind']} dataset manifest key {key!r} {problem}")
+    raise _manifest_error(manifest, key, problem)
 
 
 def prepare_corpus(
@@ -269,14 +282,22 @@ def prepare_corpus(
     """
     kind = manifest["kind"]
     if kind == "synthetic":
+        class_count = _manifest_number(manifest, "class_count", int, 2)
+        vocab_size = _manifest_number(manifest, "vocab_size", int, 40)
+        if vocab_size < 2 * class_count:
+            raise _manifest_error(
+                manifest, "vocab_size", f"is below {2 * class_count}, twice class_count"
+            )
+        test_fraction = _manifest_number(manifest, "test_fraction", float, 0.2)
+        if not 0.0 <= test_fraction < 1.0:
+            raise _manifest_error(manifest, "test_fraction", "is outside [0, 1)")
         data = synthetic_corpus(
-            class_count=_manifest_number(manifest, "class_count", int, 2),
+            class_count=class_count,
             samples_per_class=_manifest_number(manifest, "samples_per_class", int, 50),
-            vocab_size=_manifest_number(manifest, "vocab_size", int, 40),
+            vocab_size=vocab_size,
             seed=_manifest_number(manifest, "seed", int, seed),
         )
-        policy = HoldoutPolicy(_manifest_number(manifest, "test_fraction", float, 0.2))
-        return make_splits(data, policy, ratio_init, seed)
+        return make_splits(data, HoldoutPolicy(test_fraction), ratio_init, seed)
     if kind in ("mr", "cr"):
         if kind == "mr":
             data = load_mr(*_manifest_paths(manifest, "pos", "neg"))

@@ -30,6 +30,8 @@ SYNTHETIC_NAMES = ("sphere_proxy", "deceptive_trap")
 
 #: (window, its filter-count hyperparameter), ascending window size
 _KERNEL_COUNTS = tuple((w, f"kernel_count_w{w}") for w in textcnn.WINDOWS)
+#: the hyperparameters estimate_flops reads: the network's shape
+_SHAPE_NAMES = tuple(name for _, name in _KERNEL_COUNTS) + ("fc_units",)
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,9 @@ def flops_ceiling(
     Valid because the estimate is monotone in every filter count and in the
     fully connected width: the all-maximum configuration attains the bound.
     """
-    names = [name for _, name in _KERNEL_COUNTS] + ["fc_units"]
-    shape = {name: max(int(v) for v in space.domain(name).values) for name in names}
+    shape = {
+        name: max(int(v) for v in space.domain(name).values) for name in _SHAPE_NAMES
+    }
     return estimate_flops(shape, sentence_length, embedding_dim, class_count).total
 
 
@@ -110,12 +113,14 @@ class SyntheticEvaluator:
     whose slope points away from the global optimum.
 
     Both report flops from the estimator under the fixed synthetic
-    network-shape constants.
+    network-shape constants, estimated once per network shape.
     """
 
     space: SearchSpace
     name: str
     flops_max: int = field(init=False)
+    #: shape (the _SHAPE_NAMES values) -> its estimate_flops total
+    _flops: dict[tuple, int] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.name not in SYNTHETIC_NAMES:
@@ -128,12 +133,15 @@ class SyntheticEvaluator:
         )
 
     def evaluate(self, config: Configuration) -> ObjectiveVector:
-        flops = estimate_flops(
-            config,
-            SYNTHETIC_SENTENCE_LENGTH,
-            SYNTHETIC_EMBEDDING_DIM,
-            SYNTHETIC_CLASS_COUNT,
-        ).total
+        shape = tuple(map(config.__getitem__, _SHAPE_NAMES))
+        flops = self._flops.get(shape)
+        if flops is None:
+            flops = self._flops[shape] = estimate_flops(
+                config,
+                SYNTHETIC_SENTENCE_LENGTH,
+                SYNTHETIC_EMBEDDING_DIM,
+                SYNTHETIC_CLASS_COUNT,
+            ).total
         fractions = _index_fractions(self.space, config)
         if self.name == "sphere_proxy":
             error = sum(f * f for f in fractions) / len(fractions) if fractions else 0.0

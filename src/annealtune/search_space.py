@@ -104,17 +104,30 @@ class ParamDomain:
             ) from None
 
 
+class JsonFragments(dict):
+    """(name, value) item -> its ``"name": value`` text in a JSON object,
+    memoized over the configurations one output writes. Values are ints or
+    strings (``canonical_value``), so the item alone fixes the text."""
+
+    def __missing__(self, item: tuple[str, Value]) -> str:
+        name, value = item
+        text = self[item] = json.dumps(name) + ": " + json.dumps(value)
+        return text
+
+
 @dataclass(frozen=True)
 class Configuration:
     """One concrete assignment, ordered like the owning space's domains."""
 
     items: tuple[tuple[str, Value], ...]
-    _values: dict[str, Value] = field(init=False, repr=False, compare=False)
+    #: name -> value; built from ``items`` unless the caller already holds it
+    _values: dict[str, Value] | None = field(default=None, repr=False, compare=False)
     #: the JSON object text, written on first use; the instance is frozen
     _json: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_values", dict(self.items))
+        if self._values is None:
+            object.__setattr__(self, "_values", dict(self.items))
 
     def __getitem__(self, name: str) -> Value:
         return self._values[name]
@@ -122,10 +135,12 @@ class Configuration:
     def as_dict(self) -> dict[str, Value]:
         return dict(self.items)
 
-    def to_json(self) -> str:
-        """``json.dumps(self.as_dict())``, computed once per instance."""
+    def to_json(self, fragments: JsonFragments) -> str:
+        """``json.dumps(self.as_dict())``, computed once per instance from
+        ``fragments``, which the configurations of one output share."""
         if self._json is None:
-            object.__setattr__(self, "_json", json.dumps(self._values))
+            texts = map(fragments.__getitem__, self._values.items())
+            object.__setattr__(self, "_json", "{" + ", ".join(texts) + "}")
         return self._json
 
     def replace(self, name: str, value: Value) -> "Configuration":
@@ -133,7 +148,7 @@ class Configuration:
         if name not in values:
             raise KeyError(name)
         values[name] = value
-        return Configuration(tuple(values.items()))
+        return Configuration(tuple(values.items()), values)
 
     def sort_key(self) -> tuple[tuple[str, str], ...]:
         """Deterministic lexicographic key, independent of domain order."""

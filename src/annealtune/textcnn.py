@@ -224,16 +224,21 @@ def forward(
             batch, n - w + 1, f_w
         )
         a = act(z)
+        # max returns the value a[argmax] would pick, ties and NaN included
+        pooled = a.max(axis=1)  # (B, f_w)
+        pooled_parts.append(pooled)
         if not train_mode:
-            # max returns the value a[argmax] would pick, ties and NaN
-            # included; only backward needs the positions
-            pooled_parts.append(a.max(axis=1))
-            continue
-        idx = a.argmax(axis=1)  # (B, f_w): each filter's max-over-time position
-        at_max = (rows, idx, np.arange(f_w))
+            continue  # only backward needs the positions
+        # each filter's max-over-time position, as argmax picks it: the
+        # first one equal to the maximum, or the first NaN (a NaN maximum
+        # equals nothing). argmax over a bool array is cheaper than over a,
+        # since reducing a non-last axis copies the array.
+        hit = a == pooled[:, None, :]
+        if np.isnan(pooled).any():
+            hit |= np.isnan(a)
+        idx = hit.argmax(axis=1)  # (B, f_w)
         argmax[w] = idx
-        pooled_pre[w] = z[at_max]
-        pooled_parts.append(a[at_max])
+        pooled_pre[w] = z[rows, idx, np.arange(f_w)]
     h = np.concatenate(pooled_parts, axis=1)  # (B, sum f_w)
 
     if train_mode:

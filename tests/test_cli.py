@@ -291,13 +291,18 @@ class TestTraceJsonl:
             StepRecord(2, 1.0, edge, ObjectiveVector(1.0, 10**18), plain,
                        ObjectiveVector(0.0, 7), 0.1 + 0.2, 5e-324, False,
                        ArchiveAction.REJECTED_DOMINATED),
+            # floats met on earlier lines, and both zeros on one line
+            StepRecord(3, 0.1 + 0.2, plain, ObjectiveVector(0.0, 7), plain,
+                       ObjectiveVector(5e-324, 7), -0.0, 1.0, False,
+                       ArchiveAction.REJECTED_DOMINATED),
         ]
         lines = cli.trace_jsonl(SimpleNamespace(trace=records)).splitlines()
         assert json.loads(lines[0]) == {"format_version": 1, "kind": "trace"}
         for line, r in zip(lines[1:], records, strict=True):
             parsed = json.loads(line)
             assert json.dumps(parsed) == line
-            assert parsed == {
+            # text equality: unlike ==, it tells 0.0 from -0.0
+            assert line == json.dumps({
                 "iteration": r.iteration,
                 "temperature": r.temperature,
                 "current": r.current_config.as_dict(),
@@ -312,7 +317,7 @@ class TestTraceJsonl:
                 "probability": r.probability,
                 "accepted": r.accepted,
                 "archive": r.archive_action.value,
-            }
+            })
 
 
 class TestEval:
@@ -497,6 +502,36 @@ class TestManifestValues:
         assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
         ceiling = cli.MANIFEST_CEILINGS[key]
         message = f"data error: synthetic dataset manifest key {key!r} is above {ceiling}"
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "values,key,problem",
+        [
+            ({"class_count": 0}, "class_count", "is below 1"),
+            ({"class_count": -3}, "class_count", "is below 1"),
+            ({"samples_per_class": 0}, "samples_per_class", "is below 1"),
+            ({"samples_per_class": -5}, "samples_per_class", "is below 1"),
+            ({"vocab_size": 3}, "vocab_size", "is below 4, twice class_count"),
+            ({"class_count": 5, "vocab_size": 9}, "vocab_size",
+             "is below 10, twice class_count"),
+            ({"test_fraction": 1.0}, "test_fraction", "is outside [0, 1)"),
+            ({"test_fraction": -0.1}, "test_fraction", "is outside [0, 1)"),
+        ],
+        ids=["classes-zero", "classes-negative", "samples-zero", "samples-negative",
+             "vocab-below-default-classes", "vocab-below-classes", "fraction-one",
+             "fraction-negative"],
+    )
+    def test_synthetic_value_out_of_range_is_data_error(
+        self, tmp_path, capsys, monkeypatch, values, key, problem
+    ):
+        def generator_must_not_run(**sizes):
+            raise AssertionError(f"synthetic corpus generated at {sizes}")
+
+        monkeypatch.setattr(cli, "synthetic_corpus", generator_must_not_run)
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps({"kind": "synthetic", **values}))
+        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
+        message = f"data error: synthetic dataset manifest key {key!r} {problem}"
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", sorted(MANIFEST_KEYS))

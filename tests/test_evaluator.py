@@ -12,6 +12,7 @@ from annealtune.corpus import (
 from annealtune.evaluator import (
     SYNTHETIC_CLASS_COUNT,
     SYNTHETIC_EMBEDDING_DIM,
+    SYNTHETIC_NAMES,
     SYNTHETIC_SENTENCE_LENGTH,
     EvaluationCache,
     SyntheticEvaluator,
@@ -226,6 +227,33 @@ class TestSynthetic:
                 objectives = evaluator.evaluate(config)
                 assert 0.0 <= objectives.error_rate <= 1.0
                 assert 0 <= objectives.flops <= evaluator.flops_max
+
+    @pytest.mark.parametrize("name", SYNTHETIC_NAMES)
+    def test_flops_cached_per_shape_equal_the_estimate(self, name):
+        # 32 configurations over 8 network shapes, each shape met 4 times
+        space = default_search_space().restrict(
+            {
+                "kernel_count_w3": [32, 256],
+                "kernel_count_w4": [64, 32],
+                "kernel_count_w5": [96],
+                "conv_dropout": ["0.1", "0.5"],
+                "fc_units": [512, 16],
+                "fc_dropout": ["0.1"],
+                "activation": ["relu", "tanh"],
+                "learning_rate": ["0.001"],
+                "batch_size": [64],
+            }
+        )
+        evaluator = SyntheticEvaluator(space=space, name=name)
+        for _ in range(2):  # the second pass reads every shape from the cache
+            for config in enumerate_space(space, 100):
+                expected = estimate_flops(
+                    config,
+                    SYNTHETIC_SENTENCE_LENGTH,
+                    SYNTHETIC_EMBEDDING_DIM,
+                    SYNTHETIC_CLASS_COUNT,
+                ).total
+                assert evaluator.evaluate(config).flops == expected
 
 
 def stops(history, chance_margin=RUN_DEFAULTS["early_stop_margin"],

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from annealtune.search_space import (
     Configuration,
+    JsonFragments,
     ParamDomain,
     RunConfig,
     SearchSpace,
@@ -194,6 +196,47 @@ def test_neighbor_always_valid_and_adjacent(data):
     other = neighbor(config, space, random.Random(seed))
     space.validate(other)
     assert sum(a != b for a, b in zip(config.items, other.items)) == 1
+
+
+#: text with JSON's escapes: quotes, backslashes, control characters and
+#: non-ASCII letters, and anything else Hypothesis draws
+ESCAPED = st.sampled_from('"\\\x00\x1f\n\t\x7f\u00e9\u2028\u4e2d')
+JSON_TEXT = st.text(st.one_of(ESCAPED, st.characters()))
+DOMAIN_VALUES = st.one_of(st.integers(-(10**18), 10**18), JSON_TEXT)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_to_json_is_json_dumps_of_as_dict(data):
+    names = data.draw(st.lists(JSON_TEXT.filter(bool), min_size=1, max_size=4, unique=True))
+    values = st.lists(DOMAIN_VALUES, min_size=1, max_size=4, unique=True)
+    space = SearchSpace(tuple(ParamDomain(n, tuple(data.draw(values))) for n in names))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    config = random_configuration(space, rng)
+    configs = [config]
+    domain = data.draw(st.sampled_from(space.domains))
+    configs.append(config.replace(domain.name, data.draw(st.sampled_from(domain.values))))
+    if space.mutable:
+        for _ in range(3):
+            configs.append(neighbor(configs[-1], space, rng))
+    fragments = JsonFragments()  # shared, as over one trace
+    for c in configs:
+        assert c.to_json(fragments) == json.dumps(c.as_dict())
+
+
+def test_to_json_of_spaces_sharing_a_domain_name():
+    # the same name with int values in one space and their digit strings in
+    # the other, through one memo: each configuration writes its own values
+    ints = toy_space(a=[1, 2], b=[10**18])
+    digits = toy_space(a=["1", "2"], b=[str(10**18)])
+    fragments = JsonFragments()
+    rng = random.Random(3)
+    for _ in range(20):
+        for space in (ints, digits, ints):
+            config = random_configuration(space, rng)
+            other = neighbor(config, space, rng)
+            for c in (config, other):
+                assert c.to_json(fragments) == json.dumps(c.as_dict())
 
 
 class TestRestriction:

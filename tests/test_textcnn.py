@@ -49,6 +49,29 @@ def tiny_model(activation="tanh", seed=12, **space_kwargs):
     return init_model(config, VOCAB, DIM, CLASSES, rng)
 
 
+POOLING_CASES = ["relu-ties-at-zero", "tanh-ties-at-one", "nan-filter", "nan-token"]
+
+
+def pooling_case(case):
+    """A zero-dropout model, and 200 sentences with labels, on which a max
+    and a gather at the argmax could part: ties and NaN."""
+    activation = "relu" if case in ("relu-ties-at-zero", "nan-filter") else "tanh"
+    model = tiny_model(activation=activation, conv_dropout="0.0", fc_dropout="0.0")
+    if case == "relu-ties-at-zero":  # every pre-activation negative
+        for w in (3, 4, 5):
+            model.conv_bias[w][:] = -100.0
+    elif case == "tanh-ties-at-one":  # one saturated filter per window
+        for w in (3, 4, 5):
+            model.conv_bias[w][0] = 50.0
+    elif case == "nan-filter":  # NaN at every position of one filter
+        model.conv_bias[4][1] = np.nan
+    else:  # NaN at the positions covering one token, finite elsewhere
+        model.embedding[7] = np.nan
+    rng = np.random.default_rng(6)
+    ids = rng.integers(0, VOCAB, size=(200, LENGTH))
+    return model, ids, rng.integers(0, CLASSES, size=200)
+
+
 class TestInit:
     def test_xavier_bound_for_symmetric_fans(self):
         rng = np.random.default_rng(0)
@@ -315,35 +338,43 @@ class TestBatchedEqualsPerSentence:
         assert probs.argmax(axis=1).tolist() == predicted
         assert accuracy(model, ids, labels) == reference.accuracy(model, ids, labels)
 
-    @pytest.mark.parametrize(
-        "case", ["relu-ties-at-zero", "tanh-ties-at-one", "nan-filter", "nan-token"]
-    )
+    @pytest.mark.parametrize("case", POOLING_CASES)
     def test_eval_pooling_equals_argmax_gather(self, case):
-        # inputs where a max and a gather at the argmax could part: ties and NaN
-        activation = "relu" if case in ("relu-ties-at-zero", "nan-filter") else "tanh"
-        model = tiny_model(activation=activation, conv_dropout="0.0", fc_dropout="0.0")
-        if case == "relu-ties-at-zero":  # every pre-activation negative
-            for w in (3, 4, 5):
-                model.conv_bias[w][:] = -100.0
-        elif case == "tanh-ties-at-one":  # one saturated filter per window
-            for w in (3, 4, 5):
-                model.conv_bias[w][0] = 50.0
-        elif case == "nan-filter":  # NaN at every position of one filter
-            model.conv_bias[4][1] = np.nan
-        else:  # NaN at the positions covering one token, finite elsewhere
-            model.embedding[7] = np.nan
-        rng = np.random.default_rng(6)
-        ids = rng.integers(0, VOCAB, size=(200, LENGTH))
-        labels = rng.integers(0, CLASSES, size=200)
+        model, ids, labels = pooling_case(case)
         probs, _ = forward(model, ids)
-        # train mode pools by the argmax gather; at zero dropout its masks are one
-        gathered, _ = forward(model, ids, train_mode=True, rng=np.random.default_rng(0))
-        assert np.array_equal(probs, gathered, equal_nan=True)
+        # at zero dropout the train-mode masks are one
+        pooled, _ = forward(model, ids, train_mode=True, rng=np.random.default_rng(0))
+        assert np.array_equal(probs, pooled, equal_nan=True)
         # a one-sentence pass does the reference's arithmetic exactly
         for row in ids:
             expected, _ = reference.forward(model, row)
             assert np.array_equal(forward(model, row[None])[0][0], expected, equal_nan=True)
         assert accuracy(model, ids, labels) == reference.accuracy(model, ids, labels)
+
+    @pytest.mark.parametrize("case", POOLING_CASES)
+    def test_train_pooling_positions_equal_argmax_gather(self, case):
+        # backward routes each filter's gradient to the position the
+        # reference's argmax picks, and the pooled values are its gather
+        model, ids, _ = pooling_case(case)
+        for row in ids:
+            rng = np.random.default_rng(0)
+            _, cache = forward(model, row[None], train_mode=True, rng=rng)
+            _, expected = reference.forward(model, row)
+            offset = 0
+            for w in sorted(model.conv_filters):
+                idx = expected["argmax"][w]
+                f_w = len(idx)
+                at_max = (idx, np.arange(f_w))
+                assert np.array_equal(cache["argmax"][w][0], idx)
+                assert np.array_equal(
+                    cache["pooled_pre"][w][0], expected["pre_act"][w][at_max], equal_nan=True
+                )
+                # zero dropout: h_dropped holds the pooled values themselves
+                part = slice(offset, offset + f_w)
+                assert np.array_equal(
+                    cache["h_dropped"][0, part], expected["h_dropped"][part], equal_nan=True
+                )
+                offset += f_w
 
     def test_train_history_matches_reference(self):
         corpus = prepared_synthetic()
