@@ -21,13 +21,7 @@ from .pareto import (
     ParetoArchive,
     scalar_deterioration,
 )
-from .search_space import (
-    Configuration,
-    JsonFragments,
-    RunConfig,
-    neighbor,
-    random_configuration,
-)
+from .search_space import Configuration, RunConfig, neighbor, random_configuration
 
 #: consecutive outer steps without a best-error improvement before stopping
 STAGNATION_OUTER_STEPS = 3
@@ -199,18 +193,6 @@ class AnnealerState:
     rng: random.Random
 
 
-class FloatReprs(dict):
-    """float -> ``repr``, memoized over one trace, where temperatures and
-    error rates repeat from line to line. Zeros are not stored: 0.0 and
-    -0.0 are one dict key with two texts."""
-
-    def __missing__(self, x: float) -> str:
-        text = float.__repr__(x)
-        if x:
-            self[x] = text
-        return text
-
-
 @dataclass(slots=True)
 class StepRecord:
     """One annealing step, as its trace line reports it. Nothing mutates a
@@ -227,24 +209,6 @@ class StepRecord:
     probability: float
     accepted: bool
     archive_action: ArchiveAction
-
-    def to_json(self, reprs: FloatReprs, fragments: JsonFragments) -> str:
-        """One trace line: what ``json.dumps`` writes for this record's
-        fields, built from the configurations' memoized JSON. Every float
-        here is finite, and json.dumps writes a finite float as its repr.
-        A trace's lines share ``reprs`` and ``fragments``."""
-        r = reprs.__getitem__
-        cur, cand = self.current_objectives, self.candidate_objectives
-        return (
-            f'{{"iteration": {self.iteration}, "temperature": {r(self.temperature)}, '
-            f'"current": {self.current_config.to_json(fragments)}, '
-            f'"current_objectives": [{r(cur.error_rate)}, {cur.flops}], '
-            f'"candidate": {self.candidate_config.to_json(fragments)}, '
-            f'"candidate_objectives": [{r(cand.error_rate)}, {cand.flops}], '
-            f'"delta_f": {r(self.delta_f)}, "probability": {r(self.probability)}, '
-            f'"accepted": {"true" if self.accepted else "false"}, '
-            f'"archive": "{self.archive_action.value}"}}'
-        )
 
 
 def step(

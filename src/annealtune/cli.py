@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import fields
 from typing import Any, Sequence
 
-from .annealer import CalibrationError, FloatReprs, RunResult, plan_schedule, run
+from .annealer import CalibrationError, RunResult, plan_schedule, run
 from .corpus import (
     CvPolicy,
     DataError,
@@ -45,7 +45,6 @@ from .search_space import (
     DISPLAY_LABELS,
     SYNTHETIC_PREFIX,
     Configuration,
-    JsonFragments,
     RunConfig,
     SearchSpace,
     default_search_space,
@@ -172,10 +171,54 @@ def archive_json(
     return json.dumps(payload, indent=2) + "\n"
 
 
+class _Memo(dict):
+    """key -> ``build(key)``, built on the key's first lookup, so that a hit
+    is a plain dict lookup."""
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        text = self[key] = self.build(key)
+        return text
+
+
+class _FloatTexts(dict):
+    """float -> its repr, which is what json.dumps writes for a finite float.
+    Zeros are not stored: 0.0 and -0.0 are one dict key with two texts."""
+
+    def __missing__(self, x: float) -> str:
+        text = float.__repr__(x)
+        if x:
+            self[x] = text
+        return text
+
+
 def trace_jsonl(result: RunResult) -> str:
+    """The trace format: a header line, then one line per step, each the
+    text ``json.dumps`` writes for the step's object. Floats, ``"name":
+    value`` fragments and configurations repeat from line to line, so their
+    texts are memoized over the trace. A configuration's text is keyed by
+    its items: values are ints or strings (``canonical_value``), so the
+    items alone fix the text."""
+    r = _FloatTexts().__getitem__
+    fragment = _Memo(lambda item: json.dumps(item[0]) + ": " + json.dumps(item[1]))
+    texts = _Memo(lambda items: "{" + ", ".join(map(fragment.__getitem__, items)) + "}")
+    c = texts.__getitem__
     lines = [json.dumps({"format_version": FORMAT_VERSION, "kind": "trace"})]
-    reprs, fragments = FloatReprs(), JsonFragments()
-    lines.extend(record.to_json(reprs, fragments) for record in result.trace)
+    for s in result.trace:
+        cur, cand = s.current_objectives, s.candidate_objectives
+        lines.append(
+            f'{{"iteration": {s.iteration}, "temperature": {r(s.temperature)}, '
+            f'"current": {c(s.current_config.items)}, '
+            f'"current_objectives": [{r(cur.error_rate)}, {cur.flops}], '
+            f'"candidate": {c(s.candidate_config.items)}, '
+            f'"candidate_objectives": [{r(cand.error_rate)}, {cand.flops}], '
+            f'"delta_f": {r(s.delta_f)}, "probability": {r(s.probability)}, '
+            f'"accepted": {"true" if s.accepted else "false"}, '
+            f'"archive": "{s.archive_action.value}"}}'
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -238,9 +281,10 @@ def _manifest_paths(manifest: dict[str, Any], *keys: str) -> list[str]:
 #: fine-grained label count), 10,000 sentences a class and a 100,000-word
 #: vocabulary (five times MR's), so a typo cannot exhaust memory
 MANIFEST_CEILINGS = {"class_count": 50, "samples_per_class": 10_000, "vocab_size": 100_000}
-#: smallest synthetic corpus sizes: one class of one sentence (the vocabulary
-#: floor, two words a class, depends on class_count)
-MANIFEST_FLOORS = {"class_count": 1, "samples_per_class": 1}
+#: smallest manifest numbers: one class of one sentence for a synthetic
+#: corpus (the vocabulary floor, two words a class, depends on class_count),
+#: two folds for cross validation
+MANIFEST_FLOORS = {"class_count": 1, "samples_per_class": 1, "folds": 2}
 
 
 def _manifest_error(manifest: dict[str, Any], key: str, problem: str) -> DataError:
@@ -303,11 +347,11 @@ def prepare_corpus(
             data = load_mr(*_manifest_paths(manifest, "pos", "neg"))
         else:
             data = load_cr(*_manifest_paths(manifest, "path"))
-        policy = CvPolicy(
-            _manifest_number(manifest, "folds", int, 10),
-            _manifest_number(manifest, "fold_index", int, 0),
-        )
-        return make_splits(data, policy, ratio_init, seed)
+        folds = _manifest_number(manifest, "folds", int, 10)
+        fold_index = _manifest_number(manifest, "fold_index", int, 0)
+        if not 0 <= fold_index < folds:
+            raise _manifest_error(manifest, "fold_index", f"is outside [0, {folds})")
+        return make_splits(data, CvPolicy(folds, fold_index), ratio_init, seed)
     if kind == "trec":
         train, test, _ = load_trec(*_manifest_paths(manifest, "train", "test"))
         return make_splits(train, FixedTestPolicy(tuple(test)), ratio_init, seed)
@@ -516,7 +560,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # --- parser --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process; parsing keeps no
+    state in it, and ``main`` picks the subcommand."""
     parser = _Parser(prog="annealtune", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -529,14 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=lambda s: [float(x) for x in s.split(",")],
         default=[0.99, 0.95, 0.9, 0.85, 0.8],
     )
-    p_plan.set_defaults(func=cmd_plan)
 
     p_tune = sub.add_parser("tune", help="run the annealing search")
     p_tune.add_argument("--config", required=True, help="run config JSON path")
     p_tune.add_argument("--output-dir", required=True)
     p_tune.add_argument("--top-k", type=non_negative_int, default=3)
     p_tune.add_argument("--cache", default=None, help="evaluation cache path")
-    p_tune.set_defaults(func=cmd_tune)
 
     p_eval = sub.add_parser("eval", help="evaluate one configuration")
     p_eval.add_argument(
@@ -553,13 +598,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-epochs", type=positive_int, default=_RUN_DEFAULTS["max_epochs"]
     )
     p_eval.add_argument(
-        "--sentence-length", type=int, default=SYNTHETIC_SENTENCE_LENGTH
+        "--sentence-length", type=positive_int, default=SYNTHETIC_SENTENCE_LENGTH
     )
     p_eval.add_argument(
         "--embedding-dim", type=positive_int, default=_RUN_DEFAULTS["embedding_dim"]
     )
-    p_eval.add_argument("--class-count", type=int, default=SYNTHETIC_CLASS_COUNT)
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.add_argument("--class-count", type=positive_int, default=SYNTHETIC_CLASS_COUNT)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive front on a small space")
     p_oracle.add_argument("--space", default=None, help="restriction JSON or path")
@@ -569,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--cap", type=int, default=10**6)
     p_oracle.add_argument("--output", required=True)
     p_oracle.add_argument("--top-k", type=non_negative_int, default=3)
-    p_oracle.set_defaults(func=cmd_oracle)
     return parser
 
 
@@ -602,10 +645,13 @@ def _keep_freed_heap() -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     _keep_freed_heap()
-    parser = build_parser()
+    # looked up on each call, so a module-level rebinding of cmd_* is seen
+    commands = {
+        "plan": cmd_plan, "tune": cmd_tune, "eval": cmd_eval, "oracle": cmd_oracle
+    }
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return commands[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -104,17 +104,6 @@ class ParamDomain:
             ) from None
 
 
-class JsonFragments(dict):
-    """(name, value) item -> its ``"name": value`` text in a JSON object,
-    memoized over the configurations one output writes. Values are ints or
-    strings (``canonical_value``), so the item alone fixes the text."""
-
-    def __missing__(self, item: tuple[str, Value]) -> str:
-        name, value = item
-        text = self[item] = json.dumps(name) + ": " + json.dumps(value)
-        return text
-
-
 @dataclass(frozen=True)
 class Configuration:
     """One concrete assignment, ordered like the owning space's domains."""
@@ -122,8 +111,6 @@ class Configuration:
     items: tuple[tuple[str, Value], ...]
     #: name -> value; built from ``items`` unless the caller already holds it
     _values: dict[str, Value] | None = field(default=None, repr=False, compare=False)
-    #: the JSON object text, written on first use; the instance is frozen
-    _json: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self._values is None:
@@ -134,14 +121,6 @@ class Configuration:
 
     def as_dict(self) -> dict[str, Value]:
         return dict(self.items)
-
-    def to_json(self, fragments: JsonFragments) -> str:
-        """``json.dumps(self.as_dict())``, computed once per instance from
-        ``fragments``, which the configurations of one output share."""
-        if self._json is None:
-            texts = map(fragments.__getitem__, self._values.items())
-            object.__setattr__(self, "_json", "{" + ", ".join(texts) + "}")
-        return self._json
 
     def replace(self, name: str, value: Value) -> "Configuration":
         values = dict(self._values)
@@ -198,14 +177,6 @@ class SearchSpace:
             d.index_of(value)
             items.append((d.name, value))
         return Configuration(tuple(items))
-
-    def validate(self, config: Configuration) -> None:
-        # a repeated name leaves fewer keys than items
-        if len(config.items) != len(self.names) or tuple(config._values) != self.names:
-            raise ValueError("configuration does not match space domains")
-        for (_, value), d in zip(config.items, self.domains):
-            if value not in d.index:
-                d.index_of(value)  # raises the error that names the domain
 
     def restrict(self, subsets: Mapping[str, list[Any]]) -> "SearchSpace":
         """Restrict named domains to subsets of their values.
@@ -278,8 +249,8 @@ def random_configuration(space: SearchSpace, rng: random.Random) -> Configuratio
 def neighbor(
     config: Configuration, space: SearchSpace, rng: random.Random
 ) -> Configuration:
-    """Reassign exactly one mutable domain to a different value of itself."""
-    space.validate(config)
+    """Reassign exactly one mutable domain to a different value of itself.
+    ``config`` must come from ``space``; it is not checked again here."""
     if not space.mutable:
         raise ValueError("no neighbor exists: every domain has a single value")
     d = rng.choice(space.mutable)

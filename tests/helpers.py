@@ -1,6 +1,8 @@
 """Shared test oracles and builders: finite-difference gradients,
-comparison metrics, and evaluators with the run configuration's defaults."""
+comparison metrics, trace lines, and evaluators with the run
+configuration's defaults."""
 
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -56,3 +58,24 @@ def finite_difference_gradients(model, ids, labels, mask_seed, eps=1e-4):
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     denom = max(np.linalg.norm(a) + np.linalg.norm(b), 1e-12)
     return float(np.linalg.norm(a - b) / denom)
+
+
+def trace_line(record) -> str:
+    """What ``json.dumps`` writes for a StepRecord's trace object; the
+    oracle for each line ``cli.trace_jsonl`` writes after its header."""
+    return json.dumps({
+        "iteration": record.iteration,
+        "temperature": record.temperature,
+        "current": record.current_config.as_dict(),
+        "current_objectives": [
+            record.current_objectives.error_rate, record.current_objectives.flops
+        ],
+        "candidate": record.candidate_config.as_dict(),
+        "candidate_objectives": [
+            record.candidate_objectives.error_rate, record.candidate_objectives.flops
+        ],
+        "delta_f": record.delta_f,
+        "probability": record.probability,
+        "accepted": record.accepted,
+        "archive": record.archive_action.value,
+    })

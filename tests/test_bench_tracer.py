@@ -60,7 +60,8 @@ def test_instrument_then_restore(tmp_path, monkeypatch):
         spans.restore()
     assert snapshot() == before
     calls = {name: row["calls"] for name, row in spans.summary().items()}
-    for name in ("cli.main", "annealer.run", "annealer.step", "textcnn.train",
-                 "evaluator.evaluate", "pareto.insert", "corpus.make_splits"):
+    for name in ("cli.main", "cli.tune", "annealer.run", "annealer.step",
+                 "textcnn.train", "evaluator.evaluate", "pareto.insert",
+                 "corpus.make_splits"):
         assert calls.get(name, 0) > 0, name
     assert spans.counters["evaluator.cache.get.calls"] > 0

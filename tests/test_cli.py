@@ -6,6 +6,7 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from helpers import trace_line
 
 import annealtune.cli as cli
 from annealtune.annealer import CalibrationError, StepRecord
@@ -302,22 +303,7 @@ class TestTraceJsonl:
             parsed = json.loads(line)
             assert json.dumps(parsed) == line
             # text equality: unlike ==, it tells 0.0 from -0.0
-            assert line == json.dumps({
-                "iteration": r.iteration,
-                "temperature": r.temperature,
-                "current": r.current_config.as_dict(),
-                "current_objectives": [
-                    r.current_objectives.error_rate, r.current_objectives.flops
-                ],
-                "candidate": r.candidate_config.as_dict(),
-                "candidate_objectives": [
-                    r.candidate_objectives.error_rate, r.candidate_objectives.flops
-                ],
-                "delta_f": r.delta_f,
-                "probability": r.probability,
-                "accepted": r.accepted,
-                "archive": r.archive_action.value,
-            })
+            assert line == trace_line(r)
 
 
 class TestEval:
@@ -342,11 +328,24 @@ class TestEval:
             ["--embedding-dim", "0"],
             ["--ratio-init", "1.5"],
             ["--flops-only", "--sentence-length", "2"],
+            ["--flops-only", "--class-count", "-1000"],
+            ["--flops-only", "--class-count", "0"],
+            ["--flops-only", "--sentence-length", "0"],
         ],
     )
     def test_out_of_range_setting_is_usage_error(self, capsys, flags):
         assert cli.main(["eval", *TOP1_SETS, *flags]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_calls_share_no_parsed_values(self, tmp_path, capsys):
+        assert cli.main(["eval", *TOP1_SETS, "--flops-only"]) == 0
+        # no --set values carried over: every domain is unassigned again
+        assert cli.main(["eval", "--flops-only"]) == 1
+        assert "missing assignment" in capsys.readouterr().err
+        # no --flops-only carried over: the manifest is read, and is missing
+        missing = str(tmp_path / "missing.json")
+        assert cli.main(["eval", *TOP1_SETS, "--corpus", missing]) == 2
+        assert f"data error: dataset manifest not found: {missing}" in capsys.readouterr().err
 
     def test_manifest_missing_key_is_data_error(self, tmp_path, capsys):
         dataset = tmp_path / "dataset.json"
@@ -532,6 +531,33 @@ class TestManifestValues:
         dataset.write_text(json.dumps({"kind": "synthetic", **values}))
         assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
         message = f"data error: synthetic dataset manifest key {key!r} {problem}"
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["mr", "cr"])
+    @pytest.mark.parametrize(
+        "values,key,problem",
+        [
+            ({"folds": 1, "fold_index": 0}, "folds", "is below 2"),
+            ({"folds": 0, "fold_index": 0}, "folds", "is below 2"),
+            ({"folds": -3}, "folds", "is below 2"),
+            ({"folds": 5, "fold_index": 5}, "fold_index", "is outside [0, 5)"),
+            ({"folds": 5, "fold_index": 12}, "fold_index", "is outside [0, 5)"),
+            ({"folds": 5, "fold_index": -1}, "fold_index", "is outside [0, 5)"),
+            ({"fold_index": 10}, "fold_index", "is outside [0, 10)"),
+        ],
+        ids=["folds-one", "folds-zero", "folds-negative", "index-at-folds",
+             "index-above-folds", "index-negative", "index-at-default-folds"],
+    )
+    def test_fold_value_out_of_range_is_data_error(
+        self, tmp_path, capsys, kind, values, key, problem
+    ):
+        manifest = {**dataset_files(tmp_path)[kind], **values}
+        if "folds" not in values:
+            del manifest["folds"]
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(manifest))
+        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
+        message = f"data error: {kind} dataset manifest key {key!r} {problem}"
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", sorted(MANIFEST_KEYS))

@@ -1,13 +1,15 @@
-import json
 import random
+from types import SimpleNamespace
 
 import pytest
+from helpers import trace_line
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annealtune.annealer import StepRecord
+from annealtune.cli import trace_jsonl
+from annealtune.pareto import ArchiveAction, ObjectiveVector
 from annealtune.search_space import (
-    Configuration,
-    JsonFragments,
     ParamDomain,
     RunConfig,
     SearchSpace,
@@ -130,7 +132,7 @@ class TestNeighbor:
                 v1 != v2 for (_, v1), (_, v2) in zip(config.items, other.items)
             )
             assert diffs == 1
-            space.validate(other)
+            assert space.configuration(other.as_dict()) == other
             config = other
 
     def test_replay_with_equal_seed_is_bit_equal(self):
@@ -194,8 +196,21 @@ def test_neighbor_always_valid_and_adjacent(data):
     )
     seed = data.draw(st.integers(0, 2**16))
     other = neighbor(config, space, random.Random(seed))
-    space.validate(other)
+    assert space.configuration(other.as_dict()) == other
     assert sum(a != b for a, b in zip(config.items, other.items)) == 1
+
+
+def assert_trace_writes(configs):
+    """One ``cli.trace_jsonl`` trace stepping from each configuration to the
+    next: every line, configurations included, is what json.dumps writes."""
+    objectives = ObjectiveVector(0.5, 7)
+    records = [
+        StepRecord(i, 0.5, current, objectives, candidate, objectives, 0.0, 1.0,
+                   True, ArchiveAction.ADDED)
+        for i, (current, candidate) in enumerate(zip(configs, configs[1:]), 1)
+    ]
+    lines = trace_jsonl(SimpleNamespace(trace=records)).splitlines()
+    assert lines[1:] == [trace_line(r) for r in records]
 
 
 #: text with JSON's escapes: quotes, backslashes, control characters and
@@ -219,24 +234,29 @@ def test_to_json_is_json_dumps_of_as_dict(data):
     if space.mutable:
         for _ in range(3):
             configs.append(neighbor(configs[-1], space, rng))
-    fragments = JsonFragments()  # shared, as over one trace
-    for c in configs:
-        assert c.to_json(fragments) == json.dumps(c.as_dict())
+    assert_trace_writes(configs)
 
 
 def test_to_json_of_spaces_sharing_a_domain_name():
     # the same name with int values in one space and their digit strings in
-    # the other, through one memo: each configuration writes its own values
+    # the other, in one trace: each configuration writes its own values
     ints = toy_space(a=[1, 2], b=[10**18])
     digits = toy_space(a=["1", "2"], b=[str(10**18)])
-    fragments = JsonFragments()
     rng = random.Random(3)
+    configs = []
     for _ in range(20):
         for space in (ints, digits, ints):
             config = random_configuration(space, rng)
-            other = neighbor(config, space, rng)
-            for c in (config, other):
-                assert c.to_json(fragments) == json.dumps(c.as_dict())
+            configs += [config, neighbor(config, space, rng)]
+    assert_trace_writes(configs)
+
+
+def test_trace_of_distinct_configurations_with_equal_items():
+    space = toy_space(a=[1, 2], b=["x", "y"])
+    built = space.configuration({"a": 1, "b": "y"})
+    replaced = space.configuration({"a": 1, "b": "x"}).replace("b", "y")
+    assert built is not replaced and built == replaced
+    assert_trace_writes([built, replaced, space.configuration({"a": 2, "b": "y"}), built])
 
 
 class TestRestriction:
@@ -340,22 +360,4 @@ def test_configuration_membership_enforced():
     with pytest.raises(ValueError):
         space.configuration({"a": 1, "b": 2})
     config = space.configuration({"a": 2})
-    space.validate(config)
-    with pytest.raises(ValueError):
-        space.validate(Configuration((("a", 3),)))
-
-
-@pytest.mark.parametrize(
-    "items",
-    [
-        (("a", 1), ("b", "z")),  # a value of no domain
-        (("b", "x"), ("a", 1)),  # names reordered
-        (("a", 1),),  # a name missing
-        (("a", 1), ("b", "x"), ("a", 2)),  # a name repeated
-    ],
-    ids=["foreign-value", "reordered", "missing", "repeated"],
-)
-def test_validate_rejects_configurations_outside_the_space(items):
-    space = toy_space(a=[1, 2], b=["x", "y"])
-    with pytest.raises(ValueError):
-        space.validate(Configuration(items))
+    assert space.configuration(config.as_dict()) == config
