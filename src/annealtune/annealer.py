@@ -158,7 +158,9 @@ def calibrate_initial_temperature(
     start = random_configuration(space, rng)
     start_objectives = evaluator.evaluate(start)
     current, current_objectives = start, start_objectives
-    deteriorations: list[float] = []
+    # summed left to right, not by sum(): from Python 3.12 sum()
+    # compensates float rounding, which moves the last bits
+    total, count = 0.0, 0
     for _ in range(probe_count):
         nxt = neighbor(current, space, rng)
         nxt_objectives = evaluator.evaluate(nxt)
@@ -166,14 +168,15 @@ def calibrate_initial_temperature(
             current_objectives, nxt_objectives, evaluator.flops_max
         )
         if delta > 0.0:
-            deteriorations.append(delta)
+            total += delta
+            count += 1
         current, current_objectives = nxt, nxt_objectives
-    if not deteriorations:
+    if not count:
         raise CalibrationError(
             f"no deteriorating step in {probe_count} probes; "
             "retry with a larger probe_count"
         )
-    delta_f_ave = sum(deteriorations) / len(deteriorations)
+    delta_f_ave = total / count
     return CalibrationReport(
         delta_f_ave=delta_f_ave,
         probe_count=probe_count,

@@ -35,6 +35,7 @@ from .evaluator import (
     SYNTHETIC_CLASS_COUNT,
     SYNTHETIC_NAMES,
     SYNTHETIC_SENTENCE_LENGTH,
+    DivergenceError,
     EvaluationCache,
     SyntheticEvaluator,
     TextCnnEvaluator,
@@ -52,7 +53,6 @@ from .search_space import (
     load_run_config,
     parse_value,
 )
-from .textcnn import DivergenceError
 
 EXIT_OK = 0
 EXIT_USAGE = 1

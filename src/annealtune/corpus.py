@@ -3,7 +3,8 @@
 Line-oriented loaders for the three supported corpus formats, a tokenizer,
 train-only vocabulary building, cross-validation / holdout / fixed-test
 split policies, and a deterministic synthetic corpus so the package tests
-itself without licensed data.
+itself without licensed data. numpy is imported where a corpus is first
+encoded, so loading sentences needs none.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -158,6 +160,8 @@ class PreparedCorpus:
 def _encode(
     sentences: Sequence[LabeledSentence], vocab: dict[str, int], length: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     ids = np.full((len(sentences), length), PAD_ID, dtype=np.int64)
     labels = np.zeros(len(sentences), dtype=np.int64)
     for row, sentence in enumerate(sentences):
@@ -211,6 +215,8 @@ def make_splits(
     the train split only, so unknown-token handling in validation is
     exercised honestly.
     """
+    import numpy as np
+
     if not data:
         raise DataError("empty dataset")
     if not 0.0 < ratio_init < 1.0:

@@ -2,24 +2,22 @@
 
 Contains the forward-pass FLOPs estimator, instant synthetic objectives for
 exercising the annealer, the early-termination rule for poor trainings, a
-persistent evaluation cache, and the real text-CNN evaluator.
+persistent evaluation cache, and the real text-CNN evaluator. Only the
+text-CNN evaluator imports numpy, hashlib and the text CNN, so a run on a
+synthetic objective starts without them.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol
 
-import numpy as np
-
-from . import textcnn
 from .corpus import DataError, PreparedCorpus
 from .pareto import ObjectiveVector
-from .search_space import Configuration, SearchSpace
+from .search_space import WINDOWS, Configuration, SearchSpace
 
 #: fixed network-shape constants for the synthetic objectives
 SYNTHETIC_SENTENCE_LENGTH = 10
@@ -28,8 +26,14 @@ SYNTHETIC_CLASS_COUNT = 6
 
 SYNTHETIC_NAMES = ("sphere_proxy", "deceptive_trap")
 
+
+class DivergenceError(RuntimeError):
+    """Training produced a non-finite loss. Raised by ``textcnn.train``;
+    defined here so that catching it does not import numpy."""
+
+
 #: (window, its filter-count hyperparameter), ascending window size
-_KERNEL_COUNTS = tuple((w, f"kernel_count_w{w}") for w in textcnn.WINDOWS)
+_KERNEL_COUNTS = tuple((w, f"kernel_count_w{w}") for w in WINDOWS)
 #: the hyperparameters estimate_flops reads: the network's shape
 _SHAPE_NAMES = tuple(name for _, name in _KERNEL_COUNTS) + ("fc_units",)
 
@@ -143,10 +147,17 @@ class SyntheticEvaluator:
                 SYNTHETIC_CLASS_COUNT,
             ).total
         fractions = _index_fractions(self.space, config)
+        # summed left to right, not by sum(): from Python 3.12 sum()
+        # compensates float rounding, which moves the last bits
+        total = 0.0
         if self.name == "sphere_proxy":
-            error = sum(f * f for f in fractions) / len(fractions) if fractions else 0.0
+            for f in fractions:
+                total += f * f
+            error = total / len(fractions) if fractions else 0.0
         else:
-            t = sum(fractions) / len(fractions) if fractions else 0.0
+            for f in fractions:
+                total += f
+            t = total / len(fractions) if fractions else 0.0
             error = 0.05 if t >= 1.0 else 0.25 + 0.5 * t
         return ObjectiveVector(error_rate=error, flops=flops)
 
@@ -176,14 +187,6 @@ def early_termination_check(
         else:
             streak += 1
     return streak >= patience
-
-
-def _config_digest(config: Configuration, seed: int) -> str:
-    payload = json.dumps(
-        {"config": [[k, v] for k, v in config.items], "seed": seed},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _parse_record(line: bytes) -> tuple[str, ObjectiveVector] | None:
@@ -245,6 +248,8 @@ class EvaluationCache:
 
 def _corpus_fingerprint(corpus: PreparedCorpus) -> str:
     """Digest of everything a training reads from the corpus."""
+    import hashlib
+
     h = hashlib.sha256(f"{corpus.vocab_size}:{corpus.class_count}".encode())
     for array in (
         corpus.train_ids,
@@ -253,7 +258,7 @@ def _corpus_fingerprint(corpus: PreparedCorpus) -> str:
         corpus.validation_labels,
     ):
         h.update(f"{array.dtype.str}{array.shape}".encode())
-        h.update(np.ascontiguousarray(array).tobytes())
+        h.update(array.tobytes())  # C order, whatever the memory layout
     return h.hexdigest()
 
 
@@ -299,7 +304,17 @@ class TextCnnEvaluator:
         )
 
     def evaluate(self, config: Configuration) -> ObjectiveVector:
-        digest = _config_digest(config, self.seed)
+        import hashlib
+
+        import numpy as np
+
+        from . import textcnn
+
+        payload = json.dumps(
+            {"config": [[k, v] for k, v in config.items], "seed": self.seed},
+            sort_keys=True,
+        )
+        digest = hashlib.sha256(payload.encode()).hexdigest()
         key = hashlib.sha256(f"{self._context}:{digest}".encode()).hexdigest()
         cached = self.cache.get(key)
         if cached is not None:
@@ -332,10 +347,8 @@ class TextCnnEvaluator:
                     patience=self.early_stop_patience,
                 ),
             )
-        except textcnn.DivergenceError as exc:
-            raise textcnn.DivergenceError(
-                f"{exc} (config {dict(config.items)})"
-            ) from exc
+        except DivergenceError as exc:
+            raise DivergenceError(f"{exc} (config {dict(config.items)})") from exc
         self.trainings += 1
         best_acc = max(stats.validation_accuracy for stats in history)
         flops = estimate_flops(

@@ -16,6 +16,10 @@ from typing import Any, Iterator, Mapping
 
 Value = int | str
 
+#: the text CNN's convolution window heights, ascending; each window w has
+#: a ``kernel_count_w{w}`` hyperparameter, its filter count
+WINDOWS = (3, 4, 5)
+
 #: display labels used by the archive/top-k exports
 DISPLAY_LABELS = {
     "kernel_count_w3": "filter num of win 3",

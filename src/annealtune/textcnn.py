@@ -17,9 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .search_space import Configuration
-
-WINDOWS = (3, 4, 5)
+from .evaluator import DivergenceError
+from .search_space import WINDOWS, Configuration
 
 #: Rmsprop's squared-gradient decay and the epsilon under its square root
 RMSPROP_DECAY = 0.9
@@ -28,10 +27,6 @@ RMSPROP_EPSILON = 1e-8
 #: sentences per eval-mode pass in accuracy: the default space's smallest
 #: batch size, so validation needs no more memory than a training step
 EVAL_BATCH = 64
-
-
-class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
 
 
 def _relu(z):

@@ -5,12 +5,20 @@ The expected values are sha256 digests of every file each command writes.
 A change meant to keep the program's outputs byte-identical must leave them
 passing; a deliberate change to what ``tune`` or ``oracle`` writes must
 update the digests in the same change and say why. Only synthetic
-objectives are used: they run on Python floats, so no BLAS build can move a
-digest.
+objectives are used, and these need no numpy, so no BLAS build can move a
+digest. Python floats alone do not make them hold on every interpreter:
+from Python 3.12 ``sum()`` of floats compensates rounding, so the program
+adds its floats in explicit left-to-right loops, and the digests hold on
+Python 3.10 to 3.13. ``test_tune_outputs_hold_under_compensated_sum``
+checks that on any one interpreter.
 """
 
+import builtins
 import hashlib
 import json
+import math
+import random
+import sys
 
 import pytest
 
@@ -82,11 +90,64 @@ GOLDEN = [
     "run_config,digests", GOLDEN, ids=["sphere_proxy", "deceptive_trap"]
 )
 def test_tune_outputs_match_recorded_digests(tmp_path, run_config, digests):
+    assert tune_digests(tmp_path, run_config) == digests
+
+
+_builtin_sum = builtins.sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum()`` as Python 3.12 and later compute it over floats: Neumaier's
+    compensated summation. Anything but an all-float input, ints included,
+    goes to the interpreter's own ``sum()``."""
+    items = list(iterable)
+    if not items or not all(type(x) is float for x in items):
+        return _builtin_sum(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+@pytest.mark.parametrize(
+    "run_config,digests", GOLDEN, ids=["sphere_proxy", "deceptive_trap"]
+)
+def test_tune_outputs_hold_under_compensated_sum(
+    tmp_path, monkeypatch, run_config, digests
+):
+    # the same bytes whichever summation sum() does, so on every interpreter
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert tune_digests(tmp_path, run_config) == digests
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 12), reason="sum() compensates from Python 3.12"
+)
+def test_compensated_sum_matches_the_interpreters_sum():
+    # so that the test above sees what Python 3.12 and later would compute
+    rng = random.Random(0)
+    for _ in range(2000):
+        xs = [
+            rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 12)
+            for _ in range(rng.randint(1, 12))
+        ]
+        assert compensated_sum(xs) == _builtin_sum(xs), xs
+
+
+def tune_digests(tmp_path, run_config) -> dict[str, str]:
+    """Digests of what ``annealtune tune`` writes for ``run_config``."""
     config = tmp_path / "rc.json"
     config.write_text(json.dumps(run_config))
     out = tmp_path / "out"
     assert cli.main(["tune", "--config", str(config), "--output-dir", str(out)]) == 0
-    assert digests_of(out) == digests
+    return digests_of(out)
 
 
 #: several multi-valued domains, some listed against the default order, so
