@@ -33,7 +33,6 @@ from .corpus import (
 )
 from .evaluator import (
     SYNTHETIC_CLASS_COUNT,
-    SYNTHETIC_NAMES,
     SYNTHETIC_SENTENCE_LENGTH,
     DivergenceError,
     EvaluationCache,
@@ -44,10 +43,12 @@ from .evaluator import (
 from .pareto import ArchiveEntry, front_order, two_objective_front
 from .search_space import (
     DISPLAY_LABELS,
+    SYNTHETIC_NAMES,
     SYNTHETIC_PREFIX,
     Configuration,
     RunConfig,
     SearchSpace,
+    checked_number,
     default_search_space,
     enumerate_space,
     load_run_config,
@@ -292,27 +293,14 @@ def _manifest_error(manifest: dict[str, Any], key: str, problem: str) -> DataErr
 
 
 def _manifest_number(manifest: dict[str, Any], key: str, convert, default):
-    """``convert`` of the manifest's value at ``key``, or of ``default``
-    without one. A value it cannot convert, a fractional value for an int
-    key and a value outside the key's MANIFEST_FLOORS and MANIFEST_CEILINGS
-    entries are DataErrors."""
-    value = manifest.get(key, default)
+    """``checked_number`` of the manifest's value at ``key``, or of ``default``
+    without one, in the key's MANIFEST_FLOORS and MANIFEST_CEILINGS bounds; a
+    value it refuses is a DataError."""
+    floor, ceiling = MANIFEST_FLOORS.get(key), MANIFEST_CEILINGS.get(key)
     try:
-        number = convert(value)
-    except (TypeError, ValueError, OverflowError):
-        problem = "is not a number"
-    else:
-        ceiling = MANIFEST_CEILINGS.get(key)
-        floor = MANIFEST_FLOORS.get(key)
-        if convert is int and isinstance(value, float) and number != value:
-            problem = "is not an integer"
-        elif ceiling is not None and number > ceiling:
-            problem = f"is above {ceiling}"
-        elif floor is not None and number < floor:
-            problem = f"is below {floor}"
-        else:
-            return number
-    raise _manifest_error(manifest, key, problem)
+        return checked_number(manifest.get(key, default), convert, floor, ceiling)
+    except ValueError as exc:
+        raise _manifest_error(manifest, key, str(exc)) from None
 
 
 def prepare_corpus(
@@ -435,14 +423,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
         raise UsageError(f"run config not found: {args.config}") from None
     except OSError as exc:
         raise UsageError(f"run config {args.config}: {exc.strerror}") from None
-    except (ValueError, TypeError) as exc:  # malformed JSON or settings
+    except ValueError as exc:  # malformed JSON or settings
         raise UsageError(f"bad run config: {exc}") from None
-    try:
-        evaluator = build_evaluator(config, cache_path=args.cache)
-    except DataError:
-        raise
-    except ValueError as exc:  # e.g. unknown synthetic objective name
-        raise UsageError(str(exc)) from None
+    evaluator = build_evaluator(config, cache_path=args.cache)
     result = run(config, evaluator)
     meta = {
         "objective_kind": config.objective_kind,
@@ -616,35 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: glibc's mallopt parameter numbers (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-@functools.cache
-def _keep_freed_heap() -> None:
-    """Have the C allocator serve blocks up to 32 MiB from the heap and hand
-    the heap top back to the kernel only past 64 MiB free.
-
-    By default glibc maps numpy's larger temporaries (window matrices, conv
-    outputs, Rmsprop terms) fresh and trims the heap after they are freed,
-    so every training step faults the same pages in again. Once per process;
-    where the C library has no mallopt this does nothing.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    _keep_freed_heap()
     # looked up on each call, so a module-level rebinding of cmd_* is seen
     commands = {
         "plan": cmd_plan, "tune": cmd_tune, "eval": cmd_eval, "oracle": cmd_oracle

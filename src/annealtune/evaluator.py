@@ -3,8 +3,8 @@
 Contains the forward-pass FLOPs estimator, instant synthetic objectives for
 exercising the annealer, the early-termination rule for poor trainings, a
 persistent evaluation cache, and the real text-CNN evaluator. Only the
-text-CNN evaluator imports numpy, hashlib and the text CNN, so a run on a
-synthetic objective starts without them.
+text-CNN evaluator imports numpy, hashlib, ctypes and the text CNN, so a
+synthetic run starts without them.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from typing import Mapping, Protocol
 
 from .corpus import DataError, PreparedCorpus
 from .pareto import ObjectiveVector
-from .search_space import WINDOWS, Configuration, SearchSpace
+from .search_space import SYNTHETIC_NAMES, WINDOWS, Configuration, SearchSpace
 
 #: fixed network-shape constants for the synthetic objectives
 SYNTHETIC_SENTENCE_LENGTH = 10
 SYNTHETIC_EMBEDDING_DIM = 50
 SYNTHETIC_CLASS_COUNT = 6
-
-SYNTHETIC_NAMES = ("sphere_proxy", "deceptive_trap")
 
 
 class DivergenceError(RuntimeError):
@@ -262,6 +260,33 @@ def _corpus_fingerprint(corpus: PreparedCorpus) -> str:
     return h.hexdigest()
 
 
+#: glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Have the C allocator serve blocks up to 32 MiB from the heap and hand
+    the heap top back to the kernel only past 64 MiB free.
+
+    By default glibc maps numpy's larger temporaries (window matrices, conv
+    outputs, Rmsprop terms) fresh and trims the heap after they are freed,
+    so every training step faults the same pages in again. Once per process;
+    where the C library has no mallopt this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 @dataclass
 class TextCnnEvaluator:
     """Trains a fresh text CNN per configuration and scores it on the
@@ -319,6 +344,7 @@ class TextCnnEvaluator:
         cached = self.cache.get(key)
         if cached is not None:
             return cached
+        _keep_freed_heap()
         corpus = self.corpus
         # per-(config, seed) stream so re-evaluations replay identically
         model_seed = int(digest[:16], 16)

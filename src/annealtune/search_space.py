@@ -12,7 +12,7 @@ import json
 import math
 import random
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, get_type_hints
 
 Value = int | str
 
@@ -278,11 +278,36 @@ def enumerate_space(space: SearchSpace, cap: int) -> Iterator[Configuration]:
 # --- run configuration -------------------------------------------------------
 
 SYNTHETIC_PREFIX = "synthetic:"
+#: the synthetic objectives a ``synthetic:`` objective kind may name
+SYNTHETIC_NAMES = ("sphere_proxy", "deceptive_trap")
+OBJECTIVE_KINDS = ("textcnn", *(SYNTHETIC_PREFIX + name for name in SYNTHETIC_NAMES))
+
+
+def checked_number(value: Any, convert: type, floor=None, ceiling=None):
+    """``convert`` (int or float) of ``value``. What it cannot convert, a
+    fraction for an int and a value below ``floor`` or above ``ceiling`` are
+    ValueErrors whose message ("is not a number", ...) follows a key."""
+    try:
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("is not a number") from None
+    if convert is int and isinstance(value, float) and number != value:
+        raise ValueError("is not an integer")
+    if ceiling is not None and number > ceiling:
+        raise ValueError(f"is above {ceiling}")
+    if floor is not None and number < floor:
+        raise ValueError(f"is below {floor}")
+    return number
+
+
+#: smallest values of RunConfig's number fields that have one
+_FLOORS = {"iteration_budget": 1, "probe_count": 2, "max_epochs": 1, "embedding_dim": 1}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one tuning run needs, loadable from a JSON file."""
+    """Everything one tuning run needs, loadable from a JSON file; the one
+    judge of a valid run config."""
 
     seed_number: int
     ratio_init: float
@@ -300,28 +325,29 @@ class RunConfig:
     embedding_dim: int = 50
 
     def __post_init__(self) -> None:
-        if self.iteration_budget < 1:
-            raise ValueError("iteration_budget must be >= 1")
-        if not 0.0 < self.cooling_rate < 1.0:
-            raise ValueError("cooling_rate must lie in (0, 1)")
-        for name in (
-            "initial_acceptance_probability",
-            "final_acceptance_probability",
-            "ratio_init",
-        ):
-            p = getattr(self, name)
-            if not 0.0 < p < 1.0:
+        for name, convert in _NUMBERS.items():
+            try:
+                number = checked_number(getattr(self, name), convert, _FLOORS.get(name))
+            except ValueError as exc:
+                raise ValueError(f"{name} {exc}") from None
+            object.__setattr__(self, name, number)
+        for name in ("cooling_rate", "initial_acceptance_probability",
+                     "final_acceptance_probability", "ratio_init"):
+            if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        if self.probe_count < 2:
-            raise ValueError("probe_count must be >= 2")
-        for name in ("max_epochs", "embedding_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.final_acceptance_probability >= self.initial_acceptance_probability:
+            raise ValueError("final_acceptance_probability must be below the initial")
+        if not isinstance(self.dataset_path, (str, type(None))):
+            raise ValueError("dataset_path is not a path or null")
         kind = self.objective_kind
-        if kind != "textcnn" and not kind.startswith(SYNTHETIC_PREFIX):
-            raise ValueError(f"unknown objective_kind: {kind!r}")
+        if kind not in OBJECTIVE_KINDS:
+            raise ValueError(f"objective_kind {kind!r} is not one of {OBJECTIVE_KINDS}")
         if self.space.cardinality() < 2:
             raise ValueError("search space must contain at least 2 configurations")
+
+
+#: RunConfig's number fields -> int or float, read once from its annotations
+_NUMBERS = {k: t for k, t in get_type_hints(RunConfig).items() if t in (int, float)}
 
 
 def load_run_config(path: str) -> RunConfig:

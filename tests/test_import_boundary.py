@@ -1,9 +1,10 @@
 """Which commands load the text-CNN stack.
 
 A command that trains no CNN (plan, oracle, tune on a synthetic objective,
-eval --flops-only) must run without numpy, ``annealtune.textcnn`` and
-hashlib: the package imports each where a text-CNN evaluator, its cache key
-or an encoded corpus is first built. Every case runs in a fresh interpreter,
+eval --flops-only) must run without numpy, ``annealtune.textcnn``, hashlib
+and ctypes: the package imports each where a text-CNN evaluator, its cache
+key or an encoded corpus is first built, or, for ctypes (the allocator
+policy), where a CNN first trains. Every case runs in a fresh interpreter,
 since this one may have loaded them long ago. The file imports no numpy, so
 it runs where numpy is missing.
 """
@@ -18,7 +19,7 @@ import pytest
 
 import annealtune
 
-TEXT_CNN_STACK = ("numpy", "annealtune.textcnn", "hashlib")
+TEXT_CNN_STACK = ("numpy", "annealtune.textcnn", "hashlib", "ctypes")
 
 #: one command line in a fresh interpreter; prints its exit code and which
 #: modules of the text-CNN stack it loaded as the last line
