@@ -32,7 +32,7 @@ RETURN_TO_BASE_PROBABILITY = 0.5
 
 
 class CalibrationError(RuntimeError):
-    """The probe walk observed no deterioration, so no temperature fits."""
+    """The probe walk fixes no final temperature below the initial one."""
 
 
 def _truncate1(x: float) -> float:
@@ -177,11 +177,17 @@ def calibrate_initial_temperature(
             "retry with a larger probe_count"
         )
     delta_f_ave = total / count
+    t_init = initial_temperature(delta_f_ave, p_init)
+    t_final = initial_temperature(delta_f_ave, p_final)
+    if not t_final < t_init:  # probabilities a few floats apart round together
+        raise CalibrationError(
+            f"acceptance probabilities {p_init!r} and {p_final!r} give one temperature"
+        )
     return CalibrationReport(
         delta_f_ave=delta_f_ave,
         probe_count=probe_count,
-        t_init=initial_temperature(delta_f_ave, p_init),
-        t_final=initial_temperature(delta_f_ave, p_final),
+        t_init=t_init,
+        t_final=t_final,
         start=start,
         start_objectives=start_objectives,
     )
@@ -322,7 +328,6 @@ def run(run_config: RunConfig, evaluator: ObjectiveEvaluator) -> RunResult:
             archive_action=action,
         )
     ]
-    evaluations = 1 + run_config.probe_count  # calibration walk, start reused
 
     best_error = archive.best_error_rate()
     stagnant = 0
@@ -333,7 +338,6 @@ def run(run_config: RunConfig, evaluator: ObjectiveEvaluator) -> RunResult:
                 stop_reason = "budget"
                 break
             trace.append(step(state, schedule, archive, evaluator))
-            evaluations += 1
         if stop_reason is not None:
             break
         state.temperature = cool(state.temperature, run_config.cooling_rate)
@@ -361,5 +365,5 @@ def run(run_config: RunConfig, evaluator: ObjectiveEvaluator) -> RunResult:
         calibration=calibration,
         schedule=schedule,
         stop_reason=stop_reason,
-        evaluations=evaluations,
+        evaluations=run_config.probe_count + state.iteration,  # start shared
     )

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import fields
 from typing import Any, Sequence
 
 from .annealer import CalibrationError, RunResult, plan_schedule, run
@@ -49,6 +48,7 @@ from .search_space import (
     RunConfig,
     SearchSpace,
     checked_number,
+    checked_setting,
     default_search_space,
     enumerate_space,
     load_run_config,
@@ -62,9 +62,6 @@ EXIT_RUNTIME = 3
 
 FORMAT_VERSION = 1
 
-#: RunConfig's field defaults; eval trains with the same settings as tune
-_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
-
 
 class UsageError(Exception):
     pass
@@ -75,35 +72,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _flag(check, *args):
+    """A flag's type: ``check(text, *args)``, its refusal an argparse error."""
+    def parse(text: str):
+        try:
+            return check(text, *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _rates(text: str) -> list[float]:
+    return [checked_setting(rate, "cooling_rate") for rate in text.split(",")]
 
 
 # --- output helpers -----------------------------------------------------------
 
 
 def _atomic_write(path: str, content: str) -> None:
+    """Write through a temp file and a rename; a failure is a usage error."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(content)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _format_table(rows: list[list[str]]) -> str:
@@ -399,11 +399,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _write_run_outputs(
-    result: RunResult, space: SearchSpace, out_dir: str, top_k: int, meta: dict
+    result: RunResult, front: list, config: RunConfig, out_dir: str, top_k: int
 ) -> list[str]:
-    front = result.archive.front()
+    meta = {"objective_kind": config.objective_kind, "seed_number": config.seed_number}
     paths = {
-        "archive.txt": archive_text(front, space, top_k),
+        "archive.txt": archive_text(front, config.space, top_k),
         "archive.json": archive_json(front, top_k, meta),
         "trace.jsonl": trace_jsonl(result),
         "calibration.json": calibration_json(result),
@@ -427,12 +427,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
         raise UsageError(f"bad run config: {exc}") from None
     evaluator = build_evaluator(config, cache_path=args.cache)
     result = run(config, evaluator)
-    meta = {
-        "objective_kind": config.objective_kind,
-        "seed_number": config.seed_number,
-    }
-    written = _write_run_outputs(result, config.space, args.output_dir, args.top_k, meta)
     front = result.archive.front()
+    written = _write_run_outputs(result, front, config, args.output_dir, args.top_k)
     best = front[0]
     print(f"stop reason: {result.stop_reason}; evaluations: {result.evaluations}")
     print(f"archive size: {len(front)}")
@@ -480,7 +476,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     except DataError:
         raise
-    except ValueError as exc:  # e.g. ratio_init outside (0, 1)
+    except ValueError as exc:  # e.g. a sentence shorter than the widest window
         raise UsageError(str(exc)) from None
     print(f"flops breakdown: conv={list(breakdown.conv_flops)} "
           f"fc={breakdown.fc_flops} total={breakdown.total}")
@@ -492,8 +488,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         seed=args.seed,
         max_epochs=args.max_epochs,
         embedding_dim=args.embedding_dim,
-        early_stop_margin=_RUN_DEFAULTS["early_stop_margin"],
-        early_stop_patience=_RUN_DEFAULTS["early_stop_patience"],
+        early_stop_margin=RunConfig.early_stop_margin,
+        early_stop_patience=RunConfig.early_stop_patience,
     )
     objectives = evaluator.evaluate(config)
     print(f"error_rate: {objectives.error_rate!r}")
@@ -550,20 +546,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="annealtune", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a run setting's flag takes RunConfig's rule for it; other numbers a floor
+    rule = functools.partial(_flag, checked_setting)
+    number = functools.partial(_flag, checked_number)
+
     p_plan = sub.add_parser("plan", help="print the outer/inner iteration table")
-    p_plan.add_argument("--t-init", type=float, default=0.577)
-    p_plan.add_argument("--t-final", type=float, default=0.12)
-    p_plan.add_argument("--budget", type=int, default=250)
+    p_plan.add_argument("--t-init", type=number(float), default=0.577)
+    p_plan.add_argument("--t-final", type=number(float), default=0.12)
+    p_plan.add_argument("--budget", type=rule("iteration_budget"), default=250)
     p_plan.add_argument(
-        "--cooling-rates",
-        type=lambda s: [float(x) for x in s.split(",")],
-        default=[0.99, 0.95, 0.9, 0.85, 0.8],
+        "--cooling-rates", type=_flag(_rates), default=[0.99, 0.95, 0.9, 0.85, 0.8]
     )
 
     p_tune = sub.add_parser("tune", help="run the annealing search")
     p_tune.add_argument("--config", required=True, help="run config JSON path")
     p_tune.add_argument("--output-dir", required=True)
-    p_tune.add_argument("--top-k", type=non_negative_int, default=3)
+    p_tune.add_argument("--top-k", type=number(int, 0), default=3)
     p_tune.add_argument("--cache", default=None, help="evaluation cache path")
 
     p_eval = sub.add_parser("eval", help="evaluate one configuration")
@@ -575,27 +573,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--corpus", default=None, help="dataset manifest JSON")
     p_eval.add_argument("--flops-only", action="store_true")
-    p_eval.add_argument("--seed", type=int, default=40)
-    p_eval.add_argument("--ratio-init", type=float, default=0.9)
+    p_eval.add_argument("--seed", type=rule("seed_number"), default=40)
+    p_eval.add_argument("--ratio-init", type=rule("ratio_init"), default=0.9)
     p_eval.add_argument(
-        "--max-epochs", type=positive_int, default=_RUN_DEFAULTS["max_epochs"]
+        "--max-epochs", type=rule("max_epochs"), default=RunConfig.max_epochs
     )
     p_eval.add_argument(
-        "--sentence-length", type=positive_int, default=SYNTHETIC_SENTENCE_LENGTH
+        "--sentence-length", type=number(int, 1), default=SYNTHETIC_SENTENCE_LENGTH
     )
     p_eval.add_argument(
-        "--embedding-dim", type=positive_int, default=_RUN_DEFAULTS["embedding_dim"]
+        "--embedding-dim", type=rule("embedding_dim"), default=RunConfig.embedding_dim
     )
-    p_eval.add_argument("--class-count", type=positive_int, default=SYNTHETIC_CLASS_COUNT)
+    p_eval.add_argument(
+        "--class-count", type=number(int, 1), default=SYNTHETIC_CLASS_COUNT
+    )
 
     p_oracle = sub.add_parser("oracle", help="exhaustive front on a small space")
     p_oracle.add_argument("--space", default=None, help="restriction JSON or path")
     p_oracle.add_argument(
         "--objective", choices=SYNTHETIC_NAMES, required=True
     )
-    p_oracle.add_argument("--cap", type=int, default=10**6)
+    p_oracle.add_argument("--cap", type=number(int, 1), default=10**6)
     p_oracle.add_argument("--output", required=True)
-    p_oracle.add_argument("--top-k", type=non_negative_int, default=3)
+    p_oracle.add_argument("--top-k", type=number(int, 0), default=3)
     return parser
 
 

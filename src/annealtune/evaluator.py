@@ -176,15 +176,8 @@ def early_termination_check(
         raise ValueError("validation history is empty")
     if validation_history[0] < 1.0 / class_count + chance_margin:
         return True
-    best = validation_history[0]
-    streak = 0
-    for acc in validation_history[1:]:
-        if acc > best:
-            best = acc
-            streak = 0
-        else:
-            streak += 1
-    return streak >= patience
+    first_best = validation_history.index(max(validation_history))
+    return len(validation_history) - 1 - first_best >= patience
 
 
 def _parse_record(line: bytes) -> tuple[str, ObjectiveVector] | None:

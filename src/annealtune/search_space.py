@@ -300,8 +300,25 @@ def checked_number(value: Any, convert: type, floor=None, ceiling=None):
     return number
 
 
-#: smallest values of RunConfig's number fields that have one
-_FLOORS = {"iteration_budget": 1, "probe_count": 2, "max_epochs": 1, "embedding_dim": 1}
+#: (floor, ceiling) of RunConfig's bounded number fields. The schedule divides
+#: the budget as a float, exact for every integer up to 2**53; an embedding
+#: wider than 1,000, over three times word2vec's 300, would only exhaust memory
+_BOUNDS = {"iteration_budget": (1, 2**53), "probe_count": (2, None),
+           "max_epochs": (1, None), "embedding_dim": (1, 1000)}
+_UNIT_RANGE = ("cooling_rate", "initial_acceptance_probability",
+               "final_acceptance_probability", "ratio_init")
+
+
+def checked_setting(value: Any, name: str):
+    """RunConfig's rule for its number field ``name``: ``checked_number`` in
+    the field's bounds, and (0, 1) for a rate or probability."""
+    try:
+        number = checked_number(value, _NUMBERS[name], *_BOUNDS.get(name, ()))
+    except ValueError as exc:
+        raise ValueError(f"{name} {exc}") from None
+    if name in _UNIT_RANGE and not 0.0 < number < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1)")
+    return number
 
 
 @dataclass(frozen=True)
@@ -325,16 +342,8 @@ class RunConfig:
     embedding_dim: int = 50
 
     def __post_init__(self) -> None:
-        for name, convert in _NUMBERS.items():
-            try:
-                number = checked_number(getattr(self, name), convert, _FLOORS.get(name))
-            except ValueError as exc:
-                raise ValueError(f"{name} {exc}") from None
-            object.__setattr__(self, name, number)
-        for name in ("cooling_rate", "initial_acceptance_probability",
-                     "final_acceptance_probability", "ratio_init"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
+        for name in _NUMBERS:
+            object.__setattr__(self, name, checked_setting(getattr(self, name), name))
         if self.final_acceptance_probability >= self.initial_acceptance_probability:
             raise ValueError("final_acceptance_probability must be below the initial")
         if not isinstance(self.dataset_path, (str, type(None))):

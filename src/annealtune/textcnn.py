@@ -388,9 +388,8 @@ def train(
     params = model.parameters()
     rms = {name: np.zeros_like(arr) for name, arr in params.items()}
     history: list[EpochStats] = []
-    val_history: list[float] = []
     best_acc = -1.0
-    best_params = model.copy_parameters()
+    best_params = params  # replaced by the first epoch, whose accuracy is >= 0
 
     for epoch in range(1, settings.max_epochs + 1):
         order = rng.permutation(len(train_y))
@@ -410,11 +409,11 @@ def train(
 
         val_acc = accuracy(model, val_x, val_y)
         history.append(EpochStats(epoch, float(np.mean(epoch_losses)), val_acc))
-        val_history.append(val_acc)
         if val_acc > best_acc:
             best_acc = val_acc
             best_params = model.copy_parameters()
-        if early_stop is not None and early_stop(val_history):
+        accuracies = [stats.validation_accuracy for stats in history]
+        if early_stop is not None and early_stop(accuracies):
             break
 
     model.load_parameters(best_params)

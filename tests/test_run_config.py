@@ -124,6 +124,49 @@ def test_value_below_floor_is_usage_error(tmp_path, capsys, no_evaluator, key, f
     assert err.startswith(f"usage error: bad run config: {key} is below {floor}"), err
 
 
+@pytest.mark.parametrize(
+    "key,ceiling,value",
+    [
+        ("iteration_budget", 2**53, 2**53 + 1),
+        ("iteration_budget", 2**53, 10**400),
+        ("embedding_dim", 1000, 1001),
+        ("embedding_dim", 1000, 10**400),
+    ],
+    ids=["budget-above", "budget-huge", "embedding-above", "embedding-huge"],
+)
+def test_value_above_ceiling_is_usage_error(
+    tmp_path, capsys, no_evaluator, key, ceiling, value
+):
+    assert tune(tmp_path, objective_kind="textcnn", **{key: value}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: bad run config: {key} is above {ceiling}\n"), err
+
+
+def test_ceilings_themselves_are_accepted():
+    settings = {k: v for k, v in BASE.items() if k != "space"}
+    config = RunConfig(**{**settings, "iteration_budget": 2**53, "embedding_dim": 1000})
+    assert (config.iteration_budget, config.embedding_dim) == (2**53, 1000)
+
+
+def test_probabilities_one_float_apart_are_a_runtime_error(tmp_path, capsys):
+    # both probabilities invert to the same temperature after the probe walk
+    code = tune(
+        tmp_path,
+        seed_number=5,
+        iteration_budget=30,
+        initial_acceptance_probability=0.4,
+        final_acceptance_probability=0.39999999999999997,
+        cooling_rate=0.9,
+        probe_count=20,
+        space=None,
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: "), err
+    assert "0.4" in err and "0.39999999999999997" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_numbers_convert_as_in_manifests():
     config = RunConfig(
         seed_number=7.0,
