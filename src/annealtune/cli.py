@@ -10,6 +10,7 @@ leave partial outputs.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -89,21 +90,42 @@ def _rates(text: str) -> list[float]:
 # --- output helpers -----------------------------------------------------------
 
 
-def _atomic_write(path: str, content: str) -> None:
-    """Write through a temp file and a rename; a failure is a usage error."""
+def _atomic_write(path: str, content: str) -> str:
+    """Write ``content`` to a new temp file beside ``path`` and return its
+    name: _write_files's first step for each file."""
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(content)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return tmp
+
+
+def _write_files(files: dict[str, str]) -> list[str]:
+    """Write every path -> content or none: all temp files first, then, if no
+    path is a directory, one rename each. A failure removes the temp files
+    and is a usage error; one before the renames leaves every existing file
+    untouched. Returns the paths."""
+    temps: list[str] = []
+    try:
+        for path, content in files.items():
+            temps.append(_atomic_write(path, content))
+        for path in files:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, tmp in zip(files, temps):
             os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):  # not renamed
+                os.unlink(tmp)
+    return list(files)
 
 
 def _format_table(rows: list[list[str]]) -> str:
@@ -402,18 +424,13 @@ def _write_run_outputs(
     result: RunResult, front: list, config: RunConfig, out_dir: str, top_k: int
 ) -> list[str]:
     meta = {"objective_kind": config.objective_kind, "seed_number": config.seed_number}
-    paths = {
+    files = {
         "archive.txt": archive_text(front, config.space, top_k),
         "archive.json": archive_json(front, top_k, meta),
         "trace.jsonl": trace_jsonl(result),
         "calibration.json": calibration_json(result),
     }
-    written = []
-    for name, content in paths.items():
-        path = os.path.join(out_dir, name)
-        _atomic_write(path, content)
-        written.append(path)
-    return written
+    return _write_files({os.path.join(out_dir, n): text for n, text in files.items()})
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
@@ -526,11 +543,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         for cfg, obj in two_objective_front(evaluated)
     )
     meta = {"objective_kind": SYNTHETIC_PREFIX + args.objective, "cap": args.cap}
-    _atomic_write(args.output, archive_text(entries, space, args.top_k))
-    _atomic_write(
-        os.path.splitext(args.output)[0] + ".json",
-        archive_json(entries, args.top_k, meta),
-    )
+    json_path = os.path.splitext(args.output)[0] + ".json"
+    _write_files({
+        args.output: archive_text(entries, space, args.top_k),
+        json_path: archive_json(entries, args.top_k, meta),
+    })
     print(f"evaluated {len(evaluated)} configurations; front size {len(entries)}")
     print(f"wrote {args.output}")
     return EXIT_OK

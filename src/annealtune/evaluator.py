@@ -369,7 +369,7 @@ class TextCnnEvaluator:
         except DivergenceError as exc:
             raise DivergenceError(f"{exc} (config {dict(config.items)})") from exc
         self.trainings += 1
-        best_acc = max(stats.validation_accuracy for stats in history)
+        best_acc = max(history)
         flops = estimate_flops(
             config, corpus.sentence_length, self.embedding_dim, corpus.class_count
         ).total

@@ -284,15 +284,27 @@ OBJECTIVE_KINDS = ("textcnn", *(SYNTHETIC_PREFIX + name for name in SYNTHETIC_NA
 
 
 def checked_number(value: Any, convert: type, floor=None, ceiling=None):
-    """``convert`` (int or float) of ``value``. What it cannot convert, a
-    fraction for an int and a value below ``floor`` or above ``ceiling`` are
-    ValueErrors whose message ("is not a number", ...) follows a key."""
+    """``convert`` (int or float) of ``value``. What it cannot convert, NaN
+    and infinities, a fraction for an int and a value below ``floor`` or
+    above ``ceiling`` are ValueErrors whose message ("is not a number", ...)
+    follows a key. Text that int() refuses is judged as the float it reads,
+    as a JSON number is: "10.0" is the int 10, "1.5" is not an integer."""
     try:
-        number = convert(value)
+        if convert is int and isinstance(value, str):
+            try:
+                value = int(value)
+            except ValueError:
+                value = float(value)
+        number = float(value) if isinstance(value, float) else convert(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError("is not a number") from None
-    if convert is int and isinstance(value, float) and number != value:
-        raise ValueError("is not an integer")
+    if isinstance(number, float):
+        if not math.isfinite(number):
+            raise ValueError("is not finite")
+        if convert is int:
+            if not number.is_integer():
+                raise ValueError("is not an integer")
+            number = int(number)
     if ceiling is not None and number > ceiling:
         raise ValueError(f"is above {ceiling}")
     if floor is not None and number < floor:

@@ -170,12 +170,12 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _windows(embedded: np.ndarray, w: int) -> np.ndarray:
-    """(B, n, k) embedded batch -> (B * (n-w+1), w*k) stacked windows, one
-    row per (sentence, position)."""
-    k = embedded.shape[2]
-    view = np.lib.stride_tricks.sliding_window_view(embedded, (w, k), axis=(1, 2))
-    return view.reshape(-1, w * k)
+def _windows(embedding: np.ndarray, ids: np.ndarray, w: int) -> np.ndarray:
+    """(B, n) token ids -> (B * (n-w+1), w*k) stacked windows gathered from
+    the embedding table, one row per (sentence, position): row b*(n-w+1) + p
+    holds the embeddings of tokens p..p+w-1 of sentence b."""
+    offsets = np.arange(ids.shape[1] - w + 1)[:, None] + np.arange(w)
+    return embedding[ids[:, offsets]].reshape(-1, w * embedding.shape[1])
 
 
 def forward(
@@ -208,14 +208,13 @@ def forward(
 
     batch, n = ids.shape
     rows = np.arange(batch)[:, None]
-    embedded = model.embedding[ids]  # (B, n, k)
     argmax: dict[int, np.ndarray] = {}
     pooled_pre: dict[int, np.ndarray] = {}
     pooled_parts = []
     for w in model_windows:
         f_w = model.conv_filters[w].shape[0]
         flat = model.conv_filters[w].reshape(f_w, -1)
-        z = (_windows(embedded, w) @ flat.T + model.conv_bias[w]).reshape(
+        z = (_windows(model.embedding, ids, w) @ flat.T + model.conv_bias[w]).reshape(
             batch, n - w + 1, f_w
         )
         a = act(z)
@@ -254,7 +253,6 @@ def forward(
     probs = softmax(a1_dropped @ model.w2 + model.b2)
     cache = {
         "ids": ids,
-        "embedded": embedded,
         "h_dropped": h_dropped,
         "mask_h": mask_h,
         "z1": z1,
@@ -302,33 +300,30 @@ def backward(
     grads["b1"] = dz1.sum(axis=0)
 
     dh = (dz1 @ model.w1.T) * cache["mask_h"]
-    embedded = cache["embedded"]
-    batch, n, k = embedded.shape
-    dembedded = np.zeros_like(embedded)
+    ids = cache["ids"]
+    batch, n = ids.shape
+    k = model.embedding.shape[1]
+    dembedded = np.zeros((batch, n, k))
     offset = 0
     for w in sorted(model.conv_filters):
         filters = model.conv_filters[w]
         f_w = filters.shape[0]
-        dpooled = dh[:, offset : offset + f_w]
+        dpre = dh[:, offset : offset + f_w] * dact(cache["pooled_pre"][w])  # (B, f_w)
         offset += f_w
-        dpre = dpooled * dact(cache["pooled_pre"][w])  # (B, f_w)
         grads[f"conv_b{w}"] = dpre.sum(axis=0)
         positions = n - w + 1
         dz = np.zeros((batch, positions, f_w))
         dz[rows[:, None], cache["argmax"][w], np.arange(f_w)] = dpre
         dz = dz.reshape(batch * positions, f_w)
-        dfilters = np.empty_like(filters)
-        # row j of every window reads embedded rows j..j+positions-1
-        for j in range(w):
-            shifted = embedded[:, j : j + positions].reshape(-1, k)
-            dfilters[:, j] = dz.T @ shifted
-            dembedded[:, j : j + positions] += (dz @ filters[:, j]).reshape(
-                batch, positions, k
-            )
-        grads[f"conv_w{w}"] = dfilters
+        # gathered again: windows kept from forward would raise the step's peak
+        dfilters = dz.T @ _windows(model.embedding, ids, w)
+        grads[f"conv_w{w}"] = dfilters.reshape(filters.shape)
+        dwindows = (dz @ filters.reshape(f_w, -1)).reshape(batch, positions, w, k)
+        for j in range(w):  # token j of each window sits at position p + j
+            dembedded[:, j : j + positions] += dwindows[:, :, j]
 
     grads["embedding"] = np.zeros_like(model.embedding)
-    np.add.at(grads["embedding"], cache["ids"].ravel(), dembedded.reshape(-1, k))
+    np.add.at(grads["embedding"], ids.ravel(), dembedded.reshape(-1, k))
     return grads
 
 
@@ -358,13 +353,6 @@ def rmsprop_update(
     param -= learning_rate * grad / np.sqrt(acc + RMSPROP_EPSILON)
 
 
-@dataclass(frozen=True)
-class EpochStats:
-    epoch: int
-    train_loss: float
-    validation_accuracy: float
-
-
 def train(
     model: TextCnnModel,
     train_x: np.ndarray,
@@ -373,47 +361,41 @@ def train(
     val_y: np.ndarray,
     settings: TrainingSettings,
     early_stop: Callable[[list[float]], bool] | None = None,
-) -> tuple[TextCnnModel, list[EpochStats]]:
+) -> tuple[TextCnnModel, list[float]]:
     """Rmsprop training with per-epoch validation.
 
     train_x and val_x are (sentences, n) id matrices. Each mini-batch takes
     one step along the mean of its sentences' gradients; validation is one
     eval-mode pass over val_x.
 
-    Restores the parameters of the best-validation epoch before returning.
-    early_stop sees the validation-accuracy history after each epoch and
-    returns True to halt.
+    Returns the model, with the parameters of its best-validation epoch
+    restored, and the validation accuracy after each epoch. early_stop sees
+    those accuracies after each epoch and returns True to halt.
     """
     rng = np.random.default_rng(settings.seed)
     params = model.parameters()
     rms = {name: np.zeros_like(arr) for name, arr in params.items()}
-    history: list[EpochStats] = []
-    best_acc = -1.0
+    history: list[float] = []
     best_params = params  # replaced by the first epoch, whose accuracy is >= 0
 
     for epoch in range(1, settings.max_epochs + 1):
         order = rng.permutation(len(train_y))
-        epoch_losses = []
         for start in range(0, len(order), settings.batch_size):
             batch = order[start : start + settings.batch_size]
             labels = train_y[batch]
             probs, cache = forward(model, train_x[batch], train_mode=True, rng=rng)
-            batch_loss = loss(probs, labels) / len(batch)
-            if not np.isfinite(batch_loss):
+            if not np.isfinite(loss(probs, labels)):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            epoch_losses.append(batch_loss)
             for name, g in backward(model, cache, labels).items():
                 rmsprop_update(
                     params[name], g / len(batch), rms[name], settings.learning_rate
                 )
 
         val_acc = accuracy(model, val_x, val_y)
-        history.append(EpochStats(epoch, float(np.mean(epoch_losses)), val_acc))
-        if val_acc > best_acc:
-            best_acc = val_acc
+        if val_acc > max(history, default=-1.0):
             best_params = model.copy_parameters()
-        accuracies = [stats.validation_accuracy for stats in history]
-        if early_stop is not None and early_stop(accuracies):
+        history.append(val_acc)
+        if early_stop is not None and early_stop(history):
             break
 
     model.load_parameters(best_params)

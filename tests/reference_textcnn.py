@@ -91,10 +91,6 @@ def forward(
     return probs, cache
 
 
-def loss(probs: np.ndarray, label: int) -> float:
-    return -float(np.log(max(probs[label], 1e-12)))
-
-
 def backward(model: TextCnnModel, cache: dict, label: int) -> dict[str, np.ndarray]:
     """Gradients of one sentence's cross-entropy loss."""
     _, dact = ACTIVATIONS[model.activation]
@@ -152,31 +148,26 @@ def train_history(
     val_x: np.ndarray,
     val_y: np.ndarray,
     settings: TrainingSettings,
-) -> tuple[list[float], list[float]]:
-    """(validation accuracy, mean batch loss) after each epoch of
-    per-sentence training, with the same permutation, dropout stream and
-    Rmsprop steps as annealtune.textcnn.train."""
+) -> list[float]:
+    """Validation accuracy after each epoch of per-sentence training, with
+    the same permutation, dropout stream and Rmsprop steps as
+    annealtune.textcnn.train; the model keeps its last epoch's parameters."""
     rng = np.random.default_rng(settings.seed)
     params = model.parameters()
     rms = {name: np.zeros_like(arr) for name, arr in params.items()}
-    accuracies, losses = [], []
+    accuracies = []
     for _ in range(settings.max_epochs):
         order = rng.permutation(len(train_y))
-        batch_losses = []
         for start in range(0, len(order), settings.batch_size):
             batch = order[start : start + settings.batch_size]
             grad_sum = {name: np.zeros_like(arr) for name, arr in params.items()}
-            batch_loss = 0.0
             for i in batch:
-                probs, cache = forward(model, train_x[i], train_mode=True, rng=rng)
-                batch_loss += loss(probs, int(train_y[i]))
+                _, cache = forward(model, train_x[i], train_mode=True, rng=rng)
                 for name, g in backward(model, cache, int(train_y[i])).items():
                     grad_sum[name] += g
-            batch_losses.append(batch_loss / len(batch))
             for name, arr in params.items():
                 rmsprop_update(
                     arr, grad_sum[name] / len(batch), rms[name], settings.learning_rate
                 )
         accuracies.append(accuracy(model, val_x, val_y))
-        losses.append(float(np.mean(batch_losses)))
-    return accuracies, losses
+    return accuracies

@@ -467,13 +467,15 @@ class TestManifestValues:
             ("synthetic", "seed", None, "is not a number"),
             ("synthetic", "test_fraction", [], "is not a number"),
             ("mr", "folds", "x", "is not a number"),
-            ("cr", "fold_index", float("inf"), "is not a number"),
+            ("cr", "fold_index", float("inf"), "is not finite"),
             ("synthetic", "samples_per_class", 10.9, "is not an integer"),
+            ("synthetic", "samples_per_class", "10.5", "is not an integer"),
             ("synthetic", "seed", 1.5, "is not an integer"),
             ("mr", "folds", 2.9, "is not an integer"),
         ],
         ids=["path-int", "path-list", "path-null", "seed-null", "fraction-list",
              "folds-string", "fold-index-infinite", "samples-fractional",
+             "samples-fractional-text",
              "seed-fractional", "folds-fractional"],
     )
     def test_wrong_json_type_is_data_error(

@@ -5,12 +5,13 @@ A flag that sets a run setting takes ``RunConfig``'s rule for that key
 number rule with its own floor. A value the rule refuses is a usage error
 (exit 1) that names the flag, raised before any file is read; a value the
 rule takes but a later check refuses is still a usage error. An output path
-that cannot be written is a usage error that names it and leaves no temp
-file. The file imports neither numpy nor hypothesis, so it runs where they
+that cannot be written is a usage error that names it; the command then
+writes none of its outputs and leaves no temp file. The file imports neither numpy nor hypothesis, so it runs where they
 are missing: every ``eval`` here runs with ``--flops-only``.
 """
 
 import json
+import math
 
 import pytest
 
@@ -89,12 +90,17 @@ FLAGS = {
 
 
 def rule_refuses(convert, floor, ceiling, unit_range, text: str) -> bool:
+    # an int flag takes digits as int() reads them; other text is judged as
+    # the float it reads, which must be finite, and integral for an int flag
     try:
-        number = convert(text)
+        number = int(text) if convert is int and text.lstrip("-").isdigit() else float(text)
     except ValueError:
         return True
+    if isinstance(number, float) and not math.isfinite(number):
+        return True
     return (
-        (floor is not None and number < floor)
+        (convert is int and number != int(number))
+        or (floor is not None and number < floor)
         or (ceiling is not None and number > ceiling)
         or (unit_range and not 0.0 < number < 1.0)
     )
@@ -135,6 +141,23 @@ def test_flag_takes_the_run_config_message(capsys):
     assert err == f"usage error: argument --budget: iteration_budget is above {2**53}\n"
 
 
+@pytest.mark.parametrize("text", ["inf", "nan", "-inf"])
+def test_non_finite_temperature_is_refused(capsys, text):
+    # "--t-init -inf" would read -inf as an option, so the value is joined on
+    assert cli.main(["plan", f"--t-init={text}"]) == 1
+    assert capsys.readouterr().err == "usage error: argument --t-init: is not finite\n"
+
+
+def test_fractional_budget_is_refused_and_integral_text_taken(capsys):
+    assert cli.main(["plan", "--budget", "1.5"]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: argument --budget: iteration_budget is not an integer\n"
+    assert cli.main(["plan", "--budget", "10.0"]) == 0
+    taken = capsys.readouterr().out
+    assert cli.main(["plan", "--budget", "10"]) == 0
+    assert taken == capsys.readouterr().out
+
+
 def temp_files(directory) -> list:
     return [p.name for p in directory.iterdir() if p.name.startswith(".tmp-")]
 
@@ -156,4 +179,34 @@ def test_output_that_is_a_directory_is_usage_error(tmp_path, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: cannot write {tmp_path / 'front.txt'}"), err
+    assert temp_files(tmp_path) == []
+
+
+def snapshot(directory) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+
+
+def test_tune_writes_no_output_when_one_cannot_be_written(tmp_path, capsys):
+    argv = base_argv("tune", tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "archive.txt").write_text("an earlier run's archive")
+    (out / "trace.jsonl").mkdir()
+    before = snapshot(out)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: cannot write {out / 'trace.jsonl'}: Is a directory\n"
+    assert snapshot(out) == before
+    assert temp_files(out) == []
+
+
+def test_oracle_writes_no_output_when_one_cannot_be_written(tmp_path, capsys):
+    argv = base_argv("oracle", tmp_path)
+    (tmp_path / "front.txt").write_text("an earlier front")
+    (tmp_path / "front.json").mkdir()
+    before = snapshot(tmp_path)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: cannot write {tmp_path / 'front.json'}: Is a directory\n"
+    assert snapshot(tmp_path) == before
     assert temp_files(tmp_path) == []

@@ -1,8 +1,9 @@
 """What ``annealtune tune`` accepts as a run config.
 
 ``RunConfig`` alone decides it, with the number rule that dataset manifests
-use: a number key takes what ``int()`` or ``float()`` converts, an int key
-takes no fractional value, and a key with a floor takes nothing below it.
+use: a number key takes the finite numbers ``int()`` or ``float()`` converts,
+an int key takes no fractional value, and a key with a floor takes nothing
+below it.
 Every value it refuses is a usage error (exit 1) that names its key, raised
 before any evaluator is built. The file imports no numpy, so it runs where
 numpy is missing: each text-CNN case here is refused before a corpus is
@@ -112,6 +113,16 @@ def test_bad_text_cnn_setting_is_usage_error_naming_its_key(
 ):
     assert tune(tmp_path, objective_kind="textcnn", **{key: value}) == 1
     assert_refused(capsys, key)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["infinity", "nan"])
+def test_non_finite_margin_is_refused_before_evaluating(
+    tmp_path, capsys, no_evaluator, value
+):
+    # json.dumps writes Infinity and NaN, and json.load reads them back
+    assert tune(tmp_path, objective_kind="textcnn", early_stop_margin=value) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: bad run config: early_stop_margin is not finite\n"
 
 
 @pytest.mark.parametrize(
