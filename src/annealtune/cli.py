@@ -40,7 +40,7 @@ from .evaluator import (
     TextCnnEvaluator,
     estimate_flops,
 )
-from .pareto import ArchiveEntry, front_order, two_objective_front
+from .pareto import ArchiveEntry, ParetoArchive
 from .search_space import (
     DISPLAY_LABELS,
     SYNTHETIC_NAMES,
@@ -150,7 +150,7 @@ def archive_text(
 ) -> str:
     """Front table (one row per entry) plus a transposed top-k block.
 
-    ``entries`` come in ``front_order``, so the top-k are the first k.
+    ``entries`` are ``ParetoArchive.front()``, so the top-k are the first k.
     """
     names = list(space.names)
     lines = [f"# annealtune archive format v{FORMAT_VERSION}"]
@@ -184,7 +184,7 @@ def archive_text(
 def archive_json(
     entries: list[ArchiveEntry], top_k: int, meta: dict[str, Any]
 ) -> str:
-    """Front entries (in ``front_order``) and the first top_k of them."""
+    """Front entries (``ParetoArchive.front()``) and the first top_k of them."""
     payload = {
         "format_version": FORMAT_VERSION,
         **meta,
@@ -281,7 +281,7 @@ def _load_manifest(path: str | None) -> dict[str, Any]:
         raise DataError(f"dataset manifest not found: {path}") from None
     except OSError as exc:
         raise DataError(f"dataset manifest {path}: {exc.strerror}") from None
-    except ValueError as exc:  # undecodable bytes or malformed JSON
+    except (ValueError, RecursionError) as exc:  # undecodable, malformed, too deep
         raise DataError(f"dataset manifest is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict) or "kind" not in manifest:
         raise DataError("dataset manifest must be an object with a 'kind' key")
@@ -308,6 +308,15 @@ MANIFEST_CEILINGS = {"class_count": 50, "samples_per_class": 10_000, "vocab_size
 #: corpus (the vocabulary floor, two words a class, depends on class_count),
 #: two folds for cross validation
 MANIFEST_FLOORS = {"class_count": 1, "samples_per_class": 1, "folds": 2}
+#: the keys each manifest kind reads besides "kind"; any other is refused
+MANIFEST_KEYS = {
+    "synthetic": {
+        "class_count", "samples_per_class", "vocab_size", "test_fraction", "seed"
+    },
+    "mr": {"pos", "neg", "folds", "fold_index"},
+    "cr": {"path", "folds", "fold_index"},
+    "trec": {"train", "test"},
+}
 
 
 def _manifest_error(manifest: dict[str, Any], key: str, problem: str) -> DataError:
@@ -335,6 +344,11 @@ def prepare_corpus(
     test split).
     """
     kind = manifest["kind"]
+    if not isinstance(kind, str) or kind not in MANIFEST_KEYS:
+        raise DataError(f"unknown dataset kind {kind!r}")
+    unknown = sorted(set(manifest) - MANIFEST_KEYS[kind] - {"kind"})
+    if unknown:
+        raise _manifest_error(manifest, unknown[0], "is unknown")
     if kind == "synthetic":
         class_count = _manifest_number(manifest, "class_count", int, 2)
         vocab_size = _manifest_number(manifest, "vocab_size", int, 40)
@@ -362,10 +376,8 @@ def prepare_corpus(
         if not 0 <= fold_index < folds:
             raise _manifest_error(manifest, "fold_index", f"is outside [0, {folds})")
         return make_splits(data, CvPolicy(folds, fold_index), ratio_init, seed)
-    if kind == "trec":
-        train, test, _ = load_trec(*_manifest_paths(manifest, "train", "test"))
-        return make_splits(train, FixedTestPolicy(tuple(test)), ratio_init, seed)
-    raise DataError(f"unknown dataset kind {kind!r}")
+    train, test, _ = load_trec(*_manifest_paths(manifest, "train", "test"))
+    return make_splits(train, FixedTestPolicy(tuple(test)), ratio_init, seed)
 
 
 def build_evaluator(config: RunConfig, cache_path: str | None = None):
@@ -481,10 +493,9 @@ def _config_from_sets(space: SearchSpace, pairs: Sequence[str]) -> Configuration
 def cmd_eval(args: argparse.Namespace) -> int:
     space = default_search_space()
     config = _config_from_sets(space, args.set or [])
-    corpus = None
     sentence_length, class_count = args.sentence_length, args.class_count
     try:
-        if not args.flops_only:
+        if args.corpus or not args.flops_only:  # the corpus sets the shape
             manifest = _load_manifest(args.corpus)
             corpus = prepare_corpus(manifest, args.ratio_init, args.seed)
             sentence_length, class_count = corpus.sentence_length, corpus.class_count
@@ -497,7 +508,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
     print(f"flops breakdown: conv={list(breakdown.conv_flops)} "
           f"fc={breakdown.fc_flops} total={breakdown.total}")
-    if corpus is None:
+    if args.flops_only:
         return EXIT_OK
     evaluator = TextCnnEvaluator(
         space=space,
@@ -527,28 +538,24 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             raise UsageError(f"space file not found: {args.space}") from None
         except OSError as exc:
             raise UsageError(f"space file {args.space}: {exc.strerror}") from None
-        except ValueError as exc:  # undecodable bytes, malformed JSON, bad values
+        except (ValueError, RecursionError) as exc:  # bad bytes, JSON or values
             raise UsageError(f"bad space restriction: {exc}") from None
     if space.cardinality() > args.cap:
         raise UsageError(
             f"space cardinality {space.cardinality()} exceeds cap {args.cap}"
         )
     evaluator = SyntheticEvaluator(space=space, name=args.objective)
-    evaluated = [
-        (config, evaluator.evaluate(config))
-        for config in enumerate_space(space, args.cap)
-    ]
-    entries = front_order(
-        ArchiveEntry(cfg, obj, iteration_found=0)
-        for cfg, obj in two_objective_front(evaluated)
-    )
+    archive = ParetoArchive()
+    for config in enumerate_space(space, args.cap):
+        archive.insert(ArchiveEntry(config, evaluator.evaluate(config), 0))
+    entries = archive.front()
     meta = {"objective_kind": SYNTHETIC_PREFIX + args.objective, "cap": args.cap}
     json_path = os.path.splitext(args.output)[0] + ".json"
     _write_files({
         args.output: archive_text(entries, space, args.top_k),
         json_path: archive_json(entries, args.top_k, meta),
     })
-    print(f"evaluated {len(evaluated)} configurations; front size {len(entries)}")
+    print(f"evaluated {space.cardinality()} configurations; front size {len(entries)}")
     print(f"wrote {args.output}")
     return EXIT_OK
 

@@ -184,9 +184,11 @@ def _parse_record(line: bytes) -> tuple[str, ObjectiveVector] | None:
     """(key, value) of one evaluation cache line; None if it is not one."""
     try:
         record = json.loads(line)
-        return record["key"], ObjectiveVector(record["error_rate"], record["flops"])
-    except (ValueError, KeyError, TypeError):
+        key = record["key"]
+        value = ObjectiveVector(record["error_rate"], record["flops"])
+    except (ValueError, KeyError, TypeError, RecursionError):
         return None
+    return (key, value) if isinstance(key, str) else None
 
 
 class EvaluationCache:

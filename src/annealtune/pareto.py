@@ -8,10 +8,7 @@ replay exactly.
 from __future__ import annotations
 
 import enum
-import itertools
-import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .search_space import Configuration
 
@@ -107,39 +104,11 @@ class ParetoArchive:
         return min(entry.objectives.error_rate for entry in self.entries)
 
     def front(self) -> list[ArchiveEntry]:
-        """Entries in front_order."""
-        return front_order(self.entries)
-
-
-def front_order(entries: Iterable[ArchiveEntry]) -> list[ArchiveEntry]:
-    """Entries sorted by error rate, then flops, then configuration, so the
-    first k are the top-k by error rate."""
-    return sorted(
-        entries,
-        key=lambda e: (e.objectives.error_rate, e.objectives.flops, e.config.sort_key()),
-    )
-
-
-def two_objective_front(
-    candidates: Iterable[tuple[Configuration, ObjectiveVector]],
-) -> set[tuple[Configuration, ObjectiveVector]]:
-    """Every candidate whose objectives no other candidate dominates.
-
-    Sort-and-sweep in O(n log n): in (error rate, flops) order, a candidate
-    is on the front when its flops are the least at its error rate and
-    below the least flops at every lower error rate. Duplicate (config,
-    objectives) pairs collapse to one; candidates tying on both objectives
-    under different configurations are all kept.
-    """
-    ordered = sorted(
-        dict.fromkeys(candidates), key=lambda c: (c[1].error_rate, c[1].flops)
-    )
-    front = set()
-    lowest = math.inf  # least flops at any lower error rate
-    for _, tied in itertools.groupby(ordered, key=lambda c: c[1].error_rate):
-        tied = list(tied)
-        least = tied[0][1].flops
-        if least < lowest:
-            front.update(c for c in tied if c[1].flops == least)
-            lowest = least
-    return front
+        """Entries sorted by error rate, then flops, then configuration, so
+        the first k are the top-k by error rate."""
+        return sorted(
+            self.entries,
+            key=lambda e: (
+                e.objectives.error_rate, e.objectives.flops, e.config.sort_key()
+            ),
+        )

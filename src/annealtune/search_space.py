@@ -373,7 +373,10 @@ _NUMBERS = {k: t for k, t in get_type_hints(RunConfig).items() if t in (int, flo
 
 def load_run_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
     return run_config_from_dict(raw)
 
 

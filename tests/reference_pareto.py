@@ -1,5 +1,5 @@
-"""O(n^2) Pareto front: the reference that the archive and
-annealtune.pareto.two_objective_front are tested against."""
+"""O(n^2) Pareto front: the reference that annealtune.pareto.ParetoArchive
+is tested against."""
 
 from annealtune.pareto import ObjectiveVector, dominates
 from annealtune.search_space import Configuration

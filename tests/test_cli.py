@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -40,6 +41,9 @@ def write_run_config(path, **overrides):
     path.write_text(json.dumps(raw))
     return str(path)
 
+
+#: JSON nested deeper than the decoder recurses
+DEEP_JSON = "[" * 100_000
 
 TOP1_SETS = [
     "--set", "kernel_count_w3=100",
@@ -131,6 +135,14 @@ class TestTune:
         assert cli.main(
             ["tune", "--config", str(path), "--output-dir", str(tmp_path / "o")]
         ) == 1
+
+    def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "rc.json"
+        path.write_text(DEEP_JSON)
+        assert cli.main(
+            ["tune", "--config", str(path), "--output-dir", str(tmp_path / "o")]
+        ) == 1
+        assert capsys.readouterr().err.startswith("usage error: bad run config:")
 
     def test_missing_dataset_manifest_is_data_error(self, tmp_path):
         config = write_run_config(
@@ -228,11 +240,15 @@ class TestTune:
     def test_malformed_cache_line_is_data_error(self, tmp_path, capsys):
         config_path = self.write_textcnn_config(tmp_path)
         cache = tmp_path / "cache.jsonl"
-        cache.write_text('{"key": "a"}\n{"key": "b", "error_rate": 0.5, "flops": 1}\n')
-        code = cli.main(["tune", "--config", str(config_path), "--cache",
-                         str(cache), "--output-dir", str(tmp_path / "out")])
-        assert code == 2
-        assert "malformed evaluation cache line" in capsys.readouterr().err
+        # no objectives; a key that is not a string; JSON nested too deeply
+        for line in ('{"key": "a"}', '{"key": [1], "error_rate": 0.5, "flops": 1}',
+                     DEEP_JSON):
+            cache.write_text(line + '\n{"key": "b", "error_rate": 0.5, "flops": 1}\n')
+            code = cli.main(["tune", "--config", str(config_path), "--cache",
+                             str(cache), "--output-dir", str(tmp_path / "out")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"{cache}:1: malformed evaluation cache line" in err
 
     @pytest.mark.parametrize(
         "cache,reason",
@@ -312,6 +328,25 @@ class TestEval:
         out = capsys.readouterr().out
         assert "total=541056" in out
 
+    def test_flops_only_breakdown_follows_the_corpus(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(
+            {"kind": "synthetic", "class_count": 40, "vocab_size": 80,
+             "samples_per_class": 10}
+        ))
+        eval_argv = ["eval", *TOP1_SETS, "--corpus", str(dataset)]
+        assert cli.main([*eval_argv, "--flops-only"]) == 0
+        flops_only = capsys.readouterr().out.splitlines()
+        assert cli.main([*eval_argv, "--max-epochs", "1"]) == 0
+        assert flops_only == capsys.readouterr().out.splitlines()[:1]
+
+    def test_flops_only_missing_manifest_is_data_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert cli.main(["eval", *TOP1_SETS, "--flops-only", "--corpus", missing]) == 2
+        assert f"data error: dataset manifest not found: {missing}" in (
+            capsys.readouterr().err
+        )
+
     def test_missing_domain_usage_error(self, capsys):
         partial = TOP1_SETS[:-2]  # drop batch_size
         assert cli.main(["eval", *partial, "--flops-only"]) == 1
@@ -376,6 +411,12 @@ class TestUnreadablePaths:
         assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
         assert "data error: dataset manifest is not valid JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_manifest_is_data_error(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(DEEP_JSON)
+        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
+        assert "data error: dataset manifest is not valid JSON" in capsys.readouterr().err
+
     def test_dataset_file_directory_is_data_error(self, tmp_path, capsys):
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps({"kind": "cr", "path": str(tmp_path)}))
@@ -396,6 +437,18 @@ class TestUnreadablePaths:
         assert cli.main(argv) == 1
         assert f"usage error: space file {tmp_path}:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+    def test_deeply_nested_space_is_usage_error(self, tmp_path, capsys, inline):
+        # inline, in-process: the OS refuses an argument this long
+        spec = '{"fc_units": ' + DEEP_JSON
+        if not inline:
+            (tmp_path / "space.json").write_text(spec)
+            spec = str(tmp_path / "space.json")
+        argv = ["oracle", "--objective", "sphere_proxy", "--space", spec,
+                "--output", str(tmp_path / "front.txt")]
+        assert cli.main(argv) == 1
+        assert "usage error: bad space restriction" in capsys.readouterr().err
 
     def test_undecodable_space_file_is_usage_error(self, tmp_path, capsys):
         space = tmp_path / "space.json"
@@ -562,6 +615,19 @@ class TestManifestValues:
         message = f"data error: {kind} dataset manifest key {key!r} {problem}"
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind,key",
+        [("synthetic", "samples_per_clas"), ("mr", "fold_idx"), ("cr", "class_count"),
+         ("trec", "folds")],
+    )
+    def test_key_the_kind_does_not_read_is_data_error(self, tmp_path, capsys, kind, key):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps({**dataset_files(tmp_path)[kind], key: 3}))
+        argv = ["eval", *TOP1_SETS, "--max-epochs", "1", "--corpus", str(dataset)]
+        assert cli.main(argv) == 2
+        message = f"data error: {kind} dataset manifest key {key!r} is unknown"
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", sorted(MANIFEST_KEYS))
     def test_working_manifest_evaluates(self, tmp_path, capsys, kind):
         dataset = tmp_path / "dataset.json"
@@ -650,6 +716,30 @@ class TestOracle:
         assert cli.main(argv) == 1
         assert "'fc_units' is not a list" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_memory_holds_the_front_not_every_evaluation(self, tmp_path):
+        # 7 * 4 * 6 * 4 * 4 * 3 = 8,064 configurations; a list of every
+        # evaluated one would peak near 10 MiB
+        restriction = {
+            "kernel_count_w3": [256, 160, 128, 100, 96, 64, 32],
+            "kernel_count_w4": [32],
+            "kernel_count_w5": [32],
+            "conv_dropout": ["0.1", "0.2", "0.3", "0.4"],
+            "fc_units": [512, 256, 128, 64, 32, 16],
+            "fc_dropout": ["0.1", "0.2", "0.3", "0.4"],
+            "activation": ["relu", "tanh", "elu", "linear"],
+            "learning_rate": ["0.001"],
+            "batch_size": [64, 128, 256],
+        }
+        argv = ["oracle", "--objective", "sphere_proxy",
+                "--space", json.dumps(restriction), "--output", str(tmp_path / "f.txt")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_tuned_archive_subset_of_oracle_front(self, tmp_path):
         config = write_run_config(tmp_path / "rc.json")

@@ -12,7 +12,6 @@ from annealtune.pareto import (
     ParetoArchive,
     dominates,
     scalar_deterioration,
-    two_objective_front,
 )
 from annealtune.search_space import Configuration
 
@@ -196,30 +195,28 @@ class TestArchiveEqualsBruteForce:
             brute_force_front(offered)
         )
 
-
-class TestTwoObjectiveFront:
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
             st.tuples(
-                st.integers(0, 5),  # few configs: duplicate pairs and ties
+                # few values, so ties and shared flops occur
                 st.sampled_from([0.0, 0.1, 0.1 + 0.2, 0.3, 0.5, 1.0]),
                 st.integers(0, 6),
             ),
             max_size=40,
         )
     )
-    def test_equals_brute_force(self, raw):
-        offered = [(cfg(tag), ObjectiveVector(e, f)) for tag, e, f in raw]
-        assert two_objective_front(offered) == brute_force_front(offered)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 10**6)), max_size=60))
-    def test_equals_brute_force_on_distinct_configs(self, raw):
+    def test_archive_matches_oracle_with_ties(self, raw):
+        # one configuration per pair, as ``oracle`` offers them
         offered = [(cfg(i), ObjectiveVector(e, f)) for i, (e, f) in enumerate(raw)]
-        assert two_objective_front(offered) == brute_force_front(offered)
+        archive = ParetoArchive()
+        for config, objectives in offered:
+            archive.insert(ArchiveEntry(config, objectives, 0))
+        assert {(e.config, e.objectives) for e in archive.entries} == (
+            brute_force_front(offered)
+        )
 
-    def test_ties_under_different_configs_are_kept_and_duplicates_collapse(self):
+    def test_ties_kept_and_duplicates_collapse(self):
         offered = [
             (cfg("a"), ObjectiveVector(0.2, 10)),
             (cfg("b"), ObjectiveVector(0.2, 10)),
@@ -227,7 +224,12 @@ class TestTwoObjectiveFront:
             (cfg("c"), ObjectiveVector(0.2, 11)),
             (cfg("d"), ObjectiveVector(0.1, 20)),
         ]
-        assert two_objective_front(offered) == {offered[0], offered[1], offered[4]}
+        archive = ParetoArchive()
+        for config, objectives in offered:
+            archive.insert(ArchiveEntry(config, objectives, 0))
+        assert [(e.config, e.objectives) for e in archive.entries] == [
+            offered[0], offered[1], offered[4]
+        ]
 
 
 class TestFront:
