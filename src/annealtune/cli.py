@@ -48,12 +48,13 @@ from .search_space import (
     Configuration,
     RunConfig,
     SearchSpace,
+    brief,
     checked_number,
     checked_setting,
     default_search_space,
     enumerate_space,
-    load_run_config,
     parse_value,
+    run_config_from_dict,
 )
 
 EXIT_OK = 0
@@ -266,126 +267,124 @@ def calibration_json(result: RunResult) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-# --- dataset wiring -----------------------------------------------------------
+# --- input files and dataset wiring -------------------------------------------
 
 
-def _load_manifest(path: str | None) -> dict[str, Any]:
-    """The dataset manifest at ``path``; without one, the bundled synthetic
-    corpus at prepare_corpus's defaults."""
-    if not path:
-        return {"kind": "synthetic"}
+def _read_json(path: str, what: str, error: type[Exception], malformed: str) -> Any:
+    """The JSON value in the file at ``path``. A missing or unreadable file
+    is an ``error`` naming ``what`` and the path; bytes that are not UTF-8,
+    malformed JSON and JSON nested too deeply are one after ``malformed``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise DataError(f"dataset manifest not found: {path}") from None
+        raise error(f"{what} not found: {path}") from None
     except OSError as exc:
-        raise DataError(f"dataset manifest {path}: {exc.strerror}") from None
-    except (ValueError, RecursionError) as exc:  # undecodable, malformed, too deep
-        raise DataError(f"dataset manifest is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict) or "kind" not in manifest:
-        raise DataError("dataset manifest must be an object with a 'kind' key")
-    return manifest
+        raise error(f"{what} {path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{malformed}: {exc}") from None
 
 
-def _manifest_paths(manifest: dict[str, Any], *keys: str) -> list[str]:
-    """The manifest's file paths at ``keys``; a missing key or a value that
-    is not a string is a DataError."""
-    kind = manifest["kind"]
-    for key in keys:
-        if key not in manifest:
-            raise DataError(f"{kind} dataset manifest lacks key {key!r}")
-        if not isinstance(manifest[key], str):
-            raise DataError(f"{kind} dataset manifest key {key!r} is not a path")
-    return [manifest[key] for key in keys]
+def load_run_config(path: str) -> RunConfig:
+    """The run config in the file at ``path``; one that cannot be read or
+    that RunConfig refuses is a usage error."""
+    raw = _read_json(path, "run config", UsageError, "bad run config")
+    try:
+        return run_config_from_dict(raw)
+    except ValueError as exc:
+        raise UsageError(f"bad run config: {exc}") from None
 
 
-#: largest synthetic corpus sizes a manifest may ask for: 50 classes (TREC's
+#: the cross-validation keys of mr and cr manifests
+_FOLDS = {"folds": (int, 10, 2, None), "fold_index": (int, 0, None, None)}
+#: each manifest kind's keys besides "kind", each with its rule: ``str`` for
+#: a file path the manifest must give, or (int or float, default, floor,
+#: ceiling) for a number, judged by checked_number; a synthetic seed of
+#: None takes the run's seed. The synthetic ceilings, 50 classes (TREC's
 #: fine-grained label count), 10,000 sentences a class and a 100,000-word
-#: vocabulary (five times MR's), so a typo cannot exhaust memory
-MANIFEST_CEILINGS = {"class_count": 50, "samples_per_class": 10_000, "vocab_size": 100_000}
-#: smallest manifest numbers: one class of one sentence for a synthetic
-#: corpus (the vocabulary floor, two words a class, depends on class_count),
-#: two folds for cross validation
-MANIFEST_FLOORS = {"class_count": 1, "samples_per_class": 1, "folds": 2}
-#: the keys each manifest kind reads besides "kind"; any other is refused
-MANIFEST_KEYS = {
+#: vocabulary (five times MR's), keep a typo from exhausting memory. Rules
+#: across keys are prepare_corpus's.
+MANIFEST_RULES = {
     "synthetic": {
-        "class_count", "samples_per_class", "vocab_size", "test_fraction", "seed"
+        "class_count": (int, 2, 1, 50),
+        "samples_per_class": (int, 50, 1, 10_000),
+        "vocab_size": (int, 40, None, 100_000),
+        "test_fraction": (float, 0.2, None, None),
+        "seed": (int, None, None, None),
     },
-    "mr": {"pos", "neg", "folds", "fold_index"},
-    "cr": {"path", "folds", "fold_index"},
-    "trec": {"train", "test"},
+    "mr": {"pos": str, "neg": str, **_FOLDS},
+    "cr": {"path": str, **_FOLDS},
+    "trec": {"train": str, "test": str},
 }
 
 
-def _manifest_error(manifest: dict[str, Any], key: str, problem: str) -> DataError:
-    return DataError(f"{manifest['kind']} dataset manifest key {key!r} {problem}")
+def _manifest_error(kind: str, key: str, problem: str) -> DataError:
+    return DataError(f"{kind} dataset manifest key {brief(key)} {problem}")
 
 
-def _manifest_number(manifest: dict[str, Any], key: str, convert, default):
-    """``checked_number`` of the manifest's value at ``key``, or of ``default``
-    without one, in the key's MANIFEST_FLOORS and MANIFEST_CEILINGS bounds; a
-    value it refuses is a DataError."""
-    floor, ceiling = MANIFEST_FLOORS.get(key), MANIFEST_CEILINGS.get(key)
-    try:
-        return checked_number(manifest.get(key, default), convert, floor, ceiling)
-    except ValueError as exc:
-        raise _manifest_error(manifest, key, str(exc)) from None
-
-
-def prepare_corpus(
-    manifest: dict[str, Any], ratio_init: float, seed: int
-) -> PreparedCorpus:
-    """Build a PreparedCorpus from a dataset manifest.
+def prepare_corpus(path: str | None, ratio_init: float, seed: int) -> PreparedCorpus:
+    """Build a PreparedCorpus from the dataset manifest at ``path``; without
+    one, from the bundled synthetic corpus at MANIFEST_RULES' defaults.
 
     Kinds: synthetic (bundled generator), mr (pos/neg files, 10-fold CV),
     cr (tab-separated file, 10-fold CV), trec (train/test files, fixed
-    test split).
+    test split). Every key is judged before any file is read or any corpus
+    generated.
     """
-    kind = manifest["kind"]
-    if not isinstance(kind, str) or kind not in MANIFEST_KEYS:
-        raise DataError(f"unknown dataset kind {kind!r}")
-    unknown = sorted(set(manifest) - MANIFEST_KEYS[kind] - {"kind"})
-    if unknown:
-        raise _manifest_error(manifest, unknown[0], "is unknown")
-    if kind == "synthetic":
-        class_count = _manifest_number(manifest, "class_count", int, 2)
-        vocab_size = _manifest_number(manifest, "vocab_size", int, 40)
-        if vocab_size < 2 * class_count:
-            raise _manifest_error(
-                manifest, "vocab_size", f"is below {2 * class_count}, twice class_count"
-            )
-        test_fraction = _manifest_number(manifest, "test_fraction", float, 0.2)
-        if not 0.0 <= test_fraction < 1.0:
-            raise _manifest_error(manifest, "test_fraction", "is outside [0, 1)")
-        data = synthetic_corpus(
-            class_count=class_count,
-            samples_per_class=_manifest_number(manifest, "samples_per_class", int, 50),
-            vocab_size=vocab_size,
-            seed=_manifest_number(manifest, "seed", int, seed),
+    manifest = {"kind": "synthetic"}
+    if path:
+        manifest = _read_json(
+            path, "dataset manifest", DataError, "dataset manifest is not valid JSON"
         )
+    if not isinstance(manifest, dict) or "kind" not in manifest:
+        raise DataError("dataset manifest must be an object with a 'kind' key")
+    kind = manifest["kind"]
+    if not isinstance(kind, str) or kind not in MANIFEST_RULES:
+        raise DataError(f"unknown dataset kind {brief(kind)}")
+    rules = MANIFEST_RULES[kind]
+    unknown = sorted(set(manifest) - set(rules) - {"kind"})
+    if unknown:
+        raise _manifest_error(kind, unknown[0], "is unknown")
+    m: dict[str, Any] = {}
+    for key, rule in rules.items():
+        if rule is str:
+            if key not in manifest:
+                raise DataError(f"{kind} dataset manifest lacks key {key!r}")
+            if not isinstance(manifest[key], str):
+                raise _manifest_error(kind, key, "is not a path")
+            m[key] = manifest[key]
+            continue
+        convert, default, floor, ceiling = rule
+        value = manifest.get(key, seed if default is None else default)
+        try:
+            m[key] = checked_number(value, convert, floor, ceiling)
+        except ValueError as exc:
+            raise _manifest_error(kind, key, str(exc)) from None
+    if kind == "synthetic":
+        fewest = 2 * m["class_count"]
+        if m["vocab_size"] < fewest:
+            raise _manifest_error(
+                kind, "vocab_size", f"is below {fewest}, twice class_count"
+            )
+        test_fraction = m.pop("test_fraction")
+        if not 0.0 <= test_fraction < 1.0:
+            raise _manifest_error(kind, "test_fraction", "is outside [0, 1)")
+        data = synthetic_corpus(**m)
         return make_splits(data, HoldoutPolicy(test_fraction), ratio_init, seed)
-    if kind in ("mr", "cr"):
-        if kind == "mr":
-            data = load_mr(*_manifest_paths(manifest, "pos", "neg"))
-        else:
-            data = load_cr(*_manifest_paths(manifest, "path"))
-        folds = _manifest_number(manifest, "folds", int, 10)
-        fold_index = _manifest_number(manifest, "fold_index", int, 0)
-        if not 0 <= fold_index < folds:
-            raise _manifest_error(manifest, "fold_index", f"is outside [0, {folds})")
-        return make_splits(data, CvPolicy(folds, fold_index), ratio_init, seed)
-    train, test, _ = load_trec(*_manifest_paths(manifest, "train", "test"))
-    return make_splits(train, FixedTestPolicy(tuple(test)), ratio_init, seed)
+    if kind == "trec":
+        train, test, _ = load_trec(m["train"], m["test"])
+        return make_splits(train, FixedTestPolicy(tuple(test)), ratio_init, seed)
+    if not 0 <= m["fold_index"] < m["folds"]:
+        raise _manifest_error(kind, "fold_index", f"is outside [0, {m['folds']})")
+    data = load_mr(m["pos"], m["neg"]) if kind == "mr" else load_cr(m["path"])
+    return make_splits(data, CvPolicy(m["folds"], m["fold_index"]), ratio_init, seed)
 
 
 def build_evaluator(config: RunConfig, cache_path: str | None = None):
     if config.objective_kind.startswith(SYNTHETIC_PREFIX):
         name = config.objective_kind[len(SYNTHETIC_PREFIX) :]
         return SyntheticEvaluator(space=config.space, name=name)
-    manifest = _load_manifest(config.dataset_path)
-    corpus = prepare_corpus(manifest, config.ratio_init, config.seed_number)
+    corpus = prepare_corpus(config.dataset_path, config.ratio_init, config.seed_number)
     return TextCnnEvaluator(
         space=config.space,
         corpus=corpus,
@@ -446,14 +445,7 @@ def _write_run_outputs(
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    try:
-        config = load_run_config(args.config)
-    except FileNotFoundError:
-        raise UsageError(f"run config not found: {args.config}") from None
-    except OSError as exc:
-        raise UsageError(f"run config {args.config}: {exc.strerror}") from None
-    except ValueError as exc:  # malformed JSON or settings
-        raise UsageError(f"bad run config: {exc}") from None
+    config = load_run_config(args.config)
     evaluator = build_evaluator(config, cache_path=args.cache)
     result = run(config, evaluator)
     front = result.archive.front()
@@ -475,11 +467,11 @@ def _config_from_sets(space: SearchSpace, pairs: Sequence[str]) -> Configuration
     for pair in pairs:
         name, eq, text = pair.partition("=")
         if not eq:
-            raise UsageError(f"--set expects name=value, got {pair!r}")
+            raise UsageError(f"--set expects name=value, got {brief(pair)}")
         try:
             domain = space.domain(name)
         except KeyError:
-            raise UsageError(f"unknown hyperparameter {name!r}") from None
+            raise UsageError(f"unknown hyperparameter {brief(name)}") from None
         try:
             assignments[name] = parse_value(domain, text)
         except ValueError as exc:
@@ -496,8 +488,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     sentence_length, class_count = args.sentence_length, args.class_count
     try:
         if args.corpus or not args.flops_only:  # the corpus sets the shape
-            manifest = _load_manifest(args.corpus)
-            corpus = prepare_corpus(manifest, args.ratio_init, args.seed)
+            corpus = prepare_corpus(args.corpus, args.ratio_init, args.seed)
             sentence_length, class_count = corpus.sentence_length, corpus.class_count
         breakdown = estimate_flops(
             config, sentence_length, args.embedding_dim, class_count
@@ -528,25 +519,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     space = default_search_space()
     if args.space:
-        text = args.space
         try:
-            if not text.lstrip().startswith("{"):
-                with open(text, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            space = space.restrict(json.loads(text))
-        except FileNotFoundError:
-            raise UsageError(f"space file not found: {args.space}") from None
-        except OSError as exc:
-            raise UsageError(f"space file {args.space}: {exc.strerror}") from None
-        except (ValueError, RecursionError) as exc:  # bad bytes, JSON or values
+            if args.space.lstrip().startswith("{"):
+                restriction = json.loads(args.space)
+            else:
+                restriction = _read_json(
+                    args.space, "space file", UsageError, "bad space restriction"
+                )
+            space = space.restrict(restriction)
+        except (ValueError, RecursionError) as exc:  # bad inline JSON or values
             raise UsageError(f"bad space restriction: {exc}") from None
-    if space.cardinality() > args.cap:
-        raise UsageError(
-            f"space cardinality {space.cardinality()} exceeds cap {args.cap}"
-        )
+    try:
+        configs = enumerate_space(space, args.cap)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     evaluator = SyntheticEvaluator(space=space, name=args.objective)
     archive = ParetoArchive()
-    for config in enumerate_space(space, args.cap):
+    for config in configs:
         archive.insert(ArchiveEntry(config, evaluator.evaluate(config), 0))
     entries = archive.front()
     meta = {"objective_kind": SYNTHETIC_PREFIX + args.objective, "cap": args.cap}

@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from .search_space import brief
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -77,7 +79,7 @@ def load_cr(path: str) -> list[LabeledSentence]:
             continue
         head, _, text = line.partition("\t")
         if head not in ("0", "1") or not text:
-            raise DataError(f"{path}:{lineno}: malformed label line: {line!r}")
+            raise DataError(f"{path}:{lineno}: malformed label line: {brief(line)}")
         tokens = tokenize(text)
         if tokens:
             sentences.append(LabeledSentence(tokens, int(head)))
@@ -105,11 +107,14 @@ def load_trec(
             head, _, text = line.partition(" ")
             coarse, colon, _fine = head.partition(":")
             if not colon or not coarse or not text.strip():
-                raise DataError(f"{path}:{lineno}: malformed question line: {line!r}")
+                raise DataError(
+                    f"{path}:{lineno}: malformed question line: {brief(line)}"
+                )
             if coarse not in class_ids:
                 if not allow_new:
                     raise DataError(
-                        f"{path}:{lineno}: class {coarse!r} absent from training file"
+                        f"{path}:{lineno}: class {brief(coarse)} absent from "
+                        "training file"
                     )
                 class_ids[coarse] = len(class_ids)
             tokens = tokenize(text)

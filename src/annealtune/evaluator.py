@@ -181,14 +181,16 @@ def early_termination_check(
 
 
 def _parse_record(line: bytes) -> tuple[str, ObjectiveVector] | None:
-    """(key, value) of one evaluation cache line; None if it is not one."""
+    """(key, value) of one evaluation cache line; None if it is not one: a
+    str key, a JSON number error rate and JSON integer flops (a bool is none)."""
     try:
         record = json.loads(line)
-        key = record["key"]
-        value = ObjectiveVector(record["error_rate"], record["flops"])
+        key, rate, flops = record["key"], record["error_rate"], record["flops"]
+        if type(key) is str and type(rate) in (int, float) and type(flops) is int:
+            return key, ObjectiveVector(rate, flops)
     except (ValueError, KeyError, TypeError, RecursionError):
-        return None
-    return (key, value) if isinstance(key, str) else None
+        pass
+    return None
 
 
 class EvaluationCache:

@@ -8,7 +8,6 @@ bit-exact and makes configurations hashable.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import MISSING, dataclass, field, fields
@@ -34,6 +33,13 @@ DISPLAY_LABELS = {
 }
 
 
+def brief(value: Any, limit: int = 60) -> str:
+    """``repr(value)``, cut to ``limit`` characters: how an error message
+    echoes a value read from outside, however long or deeply nested."""
+    text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def canonical_value(raw: Any) -> Value:
     """Coerce a raw domain value to its canonical stored form.
 
@@ -48,7 +54,7 @@ def canonical_value(raw: Any) -> Value:
         return repr(raw)
     if isinstance(raw, str):
         return raw
-    raise ValueError(f"unsupported domain value type: {raw!r}")
+    raise ValueError(f"unsupported domain value type: {brief(raw)}")
 
 
 def parse_value(domain: "ParamDomain", text: str) -> Value:
@@ -56,7 +62,7 @@ def parse_value(domain: "ParamDomain", text: str) -> Value:
     for v in domain.values:
         if str(v) == text:
             return v
-    raise ValueError(f"{text!r} is not a value of domain {domain.name!r}")
+    raise ValueError(f"{brief(text)} is not a value of domain {domain.name!r}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,7 @@ class ParamDomain:
             return self.index[value]
         except KeyError:
             raise ValueError(
-                f"{value!r} is not a value of domain {self.name!r}"
+                f"{brief(value)} is not a value of domain {self.name!r}"
             ) from None
 
 
@@ -190,9 +196,9 @@ class SearchSpace:
         """
         if not isinstance(subsets, Mapping):
             raise ValueError("a restriction maps domain names to value lists")
-        extra = set(subsets) - set(self.names)
+        extra = sorted(set(subsets) - set(self.names))
         if extra:
-            raise ValueError(f"restriction names unknown domains: {sorted(extra)}")
+            raise ValueError(f"restriction names unknown domains: {brief(extra)}")
         domains = []
         for d in self.domains:
             if d.name in subsets:
@@ -268,7 +274,7 @@ def enumerate_space(space: SearchSpace, cap: int) -> Iterator[Configuration]:
     """
     card = space.cardinality()
     if card > cap:
-        raise ValueError(f"cardinality {card} exceeds cap {cap}")
+        raise ValueError(f"space cardinality {card} exceeds cap {cap}")
     return (
         Configuration(tuple(zip(space.names, values)))
         for values in itertools.product(*(d.values for d in space.domains))
@@ -362,7 +368,9 @@ class RunConfig:
             raise ValueError("dataset_path is not a path or null")
         kind = self.objective_kind
         if kind not in OBJECTIVE_KINDS:
-            raise ValueError(f"objective_kind {kind!r} is not one of {OBJECTIVE_KINDS}")
+            raise ValueError(
+                f"objective_kind {brief(kind)} is not one of {OBJECTIVE_KINDS}"
+            )
         if self.space.cardinality() < 2:
             raise ValueError("search space must contain at least 2 configurations")
 
@@ -371,22 +379,13 @@ class RunConfig:
 _NUMBERS = {k: t for k, t in get_type_hints(RunConfig).items() if t in (int, float)}
 
 
-def load_run_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
-    return run_config_from_dict(raw)
-
-
 def run_config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
     if not isinstance(raw, Mapping):
         raise ValueError("run config must be a key/value mapping")
     keys = fields(RunConfig)
     unknown = set(raw) - {f.name for f in keys}
     if unknown:
-        raise ValueError(f"unknown run config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown run config keys: {brief(sorted(unknown))}")
     required = {
         f.name for f in keys if f.default is MISSING and f.default_factory is MISSING
     }

@@ -554,7 +554,7 @@ class TestManifestValues:
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps({"kind": "synthetic", key: value}))
         assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
-        ceiling = cli.MANIFEST_CEILINGS[key]
+        ceiling = cli.MANIFEST_RULES["synthetic"][key][3]
         message = f"data error: synthetic dataset manifest key {key!r} is above {ceiling}"
         assert message in capsys.readouterr().err
 
@@ -687,12 +687,14 @@ class TestOracle:
         # the three relu configurations
         assert fronts == {(256, "relu"), (100, "relu"), (32, "relu")}
 
-    def test_cap_exceeded_is_usage_error(self, tmp_path):
+    def test_cap_exceeded_is_usage_error(self, tmp_path, capsys):
         code = cli.main(
             ["oracle", "--objective", "sphere_proxy", "--cap", "2",
              "--output", str(tmp_path / "front.txt")]
         )
         assert code == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: space cardinality 7717500 exceeds cap 2\n"
 
     def test_negative_top_k_is_usage_error(self, tmp_path):
         out = tmp_path / "front.txt"

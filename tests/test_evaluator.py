@@ -333,6 +333,31 @@ class TestEvaluationCache:
         with pytest.raises(DataError, match=":1: malformed"):
             EvaluationCache(str(path))
 
+    @pytest.mark.parametrize(
+        "objectives",
+        ['"error_rate": "0.5", "flops": 7', '"error_rate": true, "flops": 7',
+         '"error_rate": 0.5, "flops": 1.9', '"error_rate": 0.5, "flops": "7"',
+         '"error_rate": 0.5, "flops": false'],
+        ids=["rate-text", "rate-bool", "flops-fraction", "flops-text", "flops-bool"],
+    )
+    def test_objective_of_a_wrong_json_type_is_a_data_error(self, tmp_path, objectives):
+        from annealtune.corpus import DataError
+
+        path = tmp_path / "cache.jsonl"
+        # a good line after the bad one: a malformed last line is dropped as torn
+        path.write_text(
+            f'{{"key": "a", {objectives}}}\n{{"key": "b", "error_rate": 0.5, "flops": 7}}\n'
+        )
+        with pytest.raises(DataError, match=":1: malformed"):
+            EvaluationCache(str(path))
+
+    def test_integral_error_rate_is_a_number(self, tmp_path):
+        from annealtune.pareto import ObjectiveVector
+
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"key": "a", "error_rate": 1, "flops": 7}\n')
+        assert EvaluationCache(str(path)).get("a") == ObjectiveVector(1.0, 7)
+
 
 def small_textcnn_space(**overrides):
     values = {
