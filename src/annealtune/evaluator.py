@@ -188,7 +188,7 @@ def _parse_record(line: bytes) -> tuple[str, ObjectiveVector] | None:
         key, rate, flops = record["key"], record["error_rate"], record["flops"]
         if type(key) is str and type(rate) in (int, float) and type(flops) is int:
             return key, ObjectiveVector(rate, flops)
-    except (ValueError, KeyError, TypeError, RecursionError):
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
         pass
     return None
 

@@ -33,11 +33,11 @@ DISPLAY_LABELS = {
 }
 
 
-def brief(value: Any, limit: int = 60) -> str:
-    """``repr(value)``, cut to ``limit`` characters: how an error message
-    echoes a value read from outside, however long or deeply nested."""
+def brief(value: Any) -> str:
+    """``repr(value)``, cut to 60 characters: how an error message echoes a
+    value read from outside, however long or deeply nested."""
     text = repr(value)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def canonical_value(raw: Any) -> Value:

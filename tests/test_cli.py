@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 from helpers import trace_line
+from test_input_errors import DEEP_JSON, TOP1_SETS
 
 import annealtune.cli as cli
 from annealtune.annealer import CalibrationError, StepRecord
@@ -40,22 +41,6 @@ def write_run_config(path, **overrides):
     raw.update(overrides)
     path.write_text(json.dumps(raw))
     return str(path)
-
-
-#: JSON nested deeper than the decoder recurses
-DEEP_JSON = "[" * 100_000
-
-TOP1_SETS = [
-    "--set", "kernel_count_w3=100",
-    "--set", "kernel_count_w4=64",
-    "--set", "kernel_count_w5=32",
-    "--set", "conv_dropout=0.4",
-    "--set", "fc_units=64",
-    "--set", "fc_dropout=0.4",
-    "--set", "activation=tanh",
-    "--set", "learning_rate=0.002",
-    "--set", "batch_size=64",
-]
 
 
 class TestPlan:

@@ -337,8 +337,11 @@ class TestEvaluationCache:
         "objectives",
         ['"error_rate": "0.5", "flops": 7', '"error_rate": true, "flops": 7',
          '"error_rate": 0.5, "flops": 1.9', '"error_rate": 0.5, "flops": "7"',
-         '"error_rate": 0.5, "flops": false'],
-        ids=["rate-text", "rate-bool", "flops-fraction", "flops-text", "flops-bool"],
+         '"error_rate": 0.5, "flops": false',
+         # an integer JSON reads that no float holds
+         '"error_rate": 1' + "0" * 400 + ', "flops": 7'],
+        ids=["rate-text", "rate-bool", "flops-fraction", "flops-text", "flops-bool",
+             "rate-beyond-float"],
     )
     def test_objective_of_a_wrong_json_type_is_a_data_error(self, tmp_path, objectives):
         from annealtune.corpus import DataError

@@ -16,7 +16,7 @@ DEEP_JSON = "[" * 100_000
 #: characters
 DEEP_LIST = "[" * 500 + "]" * 500
 
-SETS = [
+TOP1_SETS = [
     "--set", "kernel_count_w3=100",
     "--set", "kernel_count_w4=64",
     "--set", "kernel_count_w5=32",
@@ -31,7 +31,7 @@ SETS = [
 #: the command lines that read a run config, a dataset manifest or a space
 #: restriction from {path} and would write {out}
 TUNE = ["tune", "--config", "{path}", "--output-dir", "{out}"]
-EVAL = ["eval", *SETS, "--flops-only", "--corpus", "{path}"]
+EVAL = ["eval", *TOP1_SETS, "--flops-only", "--corpus", "{path}"]
 ORACLE = ["oracle", "--objective", "sphere_proxy", "--space", "{path}",
           "--output", "{out}"]
 
