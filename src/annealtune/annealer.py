@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .evaluator import ObjectiveEvaluator
 from .pareto import (
@@ -271,15 +272,19 @@ def step(
 @dataclass
 class RunResult:
     archive: ParetoArchive
-    trace: list[StepRecord]
     calibration: CalibrationReport
     schedule: AnnealingSchedule
     stop_reason: str
     evaluations: int
 
 
-def run(run_config: RunConfig, evaluator: ObjectiveEvaluator) -> RunResult:
-    """Full tuning run: calibrate, plan, anneal, return the archive.
+def run(
+    run_config: RunConfig,
+    evaluator: ObjectiveEvaluator,
+    on_step: Callable[[StepRecord], object],
+) -> RunResult:
+    """Full tuning run: calibrate, plan, anneal, return the archive; hand
+    ``on_step`` each step's record as the step ends, iteration 1's first.
 
     The calibration walk's starting point doubles as the initial solution
     (evaluation 1 of the budget), so total evaluator calls stay within
@@ -314,7 +319,7 @@ def run(run_config: RunConfig, evaluator: ObjectiveEvaluator) -> RunResult:
         rng=rng,
     )
     action = archive.insert(ArchiveEntry(start, start_objectives, 1))
-    trace = [
+    on_step(
         StepRecord(
             iteration=1,
             temperature=state.temperature,
@@ -327,7 +332,7 @@ def run(run_config: RunConfig, evaluator: ObjectiveEvaluator) -> RunResult:
             accepted=True,
             archive_action=action,
         )
-    ]
+    )
 
     best_error = archive.best_error_rate()
     stagnant = 0
@@ -337,7 +342,7 @@ def run(run_config: RunConfig, evaluator: ObjectiveEvaluator) -> RunResult:
             if state.iteration >= run_config.iteration_budget:
                 stop_reason = "budget"
                 break
-            trace.append(step(state, schedule, archive, evaluator))
+            on_step(step(state, schedule, archive, evaluator))
         if stop_reason is not None:
             break
         state.temperature = cool(state.temperature, run_config.cooling_rate)
@@ -361,7 +366,6 @@ def run(run_config: RunConfig, evaluator: ObjectiveEvaluator) -> RunResult:
         stop_reason = "schedule"
     return RunResult(
         archive=archive,
-        trace=trace,
         calibration=calibration,
         schedule=schedule,
         stop_reason=stop_reason,

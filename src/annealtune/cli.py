@@ -10,15 +10,15 @@ leave partial outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import json
 import os
 import sys
-import tempfile
 from typing import Any, Sequence
 
-from .annealer import CalibrationError, RunResult, plan_schedule, run
+from .annealer import CalibrationError, RunResult, StepRecord, plan_schedule, run
 from .corpus import (
     CvPolicy,
     DataError,
@@ -93,12 +93,13 @@ def _rates(text: str) -> list[float]:
 
 def _atomic_write(path: str, content: str) -> str:
     """Write ``content`` to a new temp file beside ``path`` and return its
-    name: _write_files's first step for each file."""
+    name: _write_files's first step for each file. ``open`` makes the temp,
+    so it gets the mode any new file gets, 0666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(content)
     except BaseException:
         os.unlink(tmp)
@@ -106,27 +107,44 @@ def _atomic_write(path: str, content: str) -> str:
     return tmp
 
 
-def _write_files(files: dict[str, str]) -> list[str]:
-    """Write every path -> content or none: all temp files first, then, if no
-    path is a directory, one rename each. A failure removes the temp files
-    and is a usage error; one before the renames leaves every existing file
-    untouched. Returns the paths."""
-    temps: list[str] = []
+@contextlib.contextmanager
+def _write_files(paths: Sequence[str]):
+    """Write every one of ``paths``, which share a directory, or none. The
+    block runs once no path is a directory and the directory exists; its
+    ``write(path, content)`` starts the path's temp file and returns its name.
+    After the block each temp replaces its path. A failure, an interruption
+    included, removes the temps and the directories made for them; an
+    OSError is a usage error naming the path being written."""
+    temps: dict[str, str] = {}
+    directory = os.path.dirname(os.path.abspath(paths[0]))
+    missing = []  # the directories makedirs makes below, deepest first
+    while not os.path.exists(directory):
+        missing.append(directory)
+        directory = os.path.dirname(directory)
+
+    def write(target: str, content: str) -> str:
+        nonlocal path
+        path = target
+        temps[path] = _atomic_write(path, content)
+        return temps[path]
+
     try:
-        for path, content in files.items():
-            temps.append(_atomic_write(path, content))
-        for path in files:
+        for path in paths:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        for path, tmp in zip(files, temps):
-            os.replace(tmp, path)
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        yield write
+        for path in paths:
+            os.replace(temps.pop(path), path)
+        missing.clear()
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     finally:
-        for tmp in temps:
-            if os.path.exists(tmp):  # not renamed
-                os.unlink(tmp)
-    return list(files)
+        for tmp in temps.values():  # not renamed
+            os.unlink(tmp)
+        with contextlib.suppress(OSError):
+            for directory in missing:
+                os.rmdir(directory)
 
 
 def _format_table(rows: list[list[str]]) -> str:
@@ -195,55 +213,35 @@ def archive_json(
     return json.dumps(payload, indent=2) + "\n"
 
 
-class _Memo(dict):
-    """key -> ``build(key)``, built on the key's first lookup, so that a hit
-    is a plain dict lookup."""
-
-    def __init__(self, build) -> None:
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        text = self[key] = self.build(key)
-        return text
+#: trace.jsonl's first line
+TRACE_HEADER = json.dumps({"format_version": FORMAT_VERSION, "kind": "trace"}) + "\n"
 
 
-class _FloatTexts(dict):
-    """float -> its repr, which is what json.dumps writes for a finite float.
-    Zeros are not stored: 0.0 and -0.0 are one dict key with two texts."""
-
-    def __missing__(self, x: float) -> str:
-        text = float.__repr__(x)
-        if x:
-            self[x] = text
-        return text
+@functools.cache
+def _fragment(item: tuple[str, Any]) -> str:
+    """A configuration item's ``"name": value`` text. Values are ints or
+    strings (``canonical_value``), so the cache holds one text per domain
+    value met."""
+    return json.dumps(item[0]) + ": " + json.dumps(item[1])
 
 
-def trace_jsonl(result: RunResult) -> str:
-    """The trace format: a header line, then one line per step, each the
-    text ``json.dumps`` writes for the step's object. Floats, ``"name":
-    value`` fragments and configurations repeat from line to line, so their
-    texts are memoized over the trace. A configuration's text is keyed by
-    its items: values are ints or strings (``canonical_value``), so the
-    items alone fix the text."""
-    r = _FloatTexts().__getitem__
-    fragment = _Memo(lambda item: json.dumps(item[0]) + ": " + json.dumps(item[1]))
-    texts = _Memo(lambda items: "{" + ", ".join(map(fragment.__getitem__, items)) + "}")
-    c = texts.__getitem__
-    lines = [json.dumps({"format_version": FORMAT_VERSION, "kind": "trace"})]
-    for s in result.trace:
-        cur, cand = s.current_objectives, s.candidate_objectives
-        lines.append(
-            f'{{"iteration": {s.iteration}, "temperature": {r(s.temperature)}, '
-            f'"current": {c(s.current_config.items)}, '
-            f'"current_objectives": [{r(cur.error_rate)}, {cur.flops}], '
-            f'"candidate": {c(s.candidate_config.items)}, '
-            f'"candidate_objectives": [{r(cand.error_rate)}, {cand.flops}], '
-            f'"delta_f": {r(s.delta_f)}, "probability": {r(s.probability)}, '
-            f'"accepted": {"true" if s.accepted else "false"}, '
-            f'"archive": "{s.archive_action.value}"}}'
-        )
-    return "\n".join(lines) + "\n"
+def trace_jsonl(s: StepRecord) -> str:
+    """One step's line of the trace format, newline included: the text
+    ``json.dumps`` writes for the step's object, whose finite floats it
+    writes as their repr. The format's first line is TRACE_HEADER."""
+    cur, cand = s.current_objectives, s.candidate_objectives
+    current = ", ".join(map(_fragment, s.current_config.items))
+    candidate = ", ".join(map(_fragment, s.candidate_config.items))
+    return (
+        f'{{"iteration": {s.iteration}, "temperature": {s.temperature!r}, '
+        f'"current": {{{current}}}, '
+        f'"current_objectives": [{cur.error_rate!r}, {cur.flops}], '
+        f'"candidate": {{{candidate}}}, '
+        f'"candidate_objectives": [{cand.error_rate!r}, {cand.flops}], '
+        f'"delta_f": {s.delta_f!r}, "probability": {s.probability!r}, '
+        f'"accepted": {"true" if s.accepted else "false"}, '
+        f'"archive": "{s.archive_action.value}"}}\n'
+    )
 
 
 def calibration_json(result: RunResult) -> str:
@@ -431,25 +429,21 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_run_outputs(
-    result: RunResult, front: list, config: RunConfig, out_dir: str, top_k: int
-) -> list[str]:
-    meta = {"objective_kind": config.objective_kind, "seed_number": config.seed_number}
-    files = {
-        "archive.txt": archive_text(front, config.space, top_k),
-        "archive.json": archive_json(front, top_k, meta),
-        "trace.jsonl": trace_jsonl(result),
-        "calibration.json": calibration_json(result),
-    }
-    return _write_files({os.path.join(out_dir, n): text for n, text in files.items()})
-
-
 def cmd_tune(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     evaluator = build_evaluator(config, cache_path=args.cache)
-    result = run(config, evaluator)
-    front = result.archive.front()
-    written = _write_run_outputs(result, front, config, args.output_dir, args.top_k)
+    names = ("archive.txt", "archive.json", "trace.jsonl", "calibration.json")
+    paths = [os.path.join(args.output_dir, name) for name in names]
+    txt_path, json_path, trace_path, calibration_path = paths
+    meta = {"objective_kind": config.objective_kind, "seed_number": config.seed_number}
+    with _write_files(paths) as write:
+        # each step's line goes to the trace temp as the step ends
+        with open(write(trace_path, TRACE_HEADER), "a", encoding="utf-8") as trace:
+            result = run(config, evaluator, lambda s: trace.write(trace_jsonl(s)))
+        front = result.archive.front()
+        write(txt_path, archive_text(front, config.space, args.top_k))
+        write(json_path, archive_json(front, args.top_k, meta))
+        write(calibration_path, calibration_json(result))
     best = front[0]
     print(f"stop reason: {result.stop_reason}; evaluations: {result.evaluations}")
     print(f"archive size: {len(front)}")
@@ -457,7 +451,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         f"best: error_rate={best.objectives.error_rate!r} "
         f"flops={best.objectives.flops} config={best.config.as_dict()}"
     )
-    for path in written:
+    for path in paths:
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -517,6 +511,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    json_path = os.path.splitext(args.output)[0] + ".json"
+    if json_path == args.output:
+        raise UsageError("--output ends in .json, the name of the JSON front")
     space = default_search_space()
     if args.space:
         try:
@@ -534,16 +531,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     evaluator = SyntheticEvaluator(space=space, name=args.objective)
-    archive = ParetoArchive()
-    for config in configs:
-        archive.insert(ArchiveEntry(config, evaluator.evaluate(config), 0))
-    entries = archive.front()
-    meta = {"objective_kind": SYNTHETIC_PREFIX + args.objective, "cap": args.cap}
-    json_path = os.path.splitext(args.output)[0] + ".json"
-    _write_files({
-        args.output: archive_text(entries, space, args.top_k),
-        json_path: archive_json(entries, args.top_k, meta),
-    })
+    with _write_files([args.output, json_path]) as write:
+        archive = ParetoArchive()
+        for config in configs:
+            archive.insert(ArchiveEntry(config, evaluator.evaluate(config), 0))
+        entries = archive.front()
+        meta = {"objective_kind": SYNTHETIC_PREFIX + args.objective, "cap": args.cap}
+        write(args.output, archive_text(entries, space, args.top_k))
+        write(json_path, archive_json(entries, args.top_k, meta))
     print(f"evaluated {space.cardinality()} configurations; front size {len(entries)}")
     print(f"wrote {args.output}")
     return EXIT_OK

@@ -62,7 +62,7 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 
 def trace_line(record) -> str:
     """What ``json.dumps`` writes for a StepRecord's trace object; the
-    oracle for each line ``cli.trace_jsonl`` writes after its header."""
+    oracle for the line ``cli.trace_jsonl`` writes for the record."""
     return json.dumps({
         "iteration": record.iteration,
         "temperature": record.temperature,

@@ -131,7 +131,7 @@ def test_criterion_5_full_loop_oracle_equivalence():
             objective_kind="synthetic:sphere_proxy",
             space=space,
         )
-        result = run(config, evaluator)
+        result = run(config, evaluator, lambda record: None)
         got = {(e.config, e.objectives) for e in result.archive.entries}
         equal += got == exhaustive
         subset += got <= exhaustive

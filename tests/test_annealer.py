@@ -329,9 +329,10 @@ class TestRun:
         space = restricted_space(**SIXTEEN)
         evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
         config = sphere_run_config(space, seed=2, cooling=0.95)
-        result = run(config, evaluator)
-        assert result.trace[-1].iteration <= 250
-        distinct_temperatures = {r.temperature for r in result.trace}
+        trace = []
+        result = run(config, evaluator, trace.append)
+        assert trace[-1].iteration <= 250
+        distinct_temperatures = {r.temperature for r in trace}
         assert len(distinct_temperatures) <= 31
         assert result.schedule.outer_steps == 31
 
@@ -342,14 +343,15 @@ class TestRun:
         counting = StubEvaluator(space=space, fn=evaluator.evaluate,
                                  flops_max=evaluator.flops_max)
         config = sphere_run_config(space, seed=3)
-        result = run(config, counting)
+        result = run(config, counting, lambda record: None)
         assert counting.calls <= config.iteration_budget + config.probe_count
         assert result.evaluations == counting.calls
 
     def test_archive_equals_exhaustive_front_on_sixteen_configs(self):
         space = restricted_space(**SIXTEEN)
         evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
-        result = run(sphere_run_config(space, seed=40), evaluator)
+        config = sphere_run_config(space, seed=40)
+        result = run(config, evaluator, lambda record: None)
         exhaustive = brute_force_front(
             [(c, evaluator.evaluate(c)) for c in enumerate_space(space, 100)]
         )
@@ -359,10 +361,9 @@ class TestRun:
     def test_archive_equals_front_of_trace_candidates(self):
         space = restricted_space(**SIXTEEN)
         evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
-        result = run(sphere_run_config(space, seed=5), evaluator)
-        offered = [
-            (r.candidate_config, r.candidate_objectives) for r in result.trace
-        ]
+        trace = []
+        result = run(sphere_run_config(space, seed=5), evaluator, trace.append)
+        offered = [(r.candidate_config, r.candidate_objectives) for r in trace]
         assert {(e.config, e.objectives) for e in result.archive.entries} == (
             brute_force_front(offered)
         )
@@ -370,16 +371,18 @@ class TestRun:
     def test_improving_steps_never_rejected(self):
         space = restricted_space(**SIXTEEN)
         evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
-        result = run(sphere_run_config(space, seed=6), evaluator)
-        assert not any(r.delta_f < 0 and not r.accepted for r in result.trace)
+        trace = []
+        run(sphere_run_config(space, seed=6), evaluator, trace.append)
+        assert not any(r.delta_f < 0 and not r.accepted for r in trace)
 
     def test_temperature_sequence_geometric(self):
         space = restricted_space(**SIXTEEN)
         evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
         config = sphere_run_config(space, seed=7)
-        result = run(config, evaluator)
+        trace = []
+        result = run(config, evaluator, trace.append)
         temperatures = []
-        for record in result.trace:
+        for record in trace:
             if not temperatures or record.temperature != temperatures[-1]:
                 temperatures.append(record.temperature)
         for prev, nxt in zip(temperatures, temperatures[1:]):
@@ -389,9 +392,10 @@ class TestRun:
     def test_same_seed_identical_traces(self):
         space = restricted_space(**SIXTEEN)
         evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
-        r1 = run(sphere_run_config(space, seed=40), evaluator)
-        r2 = run(sphere_run_config(space, seed=40), evaluator)
-        assert r1.trace == r2.trace
+        t1, t2 = [], []
+        r1 = run(sphere_run_config(space, seed=40), evaluator, t1.append)
+        r2 = run(sphere_run_config(space, seed=40), evaluator, t2.append)
+        assert t1 == t2
         assert r1.archive.entries == r2.archive.entries
 
     def test_calibration_failure_propagates(self):
@@ -399,13 +403,14 @@ class TestRun:
         flat = StubEvaluator(space=space, fn=lambda c: ObjectiveVector(0.5, 10))
         config = sphere_run_config(space, seed=1)
         with pytest.raises(CalibrationError):
-            run(config, flat)
+            run(config, flat, lambda record: None)
 
     def test_tiny_budget_stops_on_budget(self):
         # budget 3 exhausts before the stagnation window (3 outer steps) can
         space = restricted_space(**SIXTEEN)
         evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
         config = sphere_run_config(space, seed=8, budget=3, cooling=0.95)
-        result = run(config, evaluator)
+        trace = []
+        result = run(config, evaluator, trace.append)
         assert result.stop_reason == "budget"
-        assert result.trace[-1].iteration == 3
+        assert trace[-1].iteration == 3

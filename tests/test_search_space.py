@@ -1,5 +1,4 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 from helpers import trace_line
@@ -201,7 +200,7 @@ def test_neighbor_always_valid_and_adjacent(data):
 
 
 def assert_trace_writes(configs):
-    """One ``cli.trace_jsonl`` trace stepping from each configuration to the
+    """``cli.trace_jsonl``'s lines for steps from each configuration to the
     next: every line, configurations included, is what json.dumps writes."""
     objectives = ObjectiveVector(0.5, 7)
     records = [
@@ -209,8 +208,7 @@ def assert_trace_writes(configs):
                    True, ArchiveAction.ADDED)
         for i, (current, candidate) in enumerate(zip(configs, configs[1:]), 1)
     ]
-    lines = trace_jsonl(SimpleNamespace(trace=records)).splitlines()
-    assert lines[1:] == [trace_line(r) for r in records]
+    assert [trace_jsonl(r) for r in records] == [trace_line(r) + "\n" for r in records]
 
 
 #: text with JSON's escapes: quotes, backslashes, control characters and
