@@ -60,7 +60,7 @@ class AnnealingSchedule:
 
     @property
     def outer_steps(self) -> int:
-        """Temperature steps the executor actually runs."""
+        """Coolings that bring t_init to t_final or below."""
         return math.ceil(self.outer_iterations)
 
     @property
@@ -194,15 +194,6 @@ def calibrate_initial_temperature(
     )
 
 
-@dataclass
-class AnnealerState:
-    current: Configuration
-    current_objectives: ObjectiveVector
-    temperature: float
-    iteration: int
-    rng: random.Random
-
-
 @dataclass(slots=True)
 class StepRecord:
     """One annealing step, as its trace line reports it. Nothing mutates a
@@ -222,40 +213,35 @@ class StepRecord:
 
 
 def step(
-    state: AnnealerState,
-    schedule: AnnealingSchedule,
+    current: Configuration,
+    current_objectives: ObjectiveVector,
+    temperature: float,
+    iteration: int,
     archive: ParetoArchive,
     evaluator: ObjectiveEvaluator,
+    rng: random.Random,
 ) -> StepRecord:
-    """One annealing move: propose a neighbor, evaluate, offer to the
-    archive, and accept or reject by the Metropolis rule.
+    """Annealing step ``iteration`` from ``current`` at ``temperature``:
+    propose a neighbor, evaluate it, offer it to the archive, and accept or
+    reject it by the Metropolis rule. Changes nothing but the archive and
+    ``rng``; the caller moves to the candidate when the record says accepted.
 
-    The acceptance uniform is drawn only for deteriorating candidates, so an
-    evaluator failure leaves the state untouched (the evaluation happens
-    before any mutation).
+    The acceptance uniform is drawn only for deteriorating candidates, and
+    the evaluation comes before the archive insert, so an evaluator failure
+    leaves the archive untouched.
     """
-    if state.iteration >= schedule.iteration_budget:
-        raise ValueError("iteration budget exhausted")
-    if state.temperature < schedule.t_final:
-        raise ValueError("temperature below the final temperature")
-    before = state.current
-    candidate = neighbor(state.current, evaluator.space, state.rng)
+    candidate = neighbor(current, evaluator.space, rng)
     candidate_objectives = evaluator.evaluate(candidate)
     delta_f = scalar_deterioration(
-        state.current_objectives, candidate_objectives, evaluator.flops_max
+        current_objectives, candidate_objectives, evaluator.flops_max
     )
-    accepted, probability = metropolis_accepts(
-        delta_f, state.temperature, state.rng
-    )
-    state.iteration += 1
-    action = archive.insert(
-        ArchiveEntry(candidate, candidate_objectives, state.iteration)
-    )
-    record = StepRecord(
-        iteration=state.iteration,
-        temperature=state.temperature,
-        current_config=before,
-        current_objectives=state.current_objectives,
+    accepted, probability = metropolis_accepts(delta_f, temperature, rng)
+    action = archive.insert(ArchiveEntry(candidate, candidate_objectives, iteration))
+    return StepRecord(
+        iteration=iteration,
+        temperature=temperature,
+        current_config=current,
+        current_objectives=current_objectives,
         candidate_config=candidate,
         candidate_objectives=candidate_objectives,
         delta_f=delta_f,
@@ -263,10 +249,6 @@ def step(
         accepted=accepted,
         archive_action=action,
     )
-    if accepted:
-        state.current = candidate
-        state.current_objectives = candidate_objectives
-    return record
 
 
 @dataclass
@@ -289,7 +271,7 @@ def run(
     The calibration walk's starting point doubles as the initial solution
     (evaluation 1 of the budget), so total evaluator calls stay within
     iteration_budget + probe_count. Stops on budget exhaustion, on cooling
-    past t_final, or when the best archived error rate stagnates for
+    to t_final or below, or when the best archived error rate stagnates for
     STAGNATION_OUTER_STEPS consecutive outer steps.
     """
     if not evaluator.space.mutable:
@@ -308,25 +290,20 @@ def run(
         run_config.cooling_rate,
         run_config.iteration_budget,
     )
-    start, start_objectives = calibration.start, calibration.start_objectives
+    current, current_objectives = calibration.start, calibration.start_objectives
+    temperature = schedule.t_init
     archive = ParetoArchive()
     # the reused calibration start is evaluation 1 of the budget
-    state = AnnealerState(
-        current=start,
-        current_objectives=start_objectives,
-        temperature=schedule.t_init,
-        iteration=1,
-        rng=rng,
-    )
-    action = archive.insert(ArchiveEntry(start, start_objectives, 1))
+    iteration = 1
+    action = archive.insert(ArchiveEntry(current, current_objectives, iteration))
     on_step(
         StepRecord(
-            iteration=1,
-            temperature=state.temperature,
-            current_config=start,
-            current_objectives=start_objectives,
-            candidate_config=start,
-            candidate_objectives=start_objectives,
+            iteration=iteration,
+            temperature=temperature,
+            current_config=current,
+            current_objectives=current_objectives,
+            candidate_config=current,
+            candidate_objectives=current_objectives,
             delta_f=0.0,
             probability=1.0,
             accepted=True,
@@ -336,17 +313,24 @@ def run(
 
     best_error = archive.best_error_rate()
     stagnant = 0
-    stop_reason: str | None = None
-    for _outer in range(schedule.outer_steps):
-        for _inner in range(schedule.inner_steps):
-            if state.iteration >= run_config.iteration_budget:
-                stop_reason = "budget"
-                break
-            on_step(step(state, schedule, archive, evaluator))
-        if stop_reason is not None:
+    while True:
+        # an outer step the budget cuts short ends the run
+        steps = min(schedule.inner_steps, run_config.iteration_budget - iteration)
+        for _inner in range(steps):
+            iteration += 1
+            record = step(
+                current, current_objectives, temperature, iteration,
+                archive, evaluator, rng,
+            )
+            on_step(record)
+            if record.accepted:
+                current = record.candidate_config
+                current_objectives = record.candidate_objectives
+        if steps < schedule.inner_steps:
+            stop_reason = "budget"
             break
-        state.temperature = cool(state.temperature, run_config.cooling_rate)
-        if state.temperature < schedule.t_final:
+        temperature = cool(temperature, run_config.cooling_rate)
+        if temperature <= schedule.t_final:
             stop_reason = "temperature"
             break
         new_best = archive.best_error_rate()
@@ -360,14 +344,11 @@ def run(
                 break
         if rng.random() < RETURN_TO_BASE_PROBABILITY:
             base = rng.choice(archive.entries)
-            state.current = base.config
-            state.current_objectives = base.objectives
-    if stop_reason is None:
-        stop_reason = "schedule"
+            current, current_objectives = base.config, base.objectives
     return RunResult(
         archive=archive,
         calibration=calibration,
         schedule=schedule,
         stop_reason=stop_reason,
-        evaluations=run_config.probe_count + state.iteration,  # start shared
+        evaluations=run_config.probe_count + iteration,  # start shared
     )

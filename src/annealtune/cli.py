@@ -45,6 +45,7 @@ from .search_space import (
     DISPLAY_LABELS,
     SYNTHETIC_NAMES,
     SYNTHETIC_PREFIX,
+    WINDOWS,
     Configuration,
     RunConfig,
     SearchSpace,
@@ -480,17 +481,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     space = default_search_space()
     config = _config_from_sets(space, args.set or [])
     sentence_length, class_count = args.sentence_length, args.class_count
-    try:
-        if args.corpus or not args.flops_only:  # the corpus sets the shape
-            corpus = prepare_corpus(args.corpus, args.ratio_init, args.seed)
-            sentence_length, class_count = corpus.sentence_length, corpus.class_count
-        breakdown = estimate_flops(
-            config, sentence_length, args.embedding_dim, class_count
-        )
-    except DataError:
-        raise
-    except ValueError as exc:  # e.g. a sentence shorter than the widest window
-        raise UsageError(str(exc)) from None
+    if args.corpus or not args.flops_only:  # the corpus sets the shape
+        corpus = prepare_corpus(args.corpus, args.ratio_init, args.seed)
+        sentence_length, class_count = corpus.sentence_length, corpus.class_count
+    breakdown = estimate_flops(config, sentence_length, args.embedding_dim, class_count)
     print(f"flops breakdown: conv={list(breakdown.conv_flops)} "
           f"fc={breakdown.fc_flops} total={breakdown.total}")
     if args.flops_only:
@@ -586,8 +580,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--max-epochs", type=rule("max_epochs"), default=RunConfig.max_epochs
     )
-    p_eval.add_argument(
-        "--sentence-length", type=number(int, 1), default=SYNTHETIC_SENTENCE_LENGTH
+    p_eval.add_argument(  # no shorter than the widest convolution window
+        "--sentence-length",
+        type=number(int, max(WINDOWS)),
+        default=SYNTHETIC_SENTENCE_LENGTH,
     )
     p_eval.add_argument(
         "--embedding-dim", type=rule("embedding_dim"), default=RunConfig.embedding_dim

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .search_space import brief
+from .search_space import WINDOWS, brief
 
 if TYPE_CHECKING:
     import numpy as np
@@ -263,7 +263,8 @@ def make_splits(
                 vocab[token] = len(vocab)
 
     train_lengths = [len(s.tokens) for s in train]
-    sentence_length = max(5, int(np.ceil(np.percentile(train_lengths, 95))))
+    # no shorter than the widest convolution window
+    sentence_length = max(max(WINDOWS), int(np.ceil(np.percentile(train_lengths, 95))))
 
     train_ids, train_labels = _encode(train, vocab, sentence_length)
     val_ids, val_labels = _encode(validation, vocab, sentence_length)

@@ -200,19 +200,24 @@ class EvaluationCache:
     training it already finished. Each record is appended as one line, so an
     interruption can only tear the last line: loading drops it and truncates
     the file before it. A malformed line anywhere else is a DataError, and
-    so is a path that cannot be opened for appending (a missing directory,
-    a directory): that fails here, before any training is spent on it.
+    so is a path that cannot be appended to (a missing directory, a
+    directory): that fails here, before any training is spent on it, and
+    again on any later append that fails.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
         self._memory: dict[str, ObjectiveVector] = {}
         if path is not None:
-            try:
-                open(path, "ab").close()
-            except OSError as exc:
-                raise DataError(f"evaluation cache {path}: {exc.strerror}") from None
+            self._append("")
             self._load(path)
+
+    def _append(self, text: str) -> None:
+        try:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DataError(f"evaluation cache {self.path}: {exc.strerror}") from None
 
     def _load(self, path: str) -> None:
         with open(path, "rb") as fh:
@@ -237,8 +242,7 @@ class EvaluationCache:
         self._memory[key] = value
         if self.path is not None:
             record = {"key": key, "error_rate": value.error_rate, "flops": value.flops}
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record) + "\n")
+            self._append(json.dumps(record) + "\n")
 
 
 def _corpus_fingerprint(corpus: PreparedCorpus) -> str:
@@ -338,11 +342,19 @@ class TextCnnEvaluator:
         )
         digest = hashlib.sha256(payload.encode()).hexdigest()
         key = hashlib.sha256(f"{self._context}:{digest}".encode()).hexdigest()
+        corpus = self.corpus
+        flops = estimate_flops(
+            config, corpus.sentence_length, self.embedding_dim, corpus.class_count
+        ).total
         cached = self.cache.get(key)
         if cached is not None:
+            if cached.flops != flops:
+                raise DataError(
+                    f"evaluation cache {self.cache.path}: {cached.flops} flops "
+                    f"recorded for a configuration of {flops}"
+                )
             return cached
         _keep_freed_heap()
-        corpus = self.corpus
         # per-(config, seed) stream so re-evaluations replay identically
         model_seed = int(digest[:16], 16)
         model = textcnn.init_model(
@@ -374,9 +386,6 @@ class TextCnnEvaluator:
             raise DivergenceError(f"{exc} (config {dict(config.items)})") from exc
         self.trainings += 1
         best_acc = max(history)
-        flops = estimate_flops(
-            config, corpus.sentence_length, self.embedding_dim, corpus.class_count
-        ).total
         result = ObjectiveVector(error_rate=1.0 - best_acc, flops=flops)
         self.cache.put(key, result)
         return result

@@ -19,7 +19,7 @@ class ObjectiveVector:
     flops: int
 
     def __post_init__(self) -> None:
-        # normalize numpy scalars so serialized traces stay plain JSON
+        # the declared types: a cache line's error rate may be a JSON integer
         object.__setattr__(self, "error_rate", float(self.error_rate))
         object.__setattr__(self, "flops", int(self.flops))
         if not 0.0 <= self.error_rate <= 1.0:

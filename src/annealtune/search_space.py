@@ -21,9 +21,7 @@ WINDOWS = (3, 4, 5)
 
 #: display labels used by the archive/top-k exports
 DISPLAY_LABELS = {
-    "kernel_count_w3": "filter num of win 3",
-    "kernel_count_w4": "filter num of win 4",
-    "kernel_count_w5": "filter num of win 5",
+    **{f"kernel_count_w{w}": f"filter num of win {w}" for w in WINDOWS},
     "conv_dropout": "Dropout Rate (conv)",
     "fc_units": "unit num of fc",
     "fc_dropout": "Dropout Rate (fc)",
@@ -220,9 +218,7 @@ def default_search_space() -> SearchSpace:
     dropout = ("0.1", "0.2", "0.3", "0.4", "0.5")
     return SearchSpace(
         (
-            ParamDomain("kernel_count_w3", kernel_counts),
-            ParamDomain("kernel_count_w4", kernel_counts),
-            ParamDomain("kernel_count_w5", kernel_counts),
+            *(ParamDomain(f"kernel_count_w{w}", kernel_counts) for w in WINDOWS),
             ParamDomain("conv_dropout", dropout),
             ParamDomain("fc_units", (16, 32, 64, 128, 256, 512)),
             ParamDomain("fc_dropout", dropout),

@@ -1,15 +1,13 @@
 """Shared test oracles and builders: finite-difference gradients,
 comparison metrics, trace lines, and evaluators with the run
-configuration's defaults."""
+configuration's defaults. numpy and the text CNN are imported only by the
+helpers that use them, so numpy-free tests can import this module."""
 
 import json
 from dataclasses import fields
 
-import numpy as np
-
 from annealtune.evaluator import TextCnnEvaluator
 from annealtune.search_space import RunConfig
-from annealtune.textcnn import forward, loss
 
 #: RunConfig's field defaults (MISSING for required fields)
 RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
@@ -33,6 +31,9 @@ def finite_difference_gradients(model, ids, labels, mask_seed, eps=1e-4):
     """Central differences of a (B, n) batch's summed loss over every
     parameter, replaying identical dropout masks through a reseeded
     generator."""
+    import numpy as np
+
+    from annealtune.textcnn import forward, loss
 
     def loss_at() -> float:
         rng = np.random.default_rng(mask_seed)
@@ -55,7 +56,9 @@ def finite_difference_gradients(model, ids, labels, mask_seed, eps=1e-4):
     return grads
 
 
-def relative_error(a: np.ndarray, b: np.ndarray) -> float:
+def relative_error(a, b) -> float:
+    import numpy as np
+
     denom = max(np.linalg.norm(a) + np.linalg.norm(b), 1e-12)
     return float(np.linalg.norm(a - b) / denom)
 

@@ -8,7 +8,6 @@ from helpers import RUN_DEFAULTS
 from reference_pareto import brute_force_front
 
 from annealtune.annealer import (
-    AnnealerState,
     CalibrationError,
     acceptance_probability,
     calibrate_initial_temperature,
@@ -202,20 +201,15 @@ class TestCool:
             cool(0.0, 0.9)
 
 
-def make_state(space, evaluator, temperature, seed=0):
-    rng = random.Random(seed)
+def lo_start(space, evaluator):
+    """The configuration x = "lo" and its objectives: the current solution
+    each step below starts from."""
     current = space.configuration({"x": "lo"})
-    return AnnealerState(
-        current=current,
-        current_objectives=evaluator.evaluate(current),
-        temperature=temperature,
-        iteration=1,
-        rng=rng,
-    )
+    return current, evaluator.evaluate(current)
 
 
 class TestStep:
-    def worse_neighbor_setup(self, delta_error=0.4, temperature=0.4):
+    def worse_neighbor_setup(self, delta_error=0.4):
         space = two_value_space()
 
         def fn(config):
@@ -224,8 +218,7 @@ class TestStep:
             )
 
         evaluator = StubEvaluator(space=space, fn=fn, flops_max=100)
-        schedule = plan_schedule(temperature, temperature / 10, 0.95, 10**6)
-        return space, evaluator, schedule
+        return space, evaluator
 
     def test_dominating_candidate_always_accepted_and_added(self):
         space = two_value_space()
@@ -234,39 +227,40 @@ class TestStep:
             return ObjectiveVector(0.9 if config["x"] == "lo" else 0.1, 100)
 
         evaluator = StubEvaluator(space=space, fn=fn, flops_max=100)
-        schedule = plan_schedule(0.5, 0.05, 0.95, 10**6)
+        current, objectives = lo_start(space, evaluator)
         for seed in range(50):
-            state = make_state(space, evaluator, 0.5, seed)
             archive = ParetoArchive()
-            record = step(state, schedule, archive, evaluator)
+            record = step(current, objectives, 0.5, 2, archive, evaluator,
+                          random.Random(seed))
             assert record.delta_f < 0
             assert record.accepted
             assert record.archive_action is ArchiveAction.ADDED
-            assert state.current["x"] == "hi"
+            assert record.candidate_config["x"] == "hi"
+            assert record.iteration == 2
+            assert archive.entries[0].iteration_found == 2
 
     def test_acceptance_frequency_matches_law(self):
         # deterioration 0.5*0.4 = 0.2 at T = 0.4: expect exp(-0.5)
-        space, evaluator, schedule = self.worse_neighbor_setup()
-        state = make_state(space, evaluator, 0.4, seed=123)
-        archive = ParetoArchive()
-        lo = state.current
-        lo_objectives = state.current_objectives
+        space, evaluator = self.worse_neighbor_setup()
+        current, objectives = lo_start(space, evaluator)
+        archive, rng = ParetoArchive(), random.Random(123)
         accepted = 0
         trials = 10_000
-        for _ in range(trials):
-            record = step(state, schedule, archive, evaluator)
+        for iteration in range(2, trials + 2):
+            record = step(current, objectives, 0.4, iteration, archive, evaluator, rng)
             assert record.delta_f == pytest.approx(0.2)
+            assert record.current_config is current
             accepted += record.accepted
-            state.current = lo
-            state.current_objectives = lo_objectives
         assert abs(accepted / trials - math.exp(-0.5)) <= 0.03
 
     def test_same_seed_bit_identical_record(self):
-        space, evaluator, schedule = self.worse_neighbor_setup()
-        records = []
-        for _ in range(2):
-            state = make_state(space, evaluator, 0.4, seed=7)
-            records.append(step(state, schedule, ParetoArchive(), evaluator))
+        space, evaluator = self.worse_neighbor_setup()
+        current, objectives = lo_start(space, evaluator)
+        records = [
+            step(current, objectives, 0.4, 2, ParetoArchive(), evaluator,
+                 random.Random(7))
+            for _ in range(2)
+        ]
         assert records[0] == records[1]
 
     def test_evaluator_failure_leaves_state_unchanged(self):
@@ -278,25 +272,11 @@ class TestStep:
             return ObjectiveVector(0.2, 100)
 
         evaluator = StubEvaluator(space=space, fn=boom, flops_max=100)
-        schedule = plan_schedule(0.5, 0.05, 0.95, 10**6)
-        state = make_state(space, evaluator, 0.5, seed=0)
+        current, objectives = lo_start(space, evaluator)
         archive = ParetoArchive()
-        before = (state.current, state.current_objectives, state.iteration,
-                  state.temperature)
         with pytest.raises(RuntimeError, match="evaluation failed"):
-            step(state, schedule, archive, evaluator)
-        after = (state.current, state.current_objectives, state.iteration,
-                 state.temperature)
-        assert before == after
+            step(current, objectives, 0.5, 2, archive, evaluator, random.Random(0))
         assert len(archive) == 0
-
-    def test_budget_precondition(self):
-        space, evaluator, schedule = self.worse_neighbor_setup()
-        small = plan_schedule(0.4, 0.04, 0.95, 3)
-        state = make_state(space, evaluator, 0.4, seed=0)
-        state.iteration = 3
-        with pytest.raises(ValueError):
-            step(state, small, ParetoArchive(), evaluator)
 
 
 def sphere_run_config(space, seed, budget=250, cooling=0.8):
@@ -414,3 +394,27 @@ class TestRun:
         result = run(config, evaluator, trace.append)
         assert result.stop_reason == "budget"
         assert trace[-1].iteration == 3
+
+    def cooled_run(self, cooling, budget):
+        space = default_search_space()
+        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
+        config = sphere_run_config(space, seed=1, budget=budget, cooling=cooling)
+        trace = []
+        result = run(config, evaluator, trace.append)
+        return result, [r.temperature for r in trace]
+
+    def test_cooling_below_final_temperature_stops_on_temperature(self):
+        result, temperatures = self.cooled_run(0.5923859632105352, budget=100)
+        assert result.stop_reason == "temperature"
+        assert len(set(temperatures)) == result.schedule.outer_steps == 3
+        assert result.evaluations == 120
+        assert temperatures[-1] * 0.5923859632105352 < result.calibration.t_final
+
+    def test_cooling_onto_final_temperature_stops_on_temperature(self):
+        # (ln 0.5 / ln 0.0357) ** (1/5): the fifth cooling lands exactly on
+        # t_final, where the run stops rather than cooling a sixth time
+        result, temperatures = self.cooled_run(0.7304800080798652, budget=51)
+        assert temperatures[-1] * 0.7304800080798652 == result.calibration.t_final
+        assert result.stop_reason == "temperature"
+        assert len(set(temperatures)) == result.schedule.outer_steps == 5
+        assert result.evaluations == 71

@@ -233,6 +233,43 @@ class TestTune:
         assert "evaluation cache" in err and reason in err
         assert not (tmp_path / "out").exists()
 
+    def test_failed_cache_append_is_data_error(self, tmp_path, capsys, monkeypatch):
+        config_path = self.write_textcnn_config(tmp_path)
+        cache, out = tmp_path / "cache.jsonl", tmp_path / "out"
+        build_evaluator = cli.build_evaluator
+
+        def then_cache_becomes_directory(config, cache_path):
+            evaluator = build_evaluator(config, cache_path)
+            cache.unlink()
+            cache.mkdir()
+            return evaluator
+
+        monkeypatch.setattr(cli, "build_evaluator", then_cache_becomes_directory)
+        code = cli.main(["tune", "--config", str(config_path), "--cache",
+                         str(cache), "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: evaluation cache {cache}: Is a directory\n"
+        assert not out.exists()
+
+    def test_cached_flops_the_configuration_cannot_have_is_data_error(
+        self, tmp_path, capsys
+    ):
+        config_path = self.write_textcnn_config(tmp_path)
+        cache = tmp_path / "cache.jsonl"
+        tune = ["tune", "--config", str(config_path), "--cache", str(cache)]
+        assert cli.main([*tune, "--output-dir", str(tmp_path / "a")]) == 0
+        first, *rest = cache.read_text().splitlines(keepends=True)
+        record = json.loads(first)
+        record["flops"] = 10**12
+        cache.write_text(json.dumps(record) + "\n" + "".join(rest))
+        capsys.readouterr()
+        assert cli.main([*tune, "--output-dir", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: evaluation cache {cache}: "), err
+        assert "1000000000000 flops" in err
+        assert not (tmp_path / "b").exists()
+
     def test_empty_validation_split_is_data_error(self, tmp_path, capsys):
         # 2 sentences per class, none held out: ratio_init 0.9 puts both in train
         dataset = tmp_path / "dataset.json"
@@ -356,6 +393,19 @@ class TestEval:
         dataset.write_text(json.dumps({"kind": "mr", "pos": "x"}))
         assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
         assert "mr dataset manifest lacks key 'neg'" in capsys.readouterr().err
+
+    def test_divergence_names_the_configuration(self, capsys, monkeypatch):
+        from annealtune import textcnn
+        from annealtune.evaluator import DivergenceError
+
+        def diverge(*args, **kwargs):
+            raise DivergenceError("non-finite loss at epoch 1")
+
+        monkeypatch.setattr(textcnn, "train", diverge)
+        assert cli.main(["eval", *TOP1_SETS, "--max-epochs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: non-finite loss at epoch 1 (config {")
+        assert "'kernel_count_w3': 100" in err and "'batch_size': 64" in err
 
     def test_full_evaluation_on_bundled_synthetic(self, capsys):
         code = cli.main(["eval", *TOP1_SETS, "--max-epochs", "3"])

@@ -354,6 +354,18 @@ class TestEvaluationCache:
         with pytest.raises(DataError, match=":1: malformed"):
             EvaluationCache(str(path))
 
+    def test_failed_append_is_a_data_error(self, tmp_path):
+        from annealtune.corpus import DataError
+        from annealtune.pareto import ObjectiveVector
+
+        path = tmp_path / "cache.jsonl"
+        cache = EvaluationCache(str(path))
+        path.unlink()
+        path.mkdir()  # the opened path turns into a directory
+        with pytest.raises(DataError) as raised:
+            cache.put("a", ObjectiveVector(0.125, 777))
+        assert str(raised.value) == f"evaluation cache {path}: Is a directory"
+
     def test_integral_error_rate_is_a_number(self, tmp_path):
         from annealtune.pareto import ObjectiveVector
 

@@ -82,7 +82,7 @@ FLAGS = {
     ("eval", "--ratio-init"): (float, None, None, True),
     ("eval", "--max-epochs"): (int, 1, None, False),
     ("eval", "--embedding-dim"): (int, 1, 1000, False),
-    ("eval", "--sentence-length"): (int, 1, None, False),
+    ("eval", "--sentence-length"): (int, 5, None, False),
     ("eval", "--class-count"): (int, 1, None, False),
     ("oracle", "--cap"): (int, 1, None, False),
     ("oracle", "--top-k"): (int, 0, None, False),
@@ -133,6 +133,14 @@ def test_embedding_ceiling_holds_for_flops_only(capsys):
     assert cli.main(["eval", *SETS, "--flops-only", "--embedding-dim", "1001"]) == 1
     err = capsys.readouterr().err
     assert err == "usage error: argument --embedding-dim: embedding_dim is above 1000\n"
+
+
+def test_sentence_length_floor_is_the_widest_window(capsys):
+    assert cli.main(["eval", *SETS, "--flops-only", "--sentence-length", "5"]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", *SETS, "--flops-only", "--sentence-length", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: argument --sentence-length: is below 5\n"
 
 
 def test_flag_takes_the_run_config_message(capsys):

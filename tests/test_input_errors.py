@@ -122,6 +122,48 @@ def test_echoed_value_is_cut_short(tmp_path, capsys, case):
     assert not out.exists()
 
 
+#: each case -> its command line, what it writes to {path} first ({blank}
+#: names a file of blank lines), its exit code and the start of its error
+NAMED_ERRORS = {
+    "run-config-list": (
+        TUNE, "[1, 2]", 1,
+        "usage error: bad run config: run config must be a key/value mapping",
+    ),
+    "manifest-list": (
+        EVAL, "[1, 2]", 2,
+        "data error: dataset manifest must be an object with a 'kind' key",
+    ),
+    "manifest-without-kind": (
+        EVAL, json.dumps({"path": "{blank}"}), 2,
+        "data error: dataset manifest must be an object with a 'kind' key",
+    ),
+    "restriction-bool": (
+        inline('{"fc_units": [true]}'), None, 1,
+        "usage error: bad space restriction: bool is not a valid domain value",
+    ),
+    "cr-without-sentence": (
+        EVAL, json.dumps({"kind": "cr", "path": "{blank}"}), 2,
+        "data error: no sentences in {blank}",
+    ),
+    "trec-train-without-sentence": (
+        EVAL, json.dumps({"kind": "trec", "train": "{blank}", "test": "{blank}"}), 2,
+        "data error: no sentences in {blank}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NAMED_ERRORS))
+def test_refused_input_is_a_named_error(tmp_path, capsys, case):
+    command, content, code, expected = NAMED_ERRORS[case]
+    path, out, blank = tmp_path / "input.json", tmp_path / "out", tmp_path / "blank"
+    blank.write_text("\n \n")
+    if content is not None:
+        path.write_text(content.replace("{blank}", str(blank)))
+    assert cli.main(fill(command, path, out)) == code
+    assert capsys.readouterr().err.startswith(expected.replace("{blank}", str(blank)))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["cr", "trec"])
 def test_echoed_dataset_line_is_cut_short(tmp_path, capsys, kind):
     lines = tmp_path / "data.txt"
