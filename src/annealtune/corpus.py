@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .search_space import WINDOWS, brief
 
@@ -45,47 +45,52 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(_TOKEN.findall(cleaned))
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_sentences(
+    path: str, parse: Callable[[str], tuple[int, str]]
+) -> list[LabeledSentence]:
+    """The sentences of one dataset file: ``parse`` turns each line that is
+    not blank into (label, text) or raises a DataError, reported after
+    "path:line:". A line whose text has no token is dropped; a file left
+    with no sentence is a DataError."""
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            return fh.read().splitlines()
+            lines = fh.read().splitlines()
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}") from None
     except OSError as exc:
         raise DataError(f"dataset file {path}: {exc.strerror}") from None
+    sentences = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            label, text = parse(line)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        tokens = tokenize(text)
+        if tokens:
+            sentences.append(LabeledSentence(tokens, label))
+    if not sentences:
+        raise DataError(f"no sentences in {path}")
+    return sentences
 
 
 def load_mr(pos_path: str, neg_path: str) -> list[LabeledSentence]:
     """Two one-sentence-per-line files: positives (label 1), negatives (0)."""
-    sentences: list[LabeledSentence] = []
-    for path, label in ((neg_path, 0), (pos_path, 1)):
-        lines = _read_lines(path)
-        count = 0
-        for line in lines:
-            tokens = tokenize(line)
-            if tokens:
-                sentences.append(LabeledSentence(tokens, label))
-                count += 1
-        if count == 0:
-            raise DataError(f"no sentences in {path}")
-    return sentences
+    negatives = _read_sentences(neg_path, lambda line: (0, line))
+    return negatives + _read_sentences(pos_path, lambda line: (1, line))
 
 
 def load_cr(path: str) -> list[LabeledSentence]:
     """Tab-separated "label<TAB>sentence" lines with labels 0 or 1."""
-    sentences: list[LabeledSentence] = []
-    for lineno, line in enumerate(_read_lines(path), 1):
-        if not line.strip():
-            continue
+
+    def parse(line: str) -> tuple[int, str]:
         head, _, text = line.partition("\t")
         if head not in ("0", "1") or not text:
-            raise DataError(f"{path}:{lineno}: malformed label line: {brief(line)}")
-        tokens = tokenize(text)
-        if tokens:
-            sentences.append(LabeledSentence(tokens, int(head)))
-    if not sentences:
-        raise DataError(f"no sentences in {path}")
-    return sentences
+            raise DataError(f"malformed label line: {brief(line)}")
+        return int(head), text
+
+    return _read_sentences(path, parse)
 
 
 def load_trec(
@@ -99,33 +104,19 @@ def load_trec(
     """
     class_ids: dict[str, int] = {}
 
-    def parse(path: str, allow_new: bool) -> list[LabeledSentence]:
-        out = []
-        for lineno, line in enumerate(_read_lines(path), 1):
-            if not line.strip():
-                continue
-            head, _, text = line.partition(" ")
-            coarse, colon, _fine = head.partition(":")
-            if not colon or not coarse or not text.strip():
-                raise DataError(
-                    f"{path}:{lineno}: malformed question line: {brief(line)}"
-                )
-            if coarse not in class_ids:
-                if not allow_new:
-                    raise DataError(
-                        f"{path}:{lineno}: class {brief(coarse)} absent from "
-                        "training file"
-                    )
-                class_ids[coarse] = len(class_ids)
-            tokens = tokenize(text)
-            if tokens:
-                out.append(LabeledSentence(tokens, class_ids[coarse]))
-        if not out:
-            raise DataError(f"no sentences in {path}")
-        return out
+    def parse(line: str, allow_new: bool) -> tuple[int, str]:
+        head, _, text = line.partition(" ")
+        coarse, colon, _fine = head.partition(":")
+        if not colon or not coarse or not text.strip():
+            raise DataError(f"malformed question line: {brief(line)}")
+        if coarse not in class_ids:
+            if not allow_new:
+                raise DataError(f"class {brief(coarse)} absent from training file")
+            class_ids[coarse] = len(class_ids)
+        return class_ids[coarse], text
 
-    train = parse(train_path, allow_new=True)
-    test = parse(test_path, allow_new=False)
+    train = _read_sentences(train_path, lambda line: parse(line, allow_new=True))
+    test = _read_sentences(test_path, lambda line: parse(line, allow_new=False))
     return train, test, tuple(class_ids)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol
 
@@ -187,7 +186,7 @@ def _parse_record(line: bytes) -> tuple[str, ObjectiveVector] | None:
         record = json.loads(line)
         key, rate, flops = record["key"], record["error_rate"], record["flops"]
         if type(key) is str and type(rate) in (int, float) and type(flops) is int:
-            return key, ObjectiveVector(rate, flops)
+            return key, ObjectiveVector(float(rate), flops)
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
         pass
     return None
@@ -200,17 +199,36 @@ class EvaluationCache:
     training it already finished. Each record is appended as one line, so an
     interruption can only tear the last line: loading drops it and truncates
     the file before it. A malformed line anywhere else is a DataError, and
-    so is a path that cannot be appended to (a missing directory, a
-    directory): that fails here, before any training is spent on it, and
-    again on any later append that fails.
+    so is a path that cannot be read and appended to (a missing directory,
+    a directory, a file without read or write permission): that fails here,
+    before any training is spent on it, and again on a later failed append.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
         self._memory: dict[str, ObjectiveVector] = {}
-        if path is not None:
-            self._append("")
-            self._load(path)
+        if path is None:
+            return
+        try:
+            with open(path, "a+b") as fh:
+                fh.seek(0)
+                lines = fh.read().splitlines(keepends=True)
+                for lineno, line in enumerate(lines, 1):
+                    if not line.strip():
+                        continue
+                    record = _parse_record(line) if line.endswith(b"\n") else None
+                    if record is not None:
+                        key, value = record
+                        self._memory[key] = value
+                    elif lineno == len(lines):
+                        # an append cut short: drop it, so the next starts a fresh line
+                        fh.truncate(sum(map(len, lines[:-1])))
+                    else:
+                        raise DataError(
+                            f"{path}:{lineno}: malformed evaluation cache line"
+                        )
+        except OSError as exc:
+            raise DataError(f"evaluation cache {path}: {exc.strerror}") from None
 
     def _append(self, text: str) -> None:
         try:
@@ -218,22 +236,6 @@ class EvaluationCache:
                 fh.write(text)
         except OSError as exc:
             raise DataError(f"evaluation cache {self.path}: {exc.strerror}") from None
-
-    def _load(self, path: str) -> None:
-        with open(path, "rb") as fh:
-            lines = fh.read().splitlines(keepends=True)
-        for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            record = _parse_record(line) if line.endswith(b"\n") else None
-            if record is not None:
-                key, value = record
-                self._memory[key] = value
-            elif lineno == len(lines):
-                # an append cut short: drop it so the next one starts a fresh line
-                os.truncate(path, sum(map(len, lines[:-1])))
-            else:
-                raise DataError(f"{path}:{lineno}: malformed evaluation cache line")
 
     def get(self, key: str) -> ObjectiveVector | None:
         return self._memory.get(key)

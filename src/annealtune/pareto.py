@@ -19,9 +19,6 @@ class ObjectiveVector:
     flops: int
 
     def __post_init__(self) -> None:
-        # the declared types: a cache line's error rate may be a JSON integer
-        object.__setattr__(self, "error_rate", float(self.error_rate))
-        object.__setattr__(self, "flops", int(self.flops))
         if not 0.0 <= self.error_rate <= 1.0:
             raise ValueError(f"error_rate {self.error_rate} outside [0, 1]")
         if self.flops < 0:

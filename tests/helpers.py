@@ -1,16 +1,27 @@
 """Shared test oracles and builders: finite-difference gradients,
-comparison metrics, trace lines, and evaluators with the run
-configuration's defaults. numpy and the text CNN are imported only by the
-helpers that use them, so numpy-free tests can import this module."""
+comparison metrics, trace lines, evaluators with the run configuration's
+defaults, a stand-in ``open`` and the mark of a test that needs numpy.
+numpy and the text CNN are imported only by the helpers that use them, so
+numpy-free tests can import this module."""
 
+import errno
+import importlib.util
 import json
+import os
 from dataclasses import fields
 
+import pytest
 from annealtune.evaluator import TextCnnEvaluator
 from annealtune.search_space import RunConfig
 
 #: RunConfig's field defaults (MISSING for required fields)
 RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+#: a test that builds a text-CNN corpus or trains a text CNN; a test module
+#: that needs numpy throughout starts with pytest.importorskip("numpy")
+needs_numpy = pytest.mark.skipif(
+    importlib.util.find_spec("numpy") is None, reason="numpy is not installed"
+)
 
 TRAINING_SETTINGS = (
     "max_epochs",
@@ -82,3 +93,11 @@ def trace_line(record) -> str:
         "accepted": record.accepted,
         "archive": record.archive_action.value,
     })
+
+
+def open_refusing_reads(file, mode="r", *args, **kwargs):
+    """``open``, except that a mode that reads gets what a write-only file
+    gives a user other than root."""
+    if "r" in mode or "+" in mode:
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+    return open(file, mode, *args, **kwargs)

@@ -10,8 +10,10 @@ import math
 import os
 import random
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
+
 from helpers import finite_difference_gradients, relative_error
 from reference_pareto import brute_force_front
 

@@ -378,6 +378,14 @@ class TestRun:
         assert t1 == t2
         assert r1.archive.entries == r2.archive.entries
 
+    def test_evaluator_space_without_a_mutable_domain_is_refused(self):
+        pinned = SearchSpace((ParamDomain("x", ("lo",)),))
+        stub = StubEvaluator(space=pinned, fn=lambda c: ObjectiveVector(0.5, 10))
+        config = sphere_run_config(two_value_space(), seed=1)
+        with pytest.raises(ValueError, match="search space has no mutable domain"):
+            run(config, stub, lambda record: None)
+        assert stub.calls == 0
+
     def test_calibration_failure_propagates(self):
         space = two_value_space()
         flat = StubEvaluator(space=space, fn=lambda c: ObjectiveVector(0.5, 10))

@@ -5,6 +5,10 @@ import importlib
 import json
 import os
 
+import pytest
+
+pytest.importorskip("numpy")
+
 from annealtune import annealer, cli, evaluator, pareto, textcnn
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")

@@ -6,10 +6,11 @@ import sys
 import tracemalloc
 
 import pytest
-from helpers import trace_line
+from helpers import needs_numpy, open_refusing_reads, trace_line
 from test_input_errors import DEEP_JSON, TOP1_SETS
 
 import annealtune.cli as cli
+import annealtune.evaluator as evaluator
 from annealtune.annealer import CalibrationError, StepRecord
 from annealtune.pareto import ArchiveAction, ObjectiveVector
 from annealtune.search_space import Configuration
@@ -175,6 +176,7 @@ class TestTune:
         config_path.write_text(json.dumps(run_config))
         return config_path
 
+    @needs_numpy
     def test_evaluation_cache_resumes_without_retraining(self, tmp_path):
         config_path = self.write_textcnn_config(tmp_path)
         cache = tmp_path / "cache.jsonl"
@@ -191,6 +193,7 @@ class TestTune:
             out2 / "trace.jsonl"
         ).read_bytes()
 
+    @needs_numpy
     def test_cache_torn_by_an_interruption_resumes(self, tmp_path):
         config_path = self.write_textcnn_config(tmp_path)
         cache = tmp_path / "cache.jsonl"
@@ -206,6 +209,7 @@ class TestTune:
         # the retrained record replaced the torn one
         assert cache.read_bytes() == whole
 
+    @needs_numpy
     def test_malformed_cache_line_is_data_error(self, tmp_path, capsys):
         config_path = self.write_textcnn_config(tmp_path)
         cache = tmp_path / "cache.jsonl"
@@ -219,6 +223,7 @@ class TestTune:
             err = capsys.readouterr().err
             assert f"{cache}:1: malformed evaluation cache line" in err
 
+    @needs_numpy
     @pytest.mark.parametrize(
         "cache,reason",
         [("no-such-dir/cache.jsonl", "No such file"), (".", "Is a directory")],
@@ -233,6 +238,20 @@ class TestTune:
         assert "evaluation cache" in err and reason in err
         assert not (tmp_path / "out").exists()
 
+    @needs_numpy
+    def test_unreadable_cache_is_data_error(self, tmp_path, capsys, monkeypatch):
+        config_path = self.write_textcnn_config(tmp_path)
+        cache, out = tmp_path / "cache.jsonl", tmp_path / "out"
+        cache.write_text("")
+        monkeypatch.setattr(evaluator, "open", open_refusing_reads, raising=False)
+        code = cli.main(["tune", "--config", str(config_path), "--cache",
+                         str(cache), "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: evaluation cache {cache}: Permission denied\n"
+        assert not out.exists()
+
+    @needs_numpy
     def test_failed_cache_append_is_data_error(self, tmp_path, capsys, monkeypatch):
         config_path = self.write_textcnn_config(tmp_path)
         cache, out = tmp_path / "cache.jsonl", tmp_path / "out"
@@ -252,6 +271,7 @@ class TestTune:
         assert err == f"data error: evaluation cache {cache}: Is a directory\n"
         assert not out.exists()
 
+    @needs_numpy
     def test_cached_flops_the_configuration_cannot_have_is_data_error(
         self, tmp_path, capsys
     ):
@@ -270,6 +290,7 @@ class TestTune:
         assert "1000000000000 flops" in err
         assert not (tmp_path / "b").exists()
 
+    @needs_numpy
     def test_empty_validation_split_is_data_error(self, tmp_path, capsys):
         # 2 sentences per class, none held out: ratio_init 0.9 puts both in train
         dataset = tmp_path / "dataset.json"
@@ -334,6 +355,7 @@ class TestEval:
         out = capsys.readouterr().out
         assert "total=541056" in out
 
+    @needs_numpy
     def test_flops_only_breakdown_follows_the_corpus(self, tmp_path, capsys):
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps(
@@ -394,6 +416,7 @@ class TestEval:
         assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
         assert "mr dataset manifest lacks key 'neg'" in capsys.readouterr().err
 
+    @needs_numpy
     def test_divergence_names_the_configuration(self, capsys, monkeypatch):
         from annealtune import textcnn
         from annealtune.evaluator import DivergenceError
@@ -407,6 +430,7 @@ class TestEval:
         assert err.startswith("runtime error: non-finite loss at epoch 1 (config {")
         assert "'kernel_count_w3': 100" in err and "'batch_size': 64" in err
 
+    @needs_numpy
     def test_full_evaluation_on_bundled_synthetic(self, capsys):
         code = cli.main(["eval", *TOP1_SETS, "--max-epochs", "3"])
         assert code == 0
@@ -471,6 +495,14 @@ MANIFEST_KEYS = {
     "cr": ["kind", "path", "folds", "fold_index"],
     "trec": ["kind", "train", "test"],
 }
+
+
+def json_type_case(kind: str, key: str, json_type: str):
+    """A manifest key given a value of a JSON type. A number key given a
+    JSON number may be accepted, and then eval builds the corpus, which
+    needs numpy."""
+    number = key not in {"kind", *PATH_KEYS} and json_type in ("bool", "int")
+    return pytest.param(kind, key, json_type, marks=needs_numpy if number else ())
 
 
 def wrong_type_message(kind: str, key: str, value) -> str | None:
@@ -605,6 +637,7 @@ class TestManifestValues:
         message = f"data error: {kind} dataset manifest key {key!r} is unknown"
         assert message in capsys.readouterr().err
 
+    @needs_numpy
     @pytest.mark.parametrize("kind", sorted(MANIFEST_KEYS))
     def test_working_manifest_evaluates(self, tmp_path, capsys, kind):
         dataset = tmp_path / "dataset.json"
@@ -612,10 +645,12 @@ class TestManifestValues:
         argv = ["eval", *TOP1_SETS, "--max-epochs", "1", "--corpus", str(dataset)]
         assert cli.main(argv) == 0, capsys.readouterr().err
 
-    @pytest.mark.parametrize("json_type", sorted(JSON_VALUES))
-    @pytest.mark.parametrize(
-        "kind,key", [(k, key) for k in sorted(MANIFEST_KEYS) for key in MANIFEST_KEYS[k]]
-    )
+    @pytest.mark.parametrize("kind,key,json_type", [
+        json_type_case(kind, key, json_type)
+        for kind in sorted(MANIFEST_KEYS)
+        for key in MANIFEST_KEYS[kind]
+        for json_type in sorted(JSON_VALUES)
+    ])
     def test_every_key_takes_every_json_type(self, tmp_path, capsys, kind, key, json_type):
         value = JSON_VALUES[json_type]
         manifest = {**dataset_files(tmp_path)[kind], key: value}
@@ -764,6 +799,7 @@ def has_mallopt() -> bool:
 
 
 class TestAllocatorPolicy:
+    @needs_numpy
     @pytest.mark.skipif(not has_mallopt(), reason="C library has no mallopt")
     def test_repeat_run_faults_in_few_pages(self):
         # freed numpy buffers stay in the heap, so a repeat run reuses their
@@ -779,3 +815,10 @@ class TestAllocatorPolicy:
         )
         faults = int(done.stdout)
         assert faults < 150, faults
+
+    def test_c_library_without_mallopt_is_left_alone(self, monkeypatch):
+        class NoMallopt:
+            pass
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: NoMallopt())
+        assert evaluator._keep_freed_heap.__wrapped__() is None

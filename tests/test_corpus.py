@@ -1,8 +1,8 @@
 import random
 from collections import Counter
 
-import numpy as np
 import pytest
+from helpers import needs_numpy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +132,57 @@ class TestLoadTrec:
             load_trec(str(train), str(test))
 
 
+#: per format: a good line, a line whose text is control characters only,
+#: and a malformed line (MR has none: every line is a sentence)
+LINE_FORMATS = {
+    "mr": ("a fine movie", "\x00\x07", None),
+    "cr": ("1\tgreat battery", "1\t\x00\x07", "2\tbad label"),
+    "trec": ("LOC:other Where is it ?", "LOC:city \x00\x07", "BADLINE without colon"),
+}
+
+
+def read_format(kind, path):
+    """What the format's loader reads when ``path`` serves as its every file."""
+    if kind == "mr":
+        return load_mr(str(path), str(path))
+    if kind == "cr":
+        return load_cr(str(path))
+    return load_trec(str(path), str(path))[0]
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_FORMATS))
+def test_blank_whitespace_and_control_only_lines_are_dropped(tmp_path, kind):
+    good, control_only, _ = LINE_FORMATS[kind]
+    noisy, clean = tmp_path / "noisy.txt", tmp_path / "clean.txt"
+    noisy.write_text(f"\n{good}\n \t \n{control_only}\n\n{good}\n")
+    clean.write_text(f"{good}\n{good}\n")
+    assert read_format(kind, noisy) == read_format(kind, clean)
+
+
+@pytest.mark.parametrize("kind", ["cr", "trec"])
+def test_malformed_line_is_named_by_file_and_line(tmp_path, kind):
+    good, _, bad = LINE_FORMATS[kind]
+    path = tmp_path / "data.txt"
+    path.write_text(f"{good}\n\n{bad}\n{good}\n")
+    with pytest.raises(DataError) as raised:
+        read_format(kind, path)
+    assert str(raised.value).startswith(f"{path}:3: malformed ")
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_FORMATS))
+@pytest.mark.parametrize(
+    "content", ["", "\n \t \n", "control-only"], ids=["empty", "blank", "control-only"]
+)
+def test_file_without_a_sentence_is_a_data_error(tmp_path, kind, content):
+    if content == "control-only":
+        content = LINE_FORMATS[kind][1] + "\n"
+    path = tmp_path / "data.txt"
+    path.write_text(content)
+    with pytest.raises(DataError) as raised:
+        read_format(kind, path)
+    assert str(raised.value) == f"no sentences in {path}"
+
+
 def corpus_of(n, classes=2, seed=0):
     sentences = []
     for i in range(n):
@@ -143,6 +194,7 @@ def corpus_of(n, classes=2, seed=0):
 
 
 class TestMakeSplits:
+    @needs_numpy
     def test_cv_fold_arithmetic(self):
         data = corpus_of(100)
         test, rest = split_off_test(data, CvPolicy(10, 0), random.Random(1))
@@ -163,6 +215,7 @@ class TestMakeSplits:
         assert max(sizes) - min(sizes) <= 1
         assert Counter(s for fold in folds for s in fold) == Counter(data)
 
+    @needs_numpy
     def test_splits_partition_input_exactly(self):
         data = corpus_of(60, classes=3)
         # make_splits draws the test split first from its seed's stream
@@ -196,6 +249,30 @@ class TestMakeSplits:
         )
         assert rng.getstate() == state
 
+    @pytest.mark.parametrize(
+        "policy,error,message",
+        [
+            (CvPolicy(1, 0), ValueError, "at least 2 folds"),
+            (CvPolicy(3, 3), ValueError, "fold_index outside range"),
+            (CvPolicy(3, -1), ValueError, "fold_index outside range"),
+            (HoldoutPolicy(1.0), ValueError, r"test_fraction must lie in \[0, 1\)"),
+            (HoldoutPolicy(-0.1), ValueError, r"test_fraction must lie in \[0, 1\)"),
+            (0.2, TypeError, "unknown split policy: 0.2"),
+        ],
+        ids=["one-fold", "index-at-folds", "index-negative", "fraction-one",
+             "fraction-negative", "not-a-policy"],
+    )
+    def test_unusable_policy_is_refused(self, policy, error, message):
+        with pytest.raises(error, match=message):
+            split_off_test(corpus_of(10), policy, random.Random(0))
+
+    @needs_numpy
+    @pytest.mark.parametrize("ratio_init", [0.0, 1.0])
+    def test_ratio_init_outside_the_open_unit_interval_is_refused(self, ratio_init):
+        with pytest.raises(ValueError, match=r"ratio_init must lie in \(0, 1\)"):
+            make_splits(corpus_of(10), HoldoutPolicy(0.2), ratio_init, seed=0)
+
+    @needs_numpy
     def test_stratified_mix_preserved(self):
         data = [
             LabeledSentence(("a", "b", "c"), 0) for _ in range(60)
@@ -205,6 +282,7 @@ class TestMakeSplits:
         assert abs(train_mix[0] - 54) <= 2
         assert abs(train_mix[1] - 36) <= 2
 
+    @needs_numpy
     def test_class_vanishing_from_train_is_an_error(self):
         data = [LabeledSentence(("a", "b", "c"), 0) for _ in range(50)]
         data.append(LabeledSentence(("d", "e", "f"), 1))
@@ -212,6 +290,7 @@ class TestMakeSplits:
         with pytest.raises(DataError, match="stratification"):
             make_splits(data, HoldoutPolicy(0.0), ratio_init=0.4, seed=1)
 
+    @needs_numpy
     @pytest.mark.parametrize(
         "policy,ratio_init,empty",
         [(HoldoutPolicy(0.0), 0.9, "validation"), (HoldoutPolicy(0.9), 0.5, "train")],
@@ -223,6 +302,7 @@ class TestMakeSplits:
         with pytest.raises(DataError, match=f"the {empty} split is empty"):
             make_splits(corpus_of(4), policy, ratio_init, seed=1)
 
+    @needs_numpy
     def test_all_ids_below_vocab_size_and_reserved_ids_distinct(self):
         data = synthetic_corpus(2, 30, 40, seed=3)
         prepared = make_splits(data, HoldoutPolicy(0.2), ratio_init=0.9, seed=2)
@@ -231,7 +311,10 @@ class TestMakeSplits:
             assert ids.max() < prepared.vocab_size
             assert ids.min() >= 0
 
+    @needs_numpy
     def test_unknown_tokens_map_to_unk(self):
+        import numpy as np
+
         # every sentence has its own words, so validation sees none of train's
         data = [
             LabeledSentence(tuple(f"s{i}w{j}" for j in range(5)), 0)
@@ -242,11 +325,13 @@ class TestMakeSplits:
         assert np.all(prepared.validation_ids == UNK_ID)
         assert np.all(prepared.train_ids > UNK_ID)
 
+    @needs_numpy
     def test_stats_recomputed_from_content(self):
         data = corpus_of(50, classes=4)
         prepared = make_splits(data, HoldoutPolicy(0.1), ratio_init=0.9, seed=0)
         assert prepared.class_count == 4
 
+    @needs_numpy
     def test_sentence_length_floor_of_five(self):
         data = corpus_of(30)  # all length 3
         prepared = make_splits(data, HoldoutPolicy(0.0), ratio_init=0.9, seed=0)
@@ -256,6 +341,8 @@ class TestMakeSplits:
 
 def perceptron_reaches_full_accuracy(sentences, class_count, epochs=60):
     """Oracle: multiclass perceptron over bag-of-words counts."""
+    import numpy as np
+
     vocab: dict[str, int] = {}
     for s in sentences:
         for t in s.tokens:
@@ -296,6 +383,7 @@ POLICIES = {
 }
 
 
+@needs_numpy
 @pytest.mark.parametrize("kind", sorted(POLICIES))
 @settings(max_examples=150, deadline=None)
 @given(draw=st.data())
@@ -324,10 +412,12 @@ class TestSyntheticCorpus:
             3, 20, 40, seed=7
         )
 
+    @needs_numpy
     def test_linearly_separable_by_perceptron_oracle(self):
         sentences = synthetic_corpus(2, 50, 40, seed=40)
         assert perceptron_reaches_full_accuracy(sentences, 2)
 
+    @needs_numpy
     def test_three_class_variant_separable(self):
         sentences = synthetic_corpus(3, 30, 42, seed=11)
         assert perceptron_reaches_full_accuracy(sentences, 3)

@@ -1,8 +1,12 @@
+import errno
+import io
+import os
 import random
 
 import pytest
-from helpers import RUN_DEFAULTS, text_cnn_evaluator
+from helpers import RUN_DEFAULTS, needs_numpy, open_refusing_reads, text_cnn_evaluator
 
+import annealtune.evaluator as evaluator_module
 from annealtune.corpus import (
     HoldoutPolicy,
     LabeledSentence,
@@ -366,12 +370,59 @@ class TestEvaluationCache:
             cache.put("a", ObjectiveVector(0.125, 777))
         assert str(raised.value) == f"evaluation cache {path}: Is a directory"
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        from annealtune.pareto import ObjectiveVector
+
+        path = tmp_path / "cache.jsonl"
+        path.write_text(
+            '\n{"key": "a", "error_rate": 0.5, "flops": 7}\n \t\n'
+            '{"key": "b", "error_rate": 0.25, "flops": 8}\n\n'
+        )
+        whole = path.read_bytes()
+        cache = EvaluationCache(str(path))
+        assert cache.get("a") == ObjectiveVector(0.5, 7)
+        assert cache.get("b") == ObjectiveVector(0.25, 8)
+        assert path.read_bytes() == whole
+
+    def test_unreadable_file_is_a_data_error(self, tmp_path, monkeypatch):
+        from annealtune.corpus import DataError
+
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"key": "a", "error_rate": 0.5, "flops": 7}\n')
+        monkeypatch.setattr(evaluator_module, "open", open_refusing_reads, raising=False)
+        with pytest.raises(DataError) as raised:
+            EvaluationCache(str(path))
+        assert str(raised.value) == f"evaluation cache {path}: Permission denied"
+
+    def test_failed_truncation_of_a_torn_line_is_a_data_error(
+        self, tmp_path, monkeypatch
+    ):
+        from annealtune.corpus import DataError
+
+        class Untruncatable(io.BufferedRandom):
+            def truncate(self, pos=None):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        def open_untruncatable(file, mode="r", *args, **kwargs):
+            if mode == "a+b":
+                return Untruncatable(io.FileIO(file, "a+"))
+            return open(file, mode, *args, **kwargs)
+
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"key": "a", "error_rate": 0.5, "flops": 7}\n{"key": "b"')
+        monkeypatch.setattr(evaluator_module, "open", open_untruncatable, raising=False)
+        with pytest.raises(DataError) as raised:
+            EvaluationCache(str(path))
+        assert str(raised.value) == f"evaluation cache {path}: {os.strerror(errno.EIO)}"
+
     def test_integral_error_rate_is_a_number(self, tmp_path):
         from annealtune.pareto import ObjectiveVector
 
         path = tmp_path / "cache.jsonl"
         path.write_text('{"key": "a", "error_rate": 1, "flops": 7}\n')
-        assert EvaluationCache(str(path)).get("a") == ObjectiveVector(1.0, 7)
+        cached = EvaluationCache(str(path)).get("a")
+        assert cached == ObjectiveVector(1.0, 7)
+        assert type(cached.error_rate) is float  # the declared type
 
 
 def small_textcnn_space(**overrides):
@@ -397,6 +448,7 @@ def small_corpus(seed=40, class_count=2, samples_per_class=50):
     return make_splits(data, HoldoutPolicy(0.2), ratio_init=0.9, seed=seed)
 
 
+@needs_numpy
 class TestTextCnnEvaluator:
     def test_repeated_request_hits_cache(self):
         corpus = small_corpus()

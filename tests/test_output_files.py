@@ -47,6 +47,13 @@ def test_outputs_get_the_umasks_mode(tmp_path, command):
         os.umask(old)
 
 
+def test_failed_write_removes_its_temp_file(tmp_path):
+    # a lone surrogate has no UTF-8 encoding, so writing the temp fails
+    with pytest.raises(UnicodeEncodeError):
+        cli._atomic_write(str(tmp_path / "archive.txt"), "\ud800")
+    assert list(tmp_path.iterdir()) == []
+
+
 def must_not_evaluate(self, config):
     pytest.fail("evaluated before the outputs were judged writable")
 

@@ -115,6 +115,13 @@ class TestArchiveInsert:
         assert archive.insert(entry("a", 0.5, 500)) is ArchiveAction.ADDED
         assert len(archive) == 1
 
+    def test_best_error_rate_is_the_lowest_archived_or_infinite(self):
+        archive = ParetoArchive()
+        assert archive.best_error_rate() == float("inf")
+        archive.insert(entry("a", 0.3, 100))
+        archive.insert(entry("b", 0.1, 900))
+        assert archive.best_error_rate() == 0.1
+
     def test_dominated_candidate_rejected(self):
         archive = ParetoArchive()
         archive.insert(entry("a", 0.1, 100))

@@ -36,6 +36,10 @@ class TestDomains:
         with pytest.raises(ValueError):
             ParamDomain("a", ())
 
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValueError, match="domain name must be non-empty"):
+            ParamDomain("", (1,))
+
     def test_floats_become_decimal_strings(self):
         d = ParamDomain("lr", (0.1, 0.25))
         assert d.values == ("0.1", "0.25")
@@ -43,6 +47,10 @@ class TestDomains:
     def test_duplicate_domain_names_rejected(self):
         with pytest.raises(ValueError):
             SearchSpace((ParamDomain("a", (1,)), ParamDomain("a", (2,))))
+
+    def test_space_without_a_domain_rejected(self):
+        with pytest.raises(ValueError, match="at least one domain"):
+            SearchSpace(())
 
 
 class TestDefaultSpace:
@@ -359,3 +367,5 @@ def test_configuration_membership_enforced():
         space.configuration({"a": 1, "b": 2})
     config = space.configuration({"a": 2})
     assert space.configuration(config.as_dict()) == config
+    with pytest.raises(KeyError):
+        config.replace("b", 1)

@@ -1,8 +1,10 @@
 import math
 import tracemalloc
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
+
 import reference_textcnn as reference
 from helpers import finite_difference_gradients, relative_error
 
