@@ -520,17 +520,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             space = space.restrict(restriction)
         except (ValueError, RecursionError) as exc:  # bad inline JSON or values
             raise UsageError(f"bad space restriction: {exc}") from None
-    try:
-        configs = enumerate_space(space, args.cap)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     evaluator = SyntheticEvaluator(space=space, name=args.objective)
     with _write_files([args.output, json_path]) as write:
         archive = ParetoArchive()
-        for config in configs:
+        for config in enumerate_space(space):
             archive.insert(ArchiveEntry(config, evaluator.evaluate(config), 0))
         entries = archive.front()
-        meta = {"objective_kind": SYNTHETIC_PREFIX + args.objective, "cap": args.cap}
+        meta = {"objective_kind": SYNTHETIC_PREFIX + args.objective}
         write(args.output, archive_text(entries, space, args.top_k))
         write(json_path, archive_json(entries, args.top_k, meta))
     print(f"evaluated {space.cardinality()} configurations; front size {len(entries)}")
@@ -597,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--objective", choices=SYNTHETIC_NAMES, required=True
     )
-    p_oracle.add_argument("--cap", type=number(int, 1), default=10**6)
     p_oracle.add_argument("--output", required=True)
     p_oracle.add_argument("--top-k", type=number(int, 0), default=3)
     return parser

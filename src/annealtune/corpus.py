@@ -99,8 +99,9 @@ def load_trec(
     """Question lines "COARSE:fine question ...".
 
     The coarse label before the colon is the class; ids follow first
-    appearance in the training file. The test file becomes the fixed
-    held-out split and must not introduce new classes.
+    appearance among the training file's sentences, so a class whose lines
+    all lack a token gets none. The test file becomes the fixed held-out
+    split and must not introduce new classes.
     """
     class_ids: dict[str, int] = {}
 
@@ -112,8 +113,9 @@ def load_trec(
         if coarse not in class_ids:
             if not allow_new:
                 raise DataError(f"class {brief(coarse)} absent from training file")
-            class_ids[coarse] = len(class_ids)
-        return class_ids[coarse], text
+            if tokenize(text):  # else _read_sentences drops the line unread
+                class_ids[coarse] = len(class_ids)
+        return class_ids.get(coarse), text
 
     train = _read_sentences(train_path, lambda line: parse(line, allow_new=True))
     test = _read_sentences(test_path, lambda line: parse(line, allow_new=False))

@@ -263,14 +263,9 @@ def neighbor(
     return config.replace(d.name, rng.choice(d.alternatives[config[d.name]]))
 
 
-def enumerate_space(space: SearchSpace, cap: int) -> Iterator[Configuration]:
+def enumerate_space(space: SearchSpace) -> Iterator[Configuration]:
     """Return an iterator over every configuration, in lexicographic index
-    order. The caller supplies an explicit cap; spaces larger than the cap
-    refuse to enumerate (checked eagerly, before iteration starts).
-    """
-    card = space.cardinality()
-    if card > cap:
-        raise ValueError(f"space cardinality {card} exceeds cap {cap}")
+    order."""
     return (
         Configuration(tuple(zip(space.names, values)))
         for values in itertools.product(*(d.values for d in space.domains))

@@ -223,14 +223,7 @@ def forward(
         pooled_parts.append(pooled)
         if not train_mode:
             continue  # only backward needs the positions
-        # each filter's max-over-time position, as argmax picks it: the
-        # first one equal to the maximum, or the first NaN (a NaN maximum
-        # equals nothing). argmax over a bool array is cheaper than over a,
-        # since reducing a non-last axis copies the array.
-        hit = a == pooled[:, None, :]
-        if np.isnan(pooled).any():
-            hit |= np.isnan(a)
-        idx = hit.argmax(axis=1)  # (B, f_w)
+        idx = a.argmax(axis=1)  # (B, f_w)
         argmax[w] = idx
         pooled_pre[w] = z[rows, idx, np.arange(f_w)]
     h = np.concatenate(pooled_parts, axis=1)  # (B, sum f_w)

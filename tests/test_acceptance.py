@@ -120,7 +120,7 @@ def test_criterion_5_full_loop_oracle_equivalence():
     space = default_search_space().restrict(RESTRICTED_36)
     evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
     exhaustive = brute_force_front(
-        [(c, evaluator.evaluate(c)) for c in enumerate_space(space, 64)]
+        [(c, evaluator.evaluate(c)) for c in enumerate_space(space)]
     )
     equal = subset = 0
     for seed in range(1, 21):

@@ -333,7 +333,7 @@ class TestRun:
         config = sphere_run_config(space, seed=40)
         result = run(config, evaluator, lambda record: None)
         exhaustive = brute_force_front(
-            [(c, evaluator.evaluate(c)) for c in enumerate_space(space, 100)]
+            [(c, evaluator.evaluate(c)) for c in enumerate_space(space)]
         )
         got = {(e.config, e.objectives) for e in result.archive.entries}
         assert got == exhaustive

@@ -94,6 +94,20 @@ class TestTune:
         for name in ("trace.jsonl", "archive.json", "archive.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_cooling_below_final_temperature_stops_on_temperature(
+        self, tmp_path, capsys
+    ):
+        # test_annealer's run of the same name, as a run config
+        config = write_run_config(
+            tmp_path / "rc.json", seed_number=1, iteration_budget=100,
+            cooling_rate=0.5923859632105352, space=None,
+        )
+        out = str(tmp_path / "out")
+        assert cli.main(["tune", "--config", config, "--output-dir", out]) == 0
+        assert capsys.readouterr().out.startswith(
+            "stop reason: temperature; evaluations: 120\n"
+        )
+
     def test_top_k_block_uses_display_labels(self, tmp_path):
         config = write_run_config(tmp_path / "rc.json")
         out = tmp_path / "out"
@@ -349,6 +363,29 @@ class TestTraceJsonl:
             assert line == trace_line(r) + "\n"
 
 
+#: TREC train lines, test lines and flags -> exit code and a line of its
+#: stdout (exit 0) or stderr; {test} is the test file's path
+TREC_CASES = {
+    # class B's one line has no token, so B is no output class: fc is
+    # two classes' 25344 flops, not three classes' 25472
+    "tokenless-class-gets-no-id": (
+        ["A:x hello there", "B:x \x01\x02", "A:x hi there", "C:x world again",
+         "C:x big world"],
+        ["A:x hello"], ["--ratio-init", "0.5"], 0, "fc=25344 ",
+    ),
+    "class-absent-from-training": (
+        ["A:x hello there", "A:x hi there"], ["A:x hello", "D:x who"], [], 2,
+        "data error: {test}:2: class 'D' absent from training file\n",
+    ),
+    "class-vanishes-from-train": (
+        ["A:x one two", "A:x three four", "A:x five six", "B:x seven eight",
+         "B:x nine ten", "B:x eleven twelve", "C:x only one"],
+        ["A:x one"], ["--ratio-init", "0.4"], 2,
+        "data error: stratification failed: class 2 would vanish from train\n",
+    ),
+}
+
+
 class TestEval:
     def test_flops_only_instant(self, capsys):
         assert cli.main(["eval", *TOP1_SETS, "--flops-only"]) == 0
@@ -415,6 +452,22 @@ class TestEval:
         dataset.write_text(json.dumps({"kind": "mr", "pos": "x"}))
         assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
         assert "mr dataset manifest lacks key 'neg'" in capsys.readouterr().err
+
+    @needs_numpy
+    @pytest.mark.parametrize("case", list(TREC_CASES))
+    def test_trec_corpus(self, tmp_path, capsys, case):
+        train_lines, test_lines, flags, code, expected = TREC_CASES[case]
+        train, test, manifest = (tmp_path / n for n in ("train.txt", "test.txt", "m.json"))
+        train.write_text("\n".join(train_lines) + "\n")
+        test.write_text("\n".join(test_lines) + "\n")
+        manifest.write_text(
+            json.dumps({"kind": "trec", "train": str(train), "test": str(test)})
+        )
+        argv = ["eval", *TOP1_SETS, "--flops-only", "--corpus", str(manifest), *flags]
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        output = captured.err if code else captured.out
+        assert expected.replace("{test}", str(test)) in output
 
     @needs_numpy
     def test_divergence_names_the_configuration(self, capsys, monkeypatch):
@@ -686,7 +739,7 @@ class TestOracle:
         code = cli.main(
             ["oracle", "--objective", "sphere_proxy",
              "--space", json.dumps(restriction),
-             "--cap", "100", "--output", str(out)]
+             "--output", str(out)]
         )
         assert code == 0
         payload = json.loads((tmp_path / "front.json").read_text())
@@ -699,21 +752,12 @@ class TestOracle:
         # the three relu configurations
         assert fronts == {(256, "relu"), (100, "relu"), (32, "relu")}
 
-    def test_cap_exceeded_is_usage_error(self, tmp_path, capsys):
-        code = cli.main(
-            ["oracle", "--objective", "sphere_proxy", "--cap", "2",
-             "--output", str(tmp_path / "front.txt")]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == "usage error: space cardinality 7717500 exceeds cap 2\n"
-
     def test_negative_top_k_is_usage_error(self, tmp_path):
         out = tmp_path / "front.txt"
         code = cli.main(
             ["oracle", "--objective", "sphere_proxy",
              "--space", json.dumps(SMALL_SPACE),
-             "--cap", "100", "--output", str(out), "--top-k", "-1"]
+             "--output", str(out), "--top-k", "-1"]
         )
         assert code == 1
         assert not out.exists()
@@ -762,7 +806,7 @@ class TestOracle:
         cli.main(
             ["oracle", "--objective", "sphere_proxy",
              "--space", json.dumps(SMALL_SPACE),
-             "--cap", "100", "--output", str(tmp_path / "front.txt")]
+             "--output", str(tmp_path / "front.txt")]
         )
         tuned = json.loads((out / "archive.json").read_text())
         oracle = json.loads((tmp_path / "front.json").read_text())

@@ -131,6 +131,16 @@ class TestLoadTrec:
         with pytest.raises(DataError, match="absent from training"):
             load_trec(str(train), str(test))
 
+    def test_class_whose_lines_have_no_token_gets_no_id(self, tmp_path):
+        train = tmp_path / "train.txt"
+        test = tmp_path / "test.txt"
+        train.write_text("A:x hello there\nB:x \x01\x02\nC:x world again\n")
+        test.write_text("C:x world\n")
+        train_s, test_s, class_names = load_trec(str(train), str(test))
+        assert class_names == ("A", "C")
+        assert [s.label for s in train_s] == [0, 1]
+        assert [s.label for s in test_s] == [1]
+
 
 #: per format: a good line, a line whose text is control characters only,
 #: and a malformed line (MR has none: every line is a sentence)

@@ -147,7 +147,7 @@ class TestFlopsCeiling:
                 SYNTHETIC_EMBEDDING_DIM,
                 SYNTHETIC_CLASS_COUNT,
             ).total
-            for c in enumerate_space(space, 100)
+            for c in enumerate_space(space)
         ]
         assert ceiling == max(totals)
 
@@ -227,7 +227,7 @@ class TestSynthetic:
         )
         for name in ("sphere_proxy", "deceptive_trap"):
             evaluator = SyntheticEvaluator(space=space, name=name)
-            for config in enumerate_space(space, 100):
+            for config in enumerate_space(space):
                 objectives = evaluator.evaluate(config)
                 assert 0.0 <= objectives.error_rate <= 1.0
                 assert 0 <= objectives.flops <= evaluator.flops_max
@@ -250,7 +250,7 @@ class TestSynthetic:
         )
         evaluator = SyntheticEvaluator(space=space, name=name)
         for _ in range(2):  # the second pass reads every shape from the cache
-            for config in enumerate_space(space, 100):
+            for config in enumerate_space(space):
                 expected = estimate_flops(
                     config,
                     SYNTHETIC_SENTENCE_LENGTH,
@@ -466,7 +466,7 @@ class TestTextCnnEvaluator:
         space = small_textcnn_space(learning_rate=("0.01", "0.004"))
         evaluator = text_cnn_evaluator(space=space, corpus=corpus, seed=40,
                                        max_epochs=5)
-        configs = list(enumerate_space(space, 10))
+        configs = list(enumerate_space(space))
         for config in configs * 3:
             evaluator.evaluate(config)
         assert evaluator.trainings <= len(configs)

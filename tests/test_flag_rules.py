@@ -84,7 +84,6 @@ FLAGS = {
     ("eval", "--embedding-dim"): (int, 1, 1000, False),
     ("eval", "--sentence-length"): (int, 5, None, False),
     ("eval", "--class-count"): (int, 1, None, False),
-    ("oracle", "--cap"): (int, 1, None, False),
     ("oracle", "--top-k"): (int, 0, None, False),
 }
 

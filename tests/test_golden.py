@@ -308,7 +308,7 @@ ORACLE_DIGESTS = {
         "0b22c91e1c84ae015dfc7b8b4ce95643556e1665e834d52bdde6e2581f6afaa7"
     ),
     "front.json": (
-        "b9fa89286e39d2045518b1fcd030f99ed1caddef76eee969000a6aba6f0fcc90"
+        "a35d93e1d67b74ff8430b897f253bc836410c8f104e18b27304618d9f93538e3"
     ),
 }
 
@@ -317,7 +317,7 @@ def test_oracle_outputs_match_recorded_digests(tmp_path):
     out = tmp_path / "out"
     code = cli.main(
         ["oracle", "--objective", "sphere_proxy", "--space",
-         json.dumps(ORACLE_SPACE), "--cap", "1000", "--top-k", "5",
+         json.dumps(ORACLE_SPACE), "--top-k", "5",
          "--output", str(out / "front.txt")]
     )
     assert code == 0

@@ -167,7 +167,7 @@ class TestNeighbor:
 class TestEnumerate:
     def test_two_by_two(self):
         space = toy_space(a=[1, 2], b=["x", "y"])
-        configs = list(enumerate_space(space, cap=10))
+        configs = list(enumerate_space(space))
         assert [c.as_dict() for c in configs] == [
             {"a": 1, "b": "x"},
             {"a": 1, "b": "y"},
@@ -177,15 +177,11 @@ class TestEnumerate:
 
     def test_singleton(self):
         space = toy_space(a=[1])
-        assert [c.as_dict() for c in enumerate_space(space, cap=1)] == [{"a": 1}]
-
-    def test_default_space_over_cap(self):
-        with pytest.raises(ValueError):
-            enumerate_space(default_search_space(), cap=10**6)
+        assert [c.as_dict() for c in enumerate_space(space)] == [{"a": 1}]
 
     def test_yields_cardinality_distinct_items(self):
         space = toy_space(a=[1, 2, 3], b=["x", "y"], c=[0, 5])
-        configs = list(enumerate_space(space, cap=100))
+        configs = list(enumerate_space(space))
         assert len(configs) == space.cardinality() == 12
         assert len(set(configs)) == 12
 
