@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Subcommands: plan (schedule table), tune (full annealing run), eval (one
-configuration), oracle (exhaustive front on a restricted space). Exit codes:
+configuration), oracle (exhaustive front of a run config's space, scored by
+the objective tune would use). Exit codes:
 0 success, 1 usage error, 2 data error, 3 runtime/divergence error. Primary
 artifacts are written to temp files and renamed, so failed commands never
 leave partial outputs.
@@ -43,7 +44,6 @@ from .evaluator import (
 from .pareto import ArchiveEntry, ParetoArchive
 from .search_space import (
     DISPLAY_LABELS,
-    SYNTHETIC_NAMES,
     SYNTHETIC_PREFIX,
     WINDOWS,
     Configuration,
@@ -201,13 +201,13 @@ def archive_text(
     return "\n".join(lines) + "\n"
 
 
-def archive_json(
-    entries: list[ArchiveEntry], top_k: int, meta: dict[str, Any]
-) -> str:
-    """Front entries (``ParetoArchive.front()``) and the first top_k of them."""
+def archive_json(entries: list[ArchiveEntry], top_k: int, config: RunConfig) -> str:
+    """Front entries (``ParetoArchive.front()``) and the first top_k of them,
+    after the run config's objective and seed, which decide every score."""
     payload = {
         "format_version": FORMAT_VERSION,
-        **meta,
+        "objective_kind": config.objective_kind,
+        "seed_number": config.seed_number,
         "entries": [_entry_payload(e) for e in entries],
         "top": [_entry_payload(e) for e in entries[:top_k]],
     }
@@ -436,14 +436,13 @@ def cmd_tune(args: argparse.Namespace) -> int:
     names = ("archive.txt", "archive.json", "trace.jsonl", "calibration.json")
     paths = [os.path.join(args.output_dir, name) for name in names]
     txt_path, json_path, trace_path, calibration_path = paths
-    meta = {"objective_kind": config.objective_kind, "seed_number": config.seed_number}
     with _write_files(paths) as write:
         # each step's line goes to the trace temp as the step ends
         with open(write(trace_path, TRACE_HEADER), "a", encoding="utf-8") as trace:
             result = run(config, evaluator, lambda s: trace.write(trace_jsonl(s)))
         front = result.archive.front()
         write(txt_path, archive_text(front, config.space, args.top_k))
-        write(json_path, archive_json(front, args.top_k, meta))
+        write(json_path, archive_json(front, args.top_k, config))
         write(calibration_path, calibration_json(result))
     best = front[0]
     print(f"stop reason: {result.stop_reason}; evaluations: {result.evaluations}")
@@ -508,27 +507,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     json_path = os.path.splitext(args.output)[0] + ".json"
     if json_path == args.output:
         raise UsageError("--output ends in .json, the name of the JSON front")
-    space = default_search_space()
-    if args.space:
-        try:
-            if args.space.lstrip().startswith("{"):
-                restriction = json.loads(args.space)
-            else:
-                restriction = _read_json(
-                    args.space, "space file", UsageError, "bad space restriction"
-                )
-            space = space.restrict(restriction)
-        except (ValueError, RecursionError) as exc:  # bad inline JSON or values
-            raise UsageError(f"bad space restriction: {exc}") from None
-    evaluator = SyntheticEvaluator(space=space, name=args.objective)
+    config = load_run_config(args.config)
+    evaluator = build_evaluator(config, cache_path=args.cache)
+    space = config.space
     with _write_files([args.output, json_path]) as write:
         archive = ParetoArchive()
-        for config in enumerate_space(space):
-            archive.insert(ArchiveEntry(config, evaluator.evaluate(config), 0))
+        for candidate in enumerate_space(space):
+            archive.insert(ArchiveEntry(candidate, evaluator.evaluate(candidate), 0))
         entries = archive.front()
-        meta = {"objective_kind": SYNTHETIC_PREFIX + args.objective}
         write(args.output, archive_text(entries, space, args.top_k))
-        write(json_path, archive_json(entries, args.top_k, meta))
+        write(json_path, archive_json(entries, args.top_k, config))
     print(f"evaluated {space.cardinality()} configurations; front size {len(entries)}")
     print(f"wrote {args.output}")
     return EXIT_OK
@@ -547,6 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     # a run setting's flag takes RunConfig's rule for it; other numbers a floor
     rule = functools.partial(_flag, checked_setting)
     number = functools.partial(_flag, checked_number)
+    cache_help = "evaluation cache path; a synthetic objective never opens it"
 
     p_plan = sub.add_parser("plan", help="print the outer/inner iteration table")
     p_plan.add_argument("--t-init", type=number(float), default=0.577)
@@ -560,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--config", required=True, help="run config JSON path")
     p_tune.add_argument("--output-dir", required=True)
     p_tune.add_argument("--top-k", type=number(int, 0), default=3)
-    p_tune.add_argument("--cache", default=None, help="evaluation cache path")
+    p_tune.add_argument("--cache", default=None, help=cache_help)
 
     p_eval = sub.add_parser("eval", help="evaluate one configuration")
     p_eval.add_argument(
@@ -588,11 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--class-count", type=number(int, 1), default=SYNTHETIC_CLASS_COUNT
     )
 
-    p_oracle = sub.add_parser("oracle", help="exhaustive front on a small space")
-    p_oracle.add_argument("--space", default=None, help="restriction JSON or path")
-    p_oracle.add_argument(
-        "--objective", choices=SYNTHETIC_NAMES, required=True
-    )
+    p_oracle = sub.add_parser("oracle", help="exhaustive front of the config's space")
+    p_oracle.add_argument("--config", required=True, help="run config JSON path")
+    p_oracle.add_argument("--cache", default=None, help=cache_help)
     p_oracle.add_argument("--output", required=True)
     p_oracle.add_argument("--top-k", type=number(int, 0), default=3)
     return parser

@@ -1,6 +1,7 @@
 """Shared test oracles and builders: finite-difference gradients,
 comparison metrics, trace lines, evaluators with the run configuration's
-defaults, a stand-in ``open`` and the mark of a test that needs numpy.
+defaults, a record of the evaluators the command line builds, a stand-in
+``open`` and the mark of a test that needs numpy.
 numpy and the text CNN are imported only by the helpers that use them, so
 numpy-free tests can import this module."""
 
@@ -11,6 +12,7 @@ import os
 from dataclasses import fields
 
 import pytest
+from annealtune import cli
 from annealtune.evaluator import TextCnnEvaluator
 from annealtune.search_space import RunConfig
 
@@ -93,6 +95,20 @@ def trace_line(record) -> str:
         "accepted": record.accepted,
         "archive": record.archive_action.value,
     })
+
+
+def record_evaluators(monkeypatch) -> list:
+    """The list to which every evaluator ``cli.build_evaluator`` builds from
+    now on is appended, such as a TextCnnEvaluator whose ``trainings`` a
+    test reads after the command."""
+    built, build = [], cli.build_evaluator
+
+    def recorded(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_evaluator", recorded)
+    return built
 
 
 def open_refusing_reads(file, mode="r", *args, **kwargs):

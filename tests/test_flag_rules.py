@@ -55,19 +55,18 @@ def base_argv(command: str, tmp_path) -> list[str]:
     """A working command line for ``command`` that writes into ``tmp_path``."""
     if command == "plan":
         return ["plan"]
-    if command == "tune":
-        config = tmp_path / "rc.json"
-        config.write_text(json.dumps({
-            "seed_number": 40, "ratio_init": 0.9, "iteration_budget": 30,
-            "initial_acceptance_probability": 0.5, "cooling_rate": 0.8,
-            "objective_kind": "synthetic:sphere_proxy", "probe_count": 4,
-            "space": TUNE_SPACE,
-        }))
-        return ["tune", "--config", str(config), "--output-dir", str(tmp_path / "out")]
     if command == "eval":
         return ["eval", *SETS, "--flops-only"]
-    return ["oracle", "--objective", "sphere_proxy", "--space", json.dumps(ORACLE_SPACE),
-            "--output", str(tmp_path / "front.txt")]
+    config = tmp_path / "rc.json"
+    config.write_text(json.dumps({
+        "seed_number": 40, "ratio_init": 0.9, "iteration_budget": 30,
+        "initial_acceptance_probability": 0.5, "cooling_rate": 0.8,
+        "objective_kind": "synthetic:sphere_proxy", "probe_count": 4,
+        "space": TUNE_SPACE if command == "tune" else ORACLE_SPACE,
+    }))
+    if command == "tune":
+        return ["tune", "--config", str(config), "--output-dir", str(tmp_path / "out")]
+    return ["oracle", "--config", str(config), "--output", str(tmp_path / "front.txt")]
 
 
 #: (command, flag) -> (int or float, floor, ceiling, whether it lies in (0, 1)),

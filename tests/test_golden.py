@@ -1,6 +1,6 @@
 """Golden outputs: ``annealtune tune`` on two fixed synthetic run configs
 and three fixed text-CNN run configs, and ``annealtune oracle`` on one fixed
-restricted space.
+synthetic run config.
 
 The expected values are sha256 digests of every file each command writes,
 the text-CNN runs' ``--cache`` file included. A change meant to keep the
@@ -20,13 +20,13 @@ are skipped where numpy is missing.
 
 import builtins
 import hashlib
-import importlib.util
 import json
 import math
 import random
 import sys
 
 import pytest
+from helpers import needs_numpy, record_evaluators
 
 import annealtune.cli as cli
 
@@ -258,12 +258,10 @@ TEXT_CNN_GOLDEN = {
 }
 
 
-@pytest.mark.skipif(
-    importlib.util.find_spec("numpy") is None, reason="numpy is not installed"
-)
-@pytest.mark.parametrize("seed", sorted(TEXT_CNN_GOLDEN))
-def test_text_cnn_tune_outputs_match_recorded_digests(tmp_path, seed):
-    config = tmp_path / "rc.json"
+def text_cnn_run_config(directory, seed: int) -> str:
+    """Write the text-CNN golden run config of ``seed``, over trec_corpus,
+    into ``directory``; return its path."""
+    config = directory / "rc.json"
     config.write_text(json.dumps({
         "seed_number": seed,
         "ratio_init": 0.6,
@@ -273,12 +271,19 @@ def test_text_cnn_tune_outputs_match_recorded_digests(tmp_path, seed):
         "probe_count": 8,
         "max_epochs": 3,
         "objective_kind": "textcnn",
-        "dataset_path": trec_corpus(tmp_path),
+        "dataset_path": trec_corpus(directory),
         "space": TEXT_CNN_SPACE,
     }))
+    return str(config)
+
+
+@needs_numpy
+@pytest.mark.parametrize("seed", sorted(TEXT_CNN_GOLDEN))
+def test_text_cnn_tune_outputs_match_recorded_digests(tmp_path, seed):
+    config = text_cnn_run_config(tmp_path, seed)
     out = tmp_path / "out"
     out.mkdir()
-    argv = ["tune", "--config", str(config), "--output-dir", str(out),
+    argv = ["tune", "--config", config, "--output-dir", str(out),
             "--cache", str(out / "cache.jsonl")]
     assert cli.main(argv) == 0
     assert digests_of(out) == TEXT_CNN_GOLDEN[seed]
@@ -308,20 +313,52 @@ ORACLE_DIGESTS = {
         "0b22c91e1c84ae015dfc7b8b4ce95643556e1665e834d52bdde6e2581f6afaa7"
     ),
     "front.json": (
-        "a35d93e1d67b74ff8430b897f253bc836410c8f104e18b27304618d9f93538e3"
+        "e8098b166a63b504eeb84d501410d96a060d2b88eec5bd11de9b795d3c0c3841"
     ),
 }
 
 
 def test_oracle_outputs_match_recorded_digests(tmp_path):
+    config = tmp_path / "rc.json"
+    config.write_text(json.dumps({**GOLDEN[0][0], "space": ORACLE_SPACE}))
     out = tmp_path / "out"
-    code = cli.main(
-        ["oracle", "--objective", "sphere_proxy", "--space",
-         json.dumps(ORACLE_SPACE), "--top-k", "5",
-         "--output", str(out / "front.txt")]
-    )
-    assert code == 0
+    argv = ["oracle", "--config", str(config), "--top-k", "5",
+            "--output", str(out / "front.txt")]
+    assert cli.main(argv) == 0
     assert digests_of(out) == ORACLE_DIGESTS
+
+
+def front_entries(path) -> dict[str, tuple]:
+    """A JSON front's (error_rate, flops) by configuration."""
+    return {
+        json.dumps(e["config"], sort_keys=True): (e["error_rate"], e["flops"])
+        for e in json.loads(path.read_text())["entries"]
+    }
+
+
+@needs_numpy
+def test_text_cnn_oracle_front_covers_the_tuned_archive(tmp_path, monkeypatch):
+    config = text_cnn_run_config(tmp_path, 28)
+    cache = tmp_path / "cache.jsonl"
+    tune = ["tune", "--config", config, "--output-dir", str(tmp_path / "out")]
+    assert cli.main([*tune, "--cache", str(cache)]) == 0
+    # tune trained part of the space, so the oracle trains the rest
+    cached = len(cache.read_text().splitlines())
+    assert 0 < cached < 64
+    built = record_evaluators(monkeypatch)
+    oracle = ["oracle", "--config", config]
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    assert cli.main([*oracle, "--output", str(cold / "front.txt")]) == 0
+    assert cli.main([*oracle, "--output", str(warm / "front.txt"),
+                     "--cache", str(cache)]) == 0
+    # the oracle trained only what tune left out, and scored it as tune does:
+    # each tuned entry has the front's objectives or is dominated by it
+    assert [e.trainings for e in built] == [64, 64 - cached]
+    assert (warm / "front.txt").read_bytes() == (cold / "front.txt").read_bytes()
+    front = front_entries(warm / "front.json")
+    for key, (error, flops) in front_entries(tmp_path / "out" / "archive.json").items():
+        assert front.get(key, (error, flops)) == (error, flops), key
+        assert any(e <= error and f <= flops for e, f in front.values()), key
 
 
 def digests_of(directory) -> dict[str, str]:

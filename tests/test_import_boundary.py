@@ -1,12 +1,12 @@
 """Which commands load the text-CNN stack.
 
-A command that trains no CNN (plan, oracle, tune on a synthetic objective,
-eval --flops-only) must run without numpy, ``annealtune.textcnn``, hashlib
-and ctypes: the package imports each where a text-CNN evaluator, its cache
-key or an encoded corpus is first built, or, for ctypes (the allocator
-policy), where a CNN first trains. Every case runs in a fresh interpreter,
-since this one may have loaded them long ago. The file imports no numpy, so
-it runs where numpy is missing.
+A command that trains no CNN (plan, tune and oracle on a synthetic run
+config, eval --flops-only) must run without numpy, ``annealtune.textcnn``,
+hashlib and ctypes: the package imports each where a text-CNN evaluator,
+its cache key or an encoded corpus is first built, or, for ctypes (the
+allocator policy), where a CNN first trains. Every case runs in a fresh
+interpreter, since this one may have loaded them long ago. The file imports
+no numpy, so it runs where numpy is missing.
 """
 
 import importlib.util
@@ -69,7 +69,7 @@ def run_fresh(tmp_path, *argv: str) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def synthetic_run_config(tmp_path) -> str:
+def synthetic_run_config(tmp_path, **overrides) -> str:
     path = tmp_path / "rc.json"
     path.write_text(json.dumps({
         "seed_number": 7,
@@ -78,6 +78,7 @@ def synthetic_run_config(tmp_path) -> str:
         "initial_acceptance_probability": 0.5,
         "cooling_rate": 0.9,
         "objective_kind": "synthetic:deceptive_trap",
+        **overrides,
     }))
     return str(path)
 
@@ -85,7 +86,7 @@ def synthetic_run_config(tmp_path) -> str:
 COMMANDS_WITHOUT_CNN = {
     "plan": lambda tmp_path: ["plan"],
     "oracle": lambda tmp_path: [
-        "oracle", "--objective", "sphere_proxy", "--space", json.dumps(SMALL_SPACE),
+        "oracle", "--config", synthetic_run_config(tmp_path, space=SMALL_SPACE),
         "--output", str(tmp_path / "front.txt"),
     ],
     "synthetic tune": lambda tmp_path: [

@@ -9,6 +9,7 @@ import json
 import pytest
 
 import annealtune.cli as cli
+from annealtune.search_space import default_search_space
 
 #: JSON nested deeper than the decoder recurses
 DEEP_JSON = "[" * 100_000
@@ -28,24 +29,22 @@ TOP1_SETS = [
     "--set", "batch_size=64",
 ]
 
-#: the command lines that read a run config, a dataset manifest or a space
-#: restriction from {path} and would write {out}
+#: the command lines that read a run config or a dataset manifest from
+#: {path} and would write {out}
 TUNE = ["tune", "--config", "{path}", "--output-dir", "{out}"]
 EVAL = ["eval", *TOP1_SETS, "--flops-only", "--corpus", "{path}"]
-ORACLE = ["oracle", "--objective", "sphere_proxy", "--space", "{path}",
-          "--output", "{out}"]
+ORACLE = ["oracle", "--config", "{path}", "--output", "{out}"]
 
-#: each JSON input file -> the command line that reads it, the exit code of
-#: a file it cannot use, the name its file errors give it, and the prefix of
-#: its malformed-JSON error
+#: each JSON input file -> the command lines that read it, the exit code of
+#: a file they cannot use, the name its file errors give it, and the prefix
+#: of its malformed-JSON error
 INPUTS = {
-    "run-config": (TUNE, 1, "usage error: run config", "usage error: bad run config:"),
-    "manifest": (
-        EVAL, 2, "data error: dataset manifest",
-        "data error: dataset manifest is not valid JSON:",
+    "run-config": (
+        [TUNE, ORACLE], 1, "usage error: run config", "usage error: bad run config:"
     ),
-    "space-file": (
-        ORACLE, 1, "usage error: space file", "usage error: bad space restriction:"
+    "manifest": (
+        [EVAL], 2, "data error: dataset manifest",
+        "data error: dataset manifest is not valid JSON:",
     ),
 }
 
@@ -68,16 +67,17 @@ def fill(command: list[str], path, out) -> list[str]:
 @pytest.mark.parametrize("failure", list(FAILURES))
 @pytest.mark.parametrize("name", list(INPUTS))
 def test_unusable_json_file_is_a_named_error(tmp_path, capsys, name, failure):
-    command, code, file_error, malformed = INPUTS[name]
+    commands, code, file_error, malformed = INPUTS[name]
     path, out = tmp_path / "input.json", tmp_path / "out"
     FAILURES[failure](path)
-    assert cli.main(fill(command, path, out)) == code
     expected = {
         "missing": f"{file_error} not found: {path}\n",
         "directory": f"{file_error} {path}: ",
     }.get(failure, malformed)
-    assert capsys.readouterr().err.startswith(expected)
-    assert not out.exists()
+    for command in commands:
+        assert cli.main(fill(command, path, out)) == code, command[0]
+        assert capsys.readouterr().err.startswith(expected), command[0]
+        assert not out.exists()
 
 
 RUN_CONFIG = {
@@ -87,9 +87,9 @@ RUN_CONFIG = {
 }
 
 
-def inline(space: str) -> list[str]:
-    """ORACLE with the restriction ``space`` given inline."""
-    return [space if arg == "{path}" else arg for arg in ORACLE]
+def with_space(space) -> str:
+    """RUN_CONFIG's text with ``space`` as its restriction."""
+    return json.dumps({**RUN_CONFIG, "space": space})
 
 
 #: each case -> its command line, what it writes to {path} first, and its
@@ -101,9 +101,11 @@ ECHO_CASES = {
         TUNE, json.dumps({**RUN_CONFIG, "objective_kind": json.loads(DEEP_LIST)}), 1
     ),
     "run-config-key": (TUNE, json.dumps({**RUN_CONFIG, "x" * 1000: 1}), 1),
-    "restriction-value-type": (inline('{"fc_units": [' + DEEP_LIST + "]}"), None, 1),
-    "restriction-value": (inline(json.dumps({"fc_units": ["x" * 1000]})), None, 1),
-    "restriction-domain": (inline(json.dumps({"x" * 1000: [16]})), None, 1),
+    "restriction-value-type": (
+        ORACLE, with_space({"fc_units": [json.loads(DEEP_LIST)]}), 1
+    ),
+    "restriction-value": (ORACLE, with_space({"fc_units": ["x" * 1000]}), 1),
+    "restriction-domain": (ORACLE, with_space({"x" * 1000: [16]}), 1),
     "set-pair": (["eval", "--flops-only", "--set", "x" * 1000], None, 1),
     "set-name": (["eval", "--flops-only", "--set", "x" * 1000 + "=1"], None, 1),
     "set-value": (["eval", "--flops-only", "--set", "fc_units=" + "9" * 999], None, 1),
@@ -138,8 +140,19 @@ NAMED_ERRORS = {
         "data error: dataset manifest must be an object with a 'kind' key",
     ),
     "restriction-bool": (
-        inline('{"fc_units": [true]}'), None, 1,
-        "usage error: bad space restriction: bool is not a valid domain value",
+        ORACLE, with_space({"fc_units": [True]}), 1,
+        "usage error: bad run config: bool is not a valid domain value",
+    ),
+    # oracle judges its run config as tune does, so a space of one
+    # configuration is refused and tune's required keys must be there
+    "oracle-one-configuration": (
+        ORACLE, with_space({d.name: d.values[:1] for d in default_search_space().domains}),
+        1,
+        "usage error: bad run config: search space must contain at least 2",
+    ),
+    "oracle-without-tune-keys": (
+        ORACLE, json.dumps({"objective_kind": "synthetic:sphere_proxy"}), 1,
+        "usage error: bad run config: missing run config keys",
     ),
     "cr-without-sentence": (
         EVAL, json.dumps({"kind": "cr", "path": "{blank}"}), 2,

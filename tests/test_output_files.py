@@ -4,8 +4,10 @@
 memory does not grow with the iteration budget. Both commands refuse an
 output they cannot write before the first evaluation, give their files the
 mode a new file gets under the umask, and write all their files or none,
-also when the run is interrupted. The file imports no numpy, so it runs
-where numpy is missing.
+also when the run is interrupted; a text-CNN ``oracle`` rerun against the
+same ``--cache`` then trains only what the interrupted run did not. The
+file imports no numpy, so it runs where numpy is missing; the text-CNN case
+needs it and skips itself there.
 """
 
 import json
@@ -14,11 +16,13 @@ import stat
 import tracemalloc
 
 import pytest
+from helpers import needs_numpy, record_evaluators
 from test_flag_rules import base_argv, snapshot, temp_files
+from test_golden import text_cnn_run_config
 from test_input_errors import RUN_CONFIG
 
 import annealtune.cli as cli
-from annealtune.evaluator import SyntheticEvaluator
+from annealtune.evaluator import SyntheticEvaluator, TextCnnEvaluator
 
 RUN_OUTPUTS = ("archive.txt", "archive.json", "trace.jsonl", "calibration.json")
 
@@ -79,30 +83,56 @@ def test_unwritable_output_is_refused_before_any_evaluation(
     assert not out.is_dir() or temp_files(out) == []
 
 
-@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "earlier-run"])
-def test_interrupted_tune_leaves_no_new_file(tmp_path, monkeypatch, existing):
-    argv = base_argv("tune", tmp_path)
+@pytest.mark.parametrize("command,existing", [
+    ("tune", False),
+    ("tune", True),
+    pytest.param("oracle", False, marks=needs_numpy),
+], ids=["new-dir", "earlier-run", "oracle-text-cnn"])
+def test_interrupted_tune_leaves_no_new_file(tmp_path, monkeypatch, command, existing):
+    # oracle runs the text-CNN golden run config against an evaluation cache,
+    # which keeps what was trained before the interrupt for the rerun
     out = tmp_path / "new" / "out"
-    argv[argv.index("--output-dir") + 1] = str(out)
+    if command == "tune":
+        argv = base_argv("tune", tmp_path)
+        argv[argv.index("--output-dir") + 1] = str(out)
+        evaluator_class, interrupt_at = SyntheticEvaluator, 20
+    else:
+        cache = tmp_path / "cache.jsonl"
+        oracle = ["oracle", "--config", text_cnn_run_config(tmp_path, 28)]
+        argv = [*oracle, "--cache", str(cache), "--output", str(out / "front.txt")]
+        evaluator_class, interrupt_at = TextCnnEvaluator, 10
     if existing:
         out.mkdir(parents=True)
         (out / "archive.txt").write_text("an earlier run's archive")
     before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
     contents = snapshot(out) if existing else {}
-    evaluate, calls = SyntheticEvaluator.evaluate, []
+    evaluate, calls = evaluator_class.evaluate, []
 
     def interrupted(self, config):
         calls.append(config)
-        if len(calls) == 20:  # past calibration, with trace lines written
+        if len(calls) == interrupt_at:  # tune: past calibration, with trace lines
             raise KeyboardInterrupt
         return evaluate(self, config)
 
-    monkeypatch.setattr(SyntheticEvaluator, "evaluate", interrupted)
+    monkeypatch.setattr(evaluator_class, "evaluate", interrupted)
     with pytest.raises(KeyboardInterrupt):
         cli.main(argv)
-    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+    after = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
     if existing:
         assert snapshot(out) == contents
+    if command == "tune":
+        assert after == before
+        return
+    # the cache alone is new, holding the trainings before the interrupt
+    assert after == sorted([*before, cache.relative_to(tmp_path)])
+    assert len(cache.read_text().splitlines()) == interrupt_at - 1
+    monkeypatch.setattr(evaluator_class, "evaluate", evaluate)
+    built = record_evaluators(monkeypatch)
+    assert cli.main(argv) == 0
+    cold = tmp_path / "cold"
+    assert cli.main([*oracle, "--output", str(cold / "front.txt")]) == 0
+    assert [e.trainings for e in built] == [64 - (interrupt_at - 1), 64]
+    assert snapshot(out) == snapshot(cold)
 
 
 def test_oracle_output_named_like_its_json_front_is_usage_error(tmp_path, capsys):
@@ -110,7 +140,7 @@ def test_oracle_output_named_like_its_json_front_is_usage_error(tmp_path, capsys
     argv[argv.index("--output") + 1] = str(tmp_path / "front.json")
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("usage error: --output ends in .json")
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["rc.json"]
 
 
 def test_trace_memory_does_not_grow_with_the_budget(tmp_path):
