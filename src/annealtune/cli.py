@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: plan (schedule table), tune (full annealing run), eval (one
-configuration), oracle (exhaustive front of a run config's space, scored by
-the objective tune would use). Exit codes:
+configuration), oracle (exhaustive front of a run config's space). tune,
+eval and oracle read one run config and score by the objective that
+build_evaluator makes of it. Exit codes:
 0 success, 1 usage error, 2 data error, 3 runtime/divergence error. Primary
 artifacts are written to temp files and renamed, so failed commands never
 leave partial outputs.
@@ -33,8 +34,6 @@ from .corpus import (
     synthetic_corpus,
 )
 from .evaluator import (
-    SYNTHETIC_CLASS_COUNT,
-    SYNTHETIC_SENTENCE_LENGTH,
     DivergenceError,
     EvaluationCache,
     SyntheticEvaluator,
@@ -45,14 +44,12 @@ from .pareto import ArchiveEntry, ParetoArchive
 from .search_space import (
     DISPLAY_LABELS,
     SYNTHETIC_PREFIX,
-    WINDOWS,
     Configuration,
     RunConfig,
     SearchSpace,
     brief,
     checked_number,
     checked_setting,
-    default_search_space,
     enumerate_space,
     parse_value,
     run_config_from_dict,
@@ -133,6 +130,8 @@ def _write_files(paths: Sequence[str]):
         for path in paths:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if not os.path.isdir(directory):  # the deepest existing ancestor
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         yield write
         for path in paths:
@@ -432,11 +431,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_tune(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
-    evaluator = build_evaluator(config, cache_path=args.cache)
     names = ("archive.txt", "archive.json", "trace.jsonl", "calibration.json")
     paths = [os.path.join(args.output_dir, name) for name in names]
     txt_path, json_path, trace_path, calibration_path = paths
     with _write_files(paths) as write:
+        evaluator = build_evaluator(config, cache_path=args.cache)
         # each step's line goes to the trace temp as the step ends
         with open(write(trace_path, TRACE_HEADER), "a", encoding="utf-8") as trace:
             result = run(config, evaluator, lambda s: trace.write(trace_jsonl(s)))
@@ -477,27 +476,15 @@ def _config_from_sets(space: SearchSpace, pairs: Sequence[str]) -> Configuration
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    space = default_search_space()
-    config = _config_from_sets(space, args.set or [])
-    sentence_length, class_count = args.sentence_length, args.class_count
-    if args.corpus or not args.flops_only:  # the corpus sets the shape
-        corpus = prepare_corpus(args.corpus, args.ratio_init, args.seed)
-        sentence_length, class_count = corpus.sentence_length, corpus.class_count
-    breakdown = estimate_flops(config, sentence_length, args.embedding_dim, class_count)
+    config = load_run_config(args.config)
+    candidate = _config_from_sets(config.space, args.set or [])
+    evaluator = build_evaluator(config)
+    breakdown = estimate_flops(candidate, *evaluator.network)
     print(f"flops breakdown: conv={list(breakdown.conv_flops)} "
           f"fc={breakdown.fc_flops} total={breakdown.total}")
     if args.flops_only:
         return EXIT_OK
-    evaluator = TextCnnEvaluator(
-        space=space,
-        corpus=corpus,
-        seed=args.seed,
-        max_epochs=args.max_epochs,
-        embedding_dim=args.embedding_dim,
-        early_stop_margin=RunConfig.early_stop_margin,
-        early_stop_patience=RunConfig.early_stop_patience,
-    )
-    objectives = evaluator.evaluate(config)
+    objectives = evaluator.evaluate(candidate)
     print(f"error_rate: {objectives.error_rate!r}")
     print(f"flops: {objectives.flops}")
     return EXIT_OK
@@ -508,9 +495,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if json_path == args.output:
         raise UsageError("--output ends in .json, the name of the JSON front")
     config = load_run_config(args.config)
-    evaluator = build_evaluator(config, cache_path=args.cache)
     space = config.space
     with _write_files([args.output, json_path]) as write:
+        evaluator = build_evaluator(config, cache_path=args.cache)
         archive = ParetoArchive()
         for candidate in enumerate_space(space):
             archive.insert(ArchiveEntry(candidate, evaluator.evaluate(candidate), 0))
@@ -552,30 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--cache", default=None, help=cache_help)
 
     p_eval = sub.add_parser("eval", help="evaluate one configuration")
+    p_eval.add_argument("--config", required=True, help="run config JSON path")
     p_eval.add_argument(
         "--set",
         action="append",
         metavar="NAME=VALUE",
         help="assign one hyperparameter; repeat for all of them",
     )
-    p_eval.add_argument("--corpus", default=None, help="dataset manifest JSON")
     p_eval.add_argument("--flops-only", action="store_true")
-    p_eval.add_argument("--seed", type=rule("seed_number"), default=40)
-    p_eval.add_argument("--ratio-init", type=rule("ratio_init"), default=0.9)
-    p_eval.add_argument(
-        "--max-epochs", type=rule("max_epochs"), default=RunConfig.max_epochs
-    )
-    p_eval.add_argument(  # no shorter than the widest convolution window
-        "--sentence-length",
-        type=number(int, max(WINDOWS)),
-        default=SYNTHETIC_SENTENCE_LENGTH,
-    )
-    p_eval.add_argument(
-        "--embedding-dim", type=rule("embedding_dim"), default=RunConfig.embedding_dim
-    )
-    p_eval.add_argument(
-        "--class-count", type=number(int, 1), default=SYNTHETIC_CLASS_COUNT
-    )
 
     p_oracle = sub.add_parser("oracle", help="exhaustive front of the config's space")
     p_oracle.add_argument("--config", required=True, help="run config JSON path")

@@ -93,6 +93,8 @@ class ObjectiveEvaluator(Protocol):
 
     space: SearchSpace
     flops_max: int
+    #: (sentence length, embedding width, class count): estimate_flops's shape
+    network: tuple[int, int, int]
 
     def evaluate(self, config: Configuration) -> ObjectiveVector: ...
 
@@ -120,29 +122,22 @@ class SyntheticEvaluator:
     space: SearchSpace
     name: str
     flops_max: int = field(init=False)
+    network: tuple[int, int, int] = field(init=False, default=(
+        SYNTHETIC_SENTENCE_LENGTH, SYNTHETIC_EMBEDDING_DIM, SYNTHETIC_CLASS_COUNT
+    ))
     #: shape (the _SHAPE_NAMES values) -> its estimate_flops total
     _flops: dict[tuple, int] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.name not in SYNTHETIC_NAMES:
             raise ValueError(f"unknown synthetic objective {self.name!r}")
-        self.flops_max = flops_ceiling(
-            self.space,
-            SYNTHETIC_SENTENCE_LENGTH,
-            SYNTHETIC_EMBEDDING_DIM,
-            SYNTHETIC_CLASS_COUNT,
-        )
+        self.flops_max = flops_ceiling(self.space, *self.network)
 
     def evaluate(self, config: Configuration) -> ObjectiveVector:
         shape = tuple(map(config.__getitem__, _SHAPE_NAMES))
         flops = self._flops.get(shape)
         if flops is None:
-            flops = self._flops[shape] = estimate_flops(
-                config,
-                SYNTHETIC_SENTENCE_LENGTH,
-                SYNTHETIC_EMBEDDING_DIM,
-                SYNTHETIC_CLASS_COUNT,
-            ).total
+            flops = self._flops[shape] = estimate_flops(config, *self.network).total
         fractions = _index_fractions(self.space, config)
         # summed left to right, not by sum(): from Python 3.12 sum()
         # compensates float rounding, which moves the last bits
@@ -310,19 +305,17 @@ class TextCnnEvaluator:
     early_stop_patience: int
     cache: EvaluationCache = field(default_factory=EvaluationCache)
     flops_max: int = field(init=False)
+    network: tuple[int, int, int] = field(init=False)
     trainings: int = field(default=0, init=False)
     _context: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.flops_max = flops_ceiling(
-            self.space,
-            sentence_length=self.corpus.sentence_length,
-            embedding_dim=self.embedding_dim,
-            class_count=self.corpus.class_count,
-        )
+        corpus = self.corpus
+        self.network = (corpus.sentence_length, self.embedding_dim, corpus.class_count)
+        self.flops_max = flops_ceiling(self.space, *self.network)
         self._context = json.dumps(
             {
-                "corpus": _corpus_fingerprint(self.corpus),
+                "corpus": _corpus_fingerprint(corpus),
                 "max_epochs": self.max_epochs,
                 "embedding_dim": self.embedding_dim,
                 "early_stop_margin": self.early_stop_margin,
@@ -345,9 +338,7 @@ class TextCnnEvaluator:
         digest = hashlib.sha256(payload.encode()).hexdigest()
         key = hashlib.sha256(f"{self._context}:{digest}".encode()).hexdigest()
         corpus = self.corpus
-        flops = estimate_flops(
-            config, corpus.sentence_length, self.embedding_dim, corpus.class_count
-        ).total
+        flops = estimate_flops(config, *self.network).total
         cached = self.cache.get(key)
         if cached is not None:
             if cached.flops != flops:

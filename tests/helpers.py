@@ -1,7 +1,7 @@
-"""Shared test oracles and builders: finite-difference gradients,
-comparison metrics, trace lines, evaluators with the run configuration's
-defaults, a record of the evaluators the command line builds, a stand-in
-``open`` and the mark of a test that needs numpy.
+"""Shared test oracles and builders: run config files, finite-difference
+gradients, comparison metrics, trace lines, evaluators with the run
+configuration's defaults, a record of the evaluators the command line
+builds, a stand-in ``open`` and the mark of a test that needs numpy.
 numpy and the text CNN are imported only by the helpers that use them, so
 numpy-free tests can import this module."""
 
@@ -24,6 +24,38 @@ RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 needs_numpy = pytest.mark.skipif(
     importlib.util.find_spec("numpy") is None, reason="numpy is not installed"
 )
+
+#: a restriction of 36 configurations, for a synthetic run in milliseconds
+SMALL_SPACE = {
+    "kernel_count_w3": [256, 100, 32],
+    "kernel_count_w4": [32],
+    "kernel_count_w5": [32],
+    "conv_dropout": ["0.1"],
+    "fc_units": [512, 128, 16],
+    "fc_dropout": ["0.1"],
+    "activation": ["relu", "tanh"],
+    "learning_rate": ["0.001", "0.002"],
+    "batch_size": [64],
+}
+
+
+def write_run_config(path, **overrides) -> str:
+    """Write a synthetic:sphere_proxy run config over SMALL_SPACE, with
+    ``overrides`` on top (``space=None`` keeps the whole default space), to
+    ``path``; return the path as text."""
+    raw = {
+        "seed_number": 40,
+        "ratio_init": 0.9,
+        "iteration_budget": 250,
+        "initial_acceptance_probability": 0.5,
+        "cooling_rate": 0.8,
+        "objective_kind": "synthetic:sphere_proxy",
+        "space": SMALL_SPACE,
+        **overrides,
+    }
+    path.write_text(json.dumps(raw))
+    return str(path)
+
 
 TRAINING_SETTINGS = (
     "max_epochs",

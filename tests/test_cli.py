@@ -6,7 +6,7 @@ import sys
 import tracemalloc
 
 import pytest
-from helpers import needs_numpy, open_refusing_reads, trace_line
+from helpers import needs_numpy, open_refusing_reads, trace_line, write_run_config
 from test_input_errors import DEEP_JSON, TOP1_SETS
 
 import annealtune.cli as cli
@@ -15,32 +15,19 @@ from annealtune.annealer import CalibrationError, StepRecord
 from annealtune.pareto import ArchiveAction, ObjectiveVector
 from annealtune.search_space import Configuration
 
-SMALL_SPACE = {
-    "kernel_count_w3": [256, 100, 32],
-    "kernel_count_w4": [32],
-    "kernel_count_w5": [32],
-    "conv_dropout": ["0.1"],
-    "fc_units": [512, 128, 16],
-    "fc_dropout": ["0.1"],
-    "activation": ["relu", "tanh"],
-    "learning_rate": ["0.001", "0.002"],
-    "batch_size": [64],
-}
+
+def eval_argv(tmp_path, *args, **overrides) -> list[str]:
+    """``eval`` with ``args`` on write_run_config's run config, over the
+    default space, with ``overrides``."""
+    config = write_run_config(tmp_path / "rc.json", space=None, **overrides)
+    return ["eval", "--config", config, *args]
 
 
-def write_run_config(path, **overrides):
-    raw = {
-        "seed_number": 40,
-        "ratio_init": 0.9,
-        "iteration_budget": 250,
-        "initial_acceptance_probability": 0.5,
-        "cooling_rate": 0.8,
-        "objective_kind": "synthetic:sphere_proxy",
-        "space": SMALL_SPACE,
-    }
-    raw.update(overrides)
-    path.write_text(json.dumps(raw))
-    return str(path)
+def eval_on(tmp_path, dataset, *args, **overrides) -> list[str]:
+    """``eval`` of TOP1_SETS with ``args``, scored by the text CNN on the
+    dataset manifest at ``dataset``."""
+    return eval_argv(tmp_path, *TOP1_SETS, *args, objective_kind="textcnn",
+                     dataset_path=str(dataset), **overrides)
 
 
 class TestPlan:
@@ -169,26 +156,16 @@ class TestTune:
         assert cli.main(["tune", "--config", config, "--output-dir", str(out)]) == 1
 
     def write_textcnn_config(self, tmp_path):
-        run_config = {
-            "seed_number": 40,
-            "ratio_init": 0.9,
-            "iteration_budget": 6,
-            "initial_acceptance_probability": 0.5,
-            "cooling_rate": 0.8,
-            "objective_kind": "textcnn",
-            "probe_count": 2,
-            "max_epochs": 3,
-            "space": {
+        return write_run_config(
+            tmp_path / "rc.json", iteration_budget=6, objective_kind="textcnn",
+            probe_count=2, max_epochs=3, space={
                 "kernel_count_w3": [32], "kernel_count_w4": [32],
                 "kernel_count_w5": [32], "conv_dropout": ["0.1"],
                 "fc_units": [16], "fc_dropout": ["0.1"],
                 "activation": ["relu", "tanh"],
                 "learning_rate": ["0.002", "0.004"], "batch_size": [64],
             },
-        }
-        config_path = tmp_path / "rc.json"
-        config_path.write_text(json.dumps(run_config))
-        return config_path
+        )
 
     @needs_numpy
     def test_evaluation_cache_resumes_without_retraining(self, tmp_path):
@@ -377,32 +354,32 @@ class TestTraceJsonl:
             assert line == trace_line(r) + "\n"
 
 
-#: TREC train lines, test lines and flags -> exit code and a line of its
-#: stdout (exit 0) or stderr; {test} is the test file's path
+#: TREC train lines, test lines and run-config overrides -> exit code and a
+#: line of its stdout (exit 0) or stderr; {test} is the test file's path
 TREC_CASES = {
     # class B's one line has no token, so B is no output class: fc is
     # two classes' 25344 flops, not three classes' 25472
     "tokenless-class-gets-no-id": (
         ["A:x hello there", "B:x \x01\x02", "A:x hi there", "C:x world again",
          "C:x big world"],
-        ["A:x hello"], ["--ratio-init", "0.5"], 0, "fc=25344 ",
+        ["A:x hello"], {"ratio_init": 0.5}, 0, "fc=25344 ",
     ),
     "class-absent-from-training": (
-        ["A:x hello there", "A:x hi there"], ["A:x hello", "D:x who"], [], 2,
+        ["A:x hello there", "A:x hi there"], ["A:x hello", "D:x who"], {}, 2,
         "data error: {test}:2: class 'D' absent from training file\n",
     ),
     "class-vanishes-from-train": (
         ["A:x one two", "A:x three four", "A:x five six", "B:x seven eight",
          "B:x nine ten", "B:x eleven twelve", "C:x only one"],
-        ["A:x one"], ["--ratio-init", "0.4"], 2,
+        ["A:x one"], {"ratio_init": 0.4}, 2,
         "data error: stratification failed: class 2 would vanish from train\n",
     ),
 }
 
 
 class TestEval:
-    def test_flops_only_instant(self, capsys):
-        assert cli.main(["eval", *TOP1_SETS, "--flops-only"]) == 0
+    def test_flops_only_instant(self, tmp_path, capsys):
+        assert cli.main(eval_argv(tmp_path, *TOP1_SETS, "--flops-only")) == 0
         out = capsys.readouterr().out
         assert "total=541056" in out
 
@@ -413,72 +390,63 @@ class TestEval:
             {"kind": "synthetic", "class_count": 40, "vocab_size": 80,
              "samples_per_class": 10}
         ))
-        eval_argv = ["eval", *TOP1_SETS, "--corpus", str(dataset)]
-        assert cli.main([*eval_argv, "--flops-only"]) == 0
+        argv = eval_on(tmp_path, dataset, max_epochs=1)
+        assert cli.main([*argv, "--flops-only"]) == 0
         flops_only = capsys.readouterr().out.splitlines()
-        assert cli.main([*eval_argv, "--max-epochs", "1"]) == 0
+        assert "total=541056" not in flops_only[0]  # not the synthetic shape
+        assert cli.main(argv) == 0
         assert flops_only == capsys.readouterr().out.splitlines()[:1]
 
     def test_flops_only_missing_manifest_is_data_error(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
-        assert cli.main(["eval", *TOP1_SETS, "--flops-only", "--corpus", missing]) == 2
+        assert cli.main(eval_on(tmp_path, missing, "--flops-only")) == 2
         assert f"data error: dataset manifest not found: {missing}" in (
             capsys.readouterr().err
         )
 
-    def test_missing_domain_usage_error(self, capsys):
+    def test_missing_domain_usage_error(self, tmp_path, capsys):
         partial = TOP1_SETS[:-2]  # drop batch_size
-        assert cli.main(["eval", *partial, "--flops-only"]) == 1
+        assert cli.main(eval_argv(tmp_path, *partial, "--flops-only")) == 1
         assert "batch_size" in capsys.readouterr().err
 
-    def test_bad_value_usage_error(self):
+    def test_bad_value_usage_error(self, tmp_path):
         args = TOP1_SETS + ["--set", "batch_size=65"]
-        assert cli.main(["eval", *args, "--flops-only"]) == 1
+        assert cli.main(eval_argv(tmp_path, *args, "--flops-only")) == 1
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--max-epochs", "0"],
-            ["--embedding-dim", "0"],
-            ["--ratio-init", "1.5"],
-            ["--flops-only", "--sentence-length", "2"],
-            ["--flops-only", "--class-count", "-1000"],
-            ["--flops-only", "--class-count", "0"],
-            ["--flops-only", "--sentence-length", "0"],
-        ],
-    )
-    def test_out_of_range_setting_is_usage_error(self, capsys, flags):
-        assert cli.main(["eval", *TOP1_SETS, *flags]) == 1
-        assert capsys.readouterr().err.startswith("usage error:")
+    def test_value_outside_the_restriction_is_usage_error(self, tmp_path, capsys):
+        # the run config's space, not the default one, takes the values
+        config = write_run_config(tmp_path / "rc.json")
+        assert cli.main(["eval", "--config", config, *TOP1_SETS]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: '64' is not a value of domain 'kernel_count_w4'\n"
+        )
 
     def test_calls_share_no_parsed_values(self, tmp_path, capsys):
-        assert cli.main(["eval", *TOP1_SETS, "--flops-only"]) == 0
+        assert cli.main(eval_argv(tmp_path, *TOP1_SETS, "--flops-only")) == 0
         # no --set values carried over: every domain is unassigned again
-        assert cli.main(["eval", "--flops-only"]) == 1
+        assert cli.main(eval_argv(tmp_path, "--flops-only")) == 1
         assert "missing assignment" in capsys.readouterr().err
-        # no --flops-only carried over: the manifest is read, and is missing
-        missing = str(tmp_path / "missing.json")
-        assert cli.main(["eval", *TOP1_SETS, "--corpus", missing]) == 2
-        assert f"data error: dataset manifest not found: {missing}" in capsys.readouterr().err
+        # no --flops-only carried over: the configuration is scored
+        assert cli.main(eval_argv(tmp_path, *TOP1_SETS)) == 0
+        assert "error_rate: " in capsys.readouterr().out
 
     def test_manifest_missing_key_is_data_error(self, tmp_path, capsys):
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps({"kind": "mr", "pos": "x"}))
-        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
+        assert cli.main(eval_on(tmp_path, dataset)) == 2
         assert "mr dataset manifest lacks key 'neg'" in capsys.readouterr().err
 
     @needs_numpy
     @pytest.mark.parametrize("case", list(TREC_CASES))
     def test_trec_corpus(self, tmp_path, capsys, case):
-        train_lines, test_lines, flags, code, expected = TREC_CASES[case]
+        train_lines, test_lines, overrides, code, expected = TREC_CASES[case]
         train, test, manifest = (tmp_path / n for n in ("train.txt", "test.txt", "m.json"))
         train.write_text("\n".join(train_lines) + "\n")
         test.write_text("\n".join(test_lines) + "\n")
         manifest.write_text(
             json.dumps({"kind": "trec", "train": str(train), "test": str(test)})
         )
-        argv = ["eval", *TOP1_SETS, "--flops-only", "--corpus", str(manifest), *flags]
-        assert cli.main(argv) == code
+        assert cli.main(eval_on(tmp_path, manifest, "--flops-only", **overrides)) == code
         captured = capsys.readouterr()
         output = captured.err if code else captured.out
         assert expected.replace("{test}", str(test)) in output
@@ -492,7 +460,8 @@ class TestEval:
             raise DivergenceError("non-finite loss at epoch 1")
 
         monkeypatch.setattr(textcnn, "train", diverge)
-        assert cli.main(["eval", *TOP1_SETS, "--max-epochs", "1"]) == 3
+        argv = eval_argv(tmp_path, *TOP1_SETS, objective_kind="textcnn", max_epochs=1)
+        assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("runtime error: non-finite loss at epoch 1 (config {")
         assert "'kernel_count_w3': 100" in err and "'batch_size': 64" in err
@@ -507,9 +476,9 @@ class TestEval:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rc.json"]
 
     @needs_numpy
-    def test_full_evaluation_on_bundled_synthetic(self, capsys):
-        code = cli.main(["eval", *TOP1_SETS, "--max-epochs", "3"])
-        assert code == 0
+    def test_full_evaluation_on_bundled_synthetic(self, tmp_path, capsys):
+        argv = eval_argv(tmp_path, *TOP1_SETS, objective_kind="textcnn", max_epochs=3)
+        assert cli.main(argv) == 0
         out = capsys.readouterr().out
         assert "error_rate:" in out
         error = float(out.split("error_rate:")[1].splitlines()[0])
@@ -523,7 +492,7 @@ class TestUnreadablePaths:
     def test_dataset_file_directory_is_data_error(self, tmp_path, capsys):
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps({"kind": "cr", "path": str(tmp_path)}))
-        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
+        assert cli.main(eval_on(tmp_path, dataset)) == 2
         assert f"data error: dataset file {tmp_path}:" in capsys.readouterr().err
 
 
@@ -612,7 +581,7 @@ class TestManifestValues:
     ):
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps({**dataset_files(tmp_path)[kind], key: value}))
-        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
+        assert cli.main(eval_on(tmp_path, dataset)) == 2
         message = f"data error: {kind} dataset manifest key {key!r} {problem}"
         assert message in capsys.readouterr().err
 
@@ -629,7 +598,7 @@ class TestManifestValues:
         monkeypatch.setattr(cli, "synthetic_corpus", generator_must_not_run)
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps({"kind": "synthetic", key: value}))
-        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
+        assert cli.main(eval_on(tmp_path, dataset)) == 2
         ceiling = cli.MANIFEST_RULES["synthetic"][key][3]
         message = f"data error: synthetic dataset manifest key {key!r} is above {ceiling}"
         assert message in capsys.readouterr().err
@@ -660,7 +629,7 @@ class TestManifestValues:
         monkeypatch.setattr(cli, "synthetic_corpus", generator_must_not_run)
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps({"kind": "synthetic", **values}))
-        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
+        assert cli.main(eval_on(tmp_path, dataset)) == 2
         message = f"data error: synthetic dataset manifest key {key!r} {problem}"
         assert message in capsys.readouterr().err
 
@@ -687,7 +656,7 @@ class TestManifestValues:
             del manifest["folds"]
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps(manifest))
-        assert cli.main(["eval", *TOP1_SETS, "--corpus", str(dataset)]) == 2
+        assert cli.main(eval_on(tmp_path, dataset)) == 2
         message = f"data error: {kind} dataset manifest key {key!r} {problem}"
         assert message in capsys.readouterr().err
 
@@ -699,7 +668,7 @@ class TestManifestValues:
     def test_key_the_kind_does_not_read_is_data_error(self, tmp_path, capsys, kind, key):
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps({**dataset_files(tmp_path)[kind], key: 3}))
-        argv = ["eval", *TOP1_SETS, "--max-epochs", "1", "--corpus", str(dataset)]
+        argv = eval_on(tmp_path, dataset, max_epochs=1)
         assert cli.main(argv) == 2
         message = f"data error: {kind} dataset manifest key {key!r} is unknown"
         assert message in capsys.readouterr().err
@@ -709,7 +678,7 @@ class TestManifestValues:
     def test_working_manifest_evaluates(self, tmp_path, capsys, kind):
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps(dataset_files(tmp_path)[kind]))
-        argv = ["eval", *TOP1_SETS, "--max-epochs", "1", "--corpus", str(dataset)]
+        argv = eval_on(tmp_path, dataset, max_epochs=1)
         assert cli.main(argv) == 0, capsys.readouterr().err
 
     @pytest.mark.parametrize("kind,key,json_type", [
@@ -723,7 +692,7 @@ class TestManifestValues:
         manifest = {**dataset_files(tmp_path)[kind], key: value}
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps(manifest))
-        argv = ["eval", *TOP1_SETS, "--max-epochs", "1", "--corpus", str(dataset)]
+        argv = eval_on(tmp_path, dataset, max_epochs=1)
         code = cli.main(argv)
         err = capsys.readouterr().err
         assert code in (0, 1, 2)
@@ -833,7 +802,7 @@ REPEAT_EVAL = """
 import io, json, resource, sys
 from contextlib import redirect_stdout
 from annealtune import cli
-argv = ["eval", *json.loads(sys.argv[1])]
+argv = json.loads(sys.argv[1])
 with redirect_stdout(io.StringIO()):
     assert cli.main(argv) == 0
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -852,13 +821,14 @@ def has_mallopt() -> bool:
 class TestAllocatorPolicy:
     @needs_numpy
     @pytest.mark.skipif(not has_mallopt(), reason="C library has no mallopt")
-    def test_repeat_run_faults_in_few_pages(self):
+    def test_repeat_run_faults_in_few_pages(self, tmp_path):
         # freed numpy buffers stay in the heap, so a repeat run reuses their
         # pages; a fresh interpreter, since a long-lived one may already have
         # raised glibc's own mmap threshold (about 325 faults without the policy)
         src = os.path.dirname(os.path.dirname(cli.__file__))
         done = subprocess.run(
-            [sys.executable, "-c", REPEAT_EVAL, json.dumps(TOP1_SETS)],
+            [sys.executable, "-c", REPEAT_EVAL,
+             json.dumps(eval_argv(tmp_path, *TOP1_SETS, objective_kind="textcnn"))],
             env={**os.environ, "PYTHONPATH": os.pathsep.join(
                 filter(None, [src, os.environ.get("PYTHONPATH")])
             )},

@@ -4,16 +4,18 @@ A flag that sets a run setting takes ``RunConfig``'s rule for that key
 (``search_space.checked_setting``); every other numeric flag takes the same
 number rule with its own floor. A value the rule refuses is a usage error
 (exit 1) that names the flag, raised before any file is read; a value the
-rule takes but a later check refuses is still a usage error. An output path
-that cannot be written is a usage error that names it; the command then
-writes none of its outputs and leaves no temp file. The file imports neither numpy nor hypothesis, so it runs where they
-are missing: every ``eval`` here runs with ``--flops-only``.
+rule takes but a later check refuses is still a usage error. ``eval`` takes
+its settings from a run config, whose bad values are refused before its
+dataset manifest is read. An output path that cannot be written is a usage
+error that names it; the command then writes none of its outputs and leaves
+no temp file. The file imports neither numpy nor hypothesis, so it runs
+where they are missing: no case here builds a text-CNN corpus.
 """
 
-import json
 import math
 
 import pytest
+from helpers import write_run_config
 
 import annealtune.cli as cli
 
@@ -55,18 +57,13 @@ def base_argv(command: str, tmp_path) -> list[str]:
     """A working command line for ``command`` that writes into ``tmp_path``."""
     if command == "plan":
         return ["plan"]
-    if command == "eval":
-        return ["eval", *SETS, "--flops-only"]
-    config = tmp_path / "rc.json"
-    config.write_text(json.dumps({
-        "seed_number": 40, "ratio_init": 0.9, "iteration_budget": 30,
-        "initial_acceptance_probability": 0.5, "cooling_rate": 0.8,
-        "objective_kind": "synthetic:sphere_proxy", "probe_count": 4,
-        "space": TUNE_SPACE if command == "tune" else ORACLE_SPACE,
-    }))
+    config = write_run_config(
+        tmp_path / "rc.json", iteration_budget=30, probe_count=4,
+        space=TUNE_SPACE if command == "tune" else ORACLE_SPACE,
+    )
     if command == "tune":
-        return ["tune", "--config", str(config), "--output-dir", str(tmp_path / "out")]
-    return ["oracle", "--config", str(config), "--output", str(tmp_path / "front.txt")]
+        return ["tune", "--config", config, "--output-dir", str(tmp_path / "out")]
+    return ["oracle", "--config", config, "--output", str(tmp_path / "front.txt")]
 
 
 #: (command, flag) -> (int or float, floor, ceiling, whether it lies in (0, 1)),
@@ -77,12 +74,6 @@ FLAGS = {
     ("plan", "--budget"): (int, 1, 2**53, False),
     ("plan", "--cooling-rates"): (float, None, None, True),
     ("tune", "--top-k"): (int, 0, None, False),
-    ("eval", "--seed"): (int, None, None, False),
-    ("eval", "--ratio-init"): (float, None, None, True),
-    ("eval", "--max-epochs"): (int, 1, None, False),
-    ("eval", "--embedding-dim"): (int, 1, 1000, False),
-    ("eval", "--sentence-length"): (int, 5, None, False),
-    ("eval", "--class-count"): (int, 1, None, False),
     ("oracle", "--top-k"): (int, 0, None, False),
 }
 
@@ -117,28 +108,17 @@ def test_every_numeric_flag_takes_every_value(tmp_path, capsys, command, flag, t
         assert err.startswith(f"usage error: argument {flag}: "), err
 
 
-@pytest.mark.parametrize("flag", ["--ratio-init", "--max-epochs", "--embedding-dim"])
-def test_bad_setting_is_refused_before_the_manifest_is_read(tmp_path, capsys, flag):
-    missing = str(tmp_path / "missing.json")
-    value = {"--ratio-init": "1.5", "--max-epochs": "0", "--embedding-dim": "1001"}[flag]
-    assert cli.main(["eval", *SETS, "--corpus", missing, flag, value]) == 1
-    assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
-
-
-def test_embedding_ceiling_holds_for_flops_only(capsys):
-    assert cli.main(["eval", *SETS, "--flops-only", "--embedding-dim", "1000"]) == 0
-    capsys.readouterr()
-    assert cli.main(["eval", *SETS, "--flops-only", "--embedding-dim", "1001"]) == 1
-    err = capsys.readouterr().err
-    assert err == "usage error: argument --embedding-dim: embedding_dim is above 1000\n"
-
-
-def test_sentence_length_floor_is_the_widest_window(capsys):
-    assert cli.main(["eval", *SETS, "--flops-only", "--sentence-length", "5"]) == 0
-    capsys.readouterr()
-    assert cli.main(["eval", *SETS, "--flops-only", "--sentence-length", "3"]) == 1
-    err = capsys.readouterr().err
-    assert err == "usage error: argument --sentence-length: is below 5\n"
+@pytest.mark.parametrize(
+    "key,value", [("ratio_init", 1.5), ("max_epochs", 0), ("embedding_dim", 1001)],
+    ids=["ratio_init", "max_epochs", "embedding_dim"],
+)
+def test_bad_setting_is_refused_before_the_manifest_is_read(tmp_path, capsys, key, value):
+    config = write_run_config(
+        tmp_path / "rc.json", objective_kind="textcnn",
+        dataset_path=str(tmp_path / "missing.json"), **{key: value},
+    )
+    assert cli.main(["eval", "--config", config, *SETS]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: bad run config: {key} ")
 
 
 def test_flag_takes_the_run_config_message(capsys):

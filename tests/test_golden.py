@@ -1,6 +1,7 @@
 """Golden outputs: ``annealtune tune`` on two fixed synthetic run configs
 and three fixed text-CNN run configs, and ``annealtune oracle`` on one fixed
-synthetic run config.
+synthetic run config; ``annealtune eval`` scores every tuned archive entry
+as ``tune`` did.
 
 The expected values are sha256 digests of every file each command writes,
 the text-CNN runs' ``--cache`` file included. A change meant to keep the
@@ -359,6 +360,28 @@ def test_text_cnn_oracle_front_covers_the_tuned_archive(tmp_path, monkeypatch):
     for key, (error, flops) in front_entries(tmp_path / "out" / "archive.json").items():
         assert front.get(key, (error, flops)) == (error, flops), key
         assert any(e <= error and f <= flops for e, f in front.values()), key
+
+
+@pytest.mark.parametrize("objective", [
+    "sphere_proxy", pytest.param("text-cnn", marks=needs_numpy),
+])
+def test_eval_scores_each_archive_entry_as_tune_did(tmp_path, capsys, objective):
+    if objective == "text-cnn":
+        config = text_cnn_run_config(tmp_path, 28)
+    else:
+        config = tmp_path / "rc.json"
+        config.write_text(json.dumps(GOLDEN[0][0]))
+    out = tmp_path / "out"
+    assert cli.main(["tune", "--config", str(config), "--output-dir", str(out)]) == 0
+    entries = json.loads((out / "archive.json").read_text())["entries"]
+    assert len(entries) > 1
+    capsys.readouterr()
+    for entry in entries:
+        sets = [f"--set={name}={value}" for name, value in entry["config"].items()]
+        assert cli.main(["eval", "--config", str(config), *sets]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [f"error_rate: {entry['error_rate']!r}",
+                             f"flops: {entry['flops']}"], entry["config"]
 
 
 def digests_of(directory) -> dict[str, str]:

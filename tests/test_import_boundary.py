@@ -1,7 +1,7 @@
 """Which commands load the text-CNN stack.
 
-A command that trains no CNN (plan, tune and oracle on a synthetic run
-config, eval --flops-only) must run without numpy, ``annealtune.textcnn``,
+A command that trains no CNN (plan, and tune, eval and oracle on a
+synthetic run config) must run without numpy, ``annealtune.textcnn``,
 hashlib and ctypes: the package imports each where a text-CNN evaluator,
 its cache key or an encoded corpus is first built, or, for ctypes (the
 allocator policy), where a CNN first trains. Every case runs in a fresh
@@ -16,6 +16,7 @@ import subprocess
 import sys
 
 import pytest
+from helpers import write_run_config
 
 import annealtune
 
@@ -43,19 +44,6 @@ SETS = [
     "--set", "batch_size=64",
 ]
 
-#: a space of 4 configurations: every other domain pinned to one value
-SMALL_SPACE = {
-    "kernel_count_w3": [32, 64],
-    "kernel_count_w4": [32],
-    "kernel_count_w5": [32],
-    "conv_dropout": ["0.1"],
-    "fc_units": [16, 64],
-    "fc_dropout": ["0.1"],
-    "activation": ["relu"],
-    "learning_rate": ["0.001"],
-    "batch_size": [64],
-}
-
 
 def run_fresh(tmp_path, *argv: str) -> dict:
     src = os.path.dirname(os.path.dirname(annealtune.__file__))
@@ -69,31 +57,21 @@ def run_fresh(tmp_path, *argv: str) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def synthetic_run_config(tmp_path, **overrides) -> str:
-    path = tmp_path / "rc.json"
-    path.write_text(json.dumps({
-        "seed_number": 7,
-        "ratio_init": 0.9,
-        "iteration_budget": 60,
-        "initial_acceptance_probability": 0.5,
-        "cooling_rate": 0.9,
-        "objective_kind": "synthetic:deceptive_trap",
-        **overrides,
-    }))
-    return str(path)
+def run_config(tmp_path, **overrides) -> str:
+    """A run config over the default space, which holds SETS."""
+    return write_run_config(tmp_path / "rc.json", space=None, **overrides)
 
 
 COMMANDS_WITHOUT_CNN = {
     "plan": lambda tmp_path: ["plan"],
     "oracle": lambda tmp_path: [
-        "oracle", "--config", synthetic_run_config(tmp_path, space=SMALL_SPACE),
+        "oracle", "--config", write_run_config(tmp_path / "rc.json"),
         "--output", str(tmp_path / "front.txt"),
     ],
     "synthetic tune": lambda tmp_path: [
-        "tune", "--config", synthetic_run_config(tmp_path),
-        "--output-dir", str(tmp_path / "out"),
+        "tune", "--config", run_config(tmp_path), "--output-dir", str(tmp_path / "out"),
     ],
-    "eval --flops-only": lambda tmp_path: ["eval", *SETS, "--flops-only"],
+    "synthetic eval": lambda tmp_path: ["eval", "--config", run_config(tmp_path), *SETS],
 }
 
 
@@ -106,5 +84,6 @@ def test_command_without_cnn_loads_no_text_cnn_stack(tmp_path, command):
 def test_text_cnn_eval_loads_the_stack(tmp_path):
     if importlib.util.find_spec("numpy") is None:
         pytest.skip("numpy is not installed")
-    result = run_fresh(tmp_path, "eval", *SETS, "--max-epochs", "1")
+    config = run_config(tmp_path, objective_kind="textcnn", max_epochs=1)
+    result = run_fresh(tmp_path, "eval", "--config", config, *SETS)
     assert result == {"code": 0, "loaded": list(TEXT_CNN_STACK)}

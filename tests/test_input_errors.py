@@ -7,6 +7,7 @@ missing."""
 import json
 
 import pytest
+from helpers import write_run_config
 
 import annealtune.cli as cli
 from annealtune.search_space import default_search_space
@@ -30,9 +31,11 @@ TOP1_SETS = [
 ]
 
 #: the command lines that read a run config or a dataset manifest from
-#: {path} and would write {out}
+#: {path} and would write {out}; {rc} is a text-CNN run config beside
+#: {path} whose dataset manifest is {path}
 TUNE = ["tune", "--config", "{path}", "--output-dir", "{out}"]
-EVAL = ["eval", *TOP1_SETS, "--flops-only", "--corpus", "{path}"]
+EVAL = ["eval", "--config", "{path}", *TOP1_SETS, "--flops-only"]
+EVAL_ON = ["eval", "--config", "{rc}", *TOP1_SETS, "--flops-only"]
 ORACLE = ["oracle", "--config", "{path}", "--output", "{out}"]
 
 #: each JSON input file -> the command lines that read it, the exit code of
@@ -40,10 +43,11 @@ ORACLE = ["oracle", "--config", "{path}", "--output", "{out}"]
 #: of its malformed-JSON error
 INPUTS = {
     "run-config": (
-        [TUNE, ORACLE], 1, "usage error: run config", "usage error: bad run config:"
+        [TUNE, EVAL, ORACLE], 1, "usage error: run config",
+        "usage error: bad run config:",
     ),
     "manifest": (
-        [EVAL], 2, "data error: dataset manifest",
+        [EVAL_ON], 2, "data error: dataset manifest",
         "data error: dataset manifest is not valid JSON:",
     ),
 }
@@ -58,10 +62,14 @@ FAILURES = {
 
 
 def fill(command: list[str], path, out) -> list[str]:
-    """``command`` with {path} and {out} replaced; str.format would read the
-    braces of inline JSON."""
+    """``command`` with {path}, {out} and {rc} replaced, {rc}'s run config
+    written if it is there; str.format would read the braces of inline
+    JSON."""
+    rc = path.parent / "rc.json"
+    if "{rc}" in command:
+        write_run_config(rc, objective_kind="textcnn", dataset_path=str(path), space=None)
     return [arg.replace("{path}", str(path)).replace("{out}", str(out))
-            for arg in command]
+            .replace("{rc}", str(rc)) for arg in command]
 
 
 @pytest.mark.parametrize("failure", list(FAILURES))
@@ -95,8 +103,8 @@ def with_space(space) -> str:
 #: each case -> its command line, what it writes to {path} first, and its
 #: exit code
 ECHO_CASES = {
-    "manifest-kind": (EVAL, '{"kind": ' + DEEP_LIST + "}", 2),
-    "manifest-key": (EVAL, json.dumps({"kind": "trec", "x" * 1000: 1}), 2),
+    "manifest-kind": (EVAL_ON, '{"kind": ' + DEEP_LIST + "}", 2),
+    "manifest-key": (EVAL_ON, json.dumps({"kind": "trec", "x" * 1000: 1}), 2),
     "run-config-objective-kind": (
         TUNE, json.dumps({**RUN_CONFIG, "objective_kind": json.loads(DEEP_LIST)}), 1
     ),
@@ -106,9 +114,11 @@ ECHO_CASES = {
     ),
     "restriction-value": (ORACLE, with_space({"fc_units": ["x" * 1000]}), 1),
     "restriction-domain": (ORACLE, with_space({"x" * 1000: [16]}), 1),
-    "set-pair": (["eval", "--flops-only", "--set", "x" * 1000], None, 1),
-    "set-name": (["eval", "--flops-only", "--set", "x" * 1000 + "=1"], None, 1),
-    "set-value": (["eval", "--flops-only", "--set", "fc_units=" + "9" * 999], None, 1),
+    "set-pair": ([*EVAL, "--set", "x" * 1000], json.dumps(RUN_CONFIG), 1),
+    "set-name": ([*EVAL, "--set", "x" * 1000 + "=1"], json.dumps(RUN_CONFIG), 1),
+    "set-value": (
+        [*EVAL, "--set", "fc_units=" + "9" * 999], json.dumps(RUN_CONFIG), 1
+    ),
 }
 
 
@@ -132,11 +142,11 @@ NAMED_ERRORS = {
         "usage error: bad run config: run config must be a key/value mapping",
     ),
     "manifest-list": (
-        EVAL, "[1, 2]", 2,
+        EVAL_ON, "[1, 2]", 2,
         "data error: dataset manifest must be an object with a 'kind' key",
     ),
     "manifest-without-kind": (
-        EVAL, json.dumps({"path": "{blank}"}), 2,
+        EVAL_ON, json.dumps({"path": "{blank}"}), 2,
         "data error: dataset manifest must be an object with a 'kind' key",
     ),
     "restriction-bool": (
@@ -155,11 +165,11 @@ NAMED_ERRORS = {
         "usage error: bad run config: missing run config keys",
     ),
     "cr-without-sentence": (
-        EVAL, json.dumps({"kind": "cr", "path": "{blank}"}), 2,
+        EVAL_ON, json.dumps({"kind": "cr", "path": "{blank}"}), 2,
         "data error: no sentences in {blank}",
     ),
     "trec-train-without-sentence": (
-        EVAL, json.dumps({"kind": "trec", "train": "{blank}", "test": "{blank}"}), 2,
+        EVAL_ON, json.dumps({"kind": "trec", "train": "{blank}", "test": "{blank}"}), 2,
         "data error: no sentences in {blank}",
     ),
 }
@@ -184,7 +194,7 @@ def test_echoed_dataset_line_is_cut_short(tmp_path, capsys, kind):
     keys = {"cr": ["path"], "trec": ["train", "test"]}[kind]
     manifest = tmp_path / "dataset.json"
     manifest.write_text(json.dumps({"kind": kind, **dict.fromkeys(keys, str(lines))}))
-    assert cli.main(fill(EVAL, manifest, None)) == 2
+    assert cli.main(fill(EVAL_ON, manifest, None)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {lines}:1: malformed")
     assert len(err) < 200 + len(str(lines)), err
@@ -195,7 +205,7 @@ def test_manifest_numbers_are_judged_before_its_files_are_read(tmp_path, capsys)
     absent = str(tmp_path / "absent.txt")
     manifest.write_text(json.dumps({"kind": "mr", "pos": absent, "neg": absent,
                                     "folds": 1}))
-    assert cli.main(fill(EVAL, manifest, None)) == 2
+    assert cli.main(fill(EVAL_ON, manifest, None)) == 2
     assert capsys.readouterr().err == (
         "data error: mr dataset manifest key 'folds' is below 2\n"
     )

@@ -135,6 +135,42 @@ def test_interrupted_tune_leaves_no_new_file(tmp_path, monkeypatch, command, exi
     assert snapshot(out) == snapshot(cold)
 
 
+@pytest.mark.parametrize("command,output,named", [
+    ("oracle", "blocker/front.txt", "blocker/front.txt"),
+    ("tune", "blocker", "blocker/archive.txt"),
+    ("tune", "blocker/out", "blocker/out/archive.txt"),
+], ids=["oracle-output", "tune-output-dir", "tune-output-dir-below"])
+def test_output_below_a_regular_file_is_not_a_directory(
+    tmp_path, capsys, command, output, named
+):
+    argv = base_argv(command, tmp_path)
+    argv[argv.index("--output" if command == "oracle" else "--output-dir") + 1] = str(
+        tmp_path / output
+    )
+    (tmp_path / "blocker").write_text("a file")
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: cannot write {tmp_path / named}: Not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "rc.json"]
+
+
+@needs_numpy
+@pytest.mark.parametrize("command", ["tune", "oracle"])
+def test_refused_output_leaves_no_new_cache(tmp_path, capsys, command):
+    # the objective, and so the cache file, is built only once the outputs
+    # are judged writable
+    cache, blocker, directory = (tmp_path / n for n in ("new.jsonl", "blocker", "dir"))
+    blocker.write_text("a file")
+    directory.mkdir()
+    output = {"tune": ["--output-dir", str(blocker)],
+              "oracle": ["--output", str(directory)]}[command]
+    argv = [command, "--config", text_cnn_run_config(tmp_path, 28),
+            "--cache", str(cache), *output]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: cannot write ")
+    assert not cache.exists()
+
+
 def test_oracle_output_named_like_its_json_front_is_usage_error(tmp_path, capsys):
     argv = base_argv("oracle", tmp_path)
     argv[argv.index("--output") + 1] = str(tmp_path / "front.json")
