@@ -17,16 +17,15 @@ import errno
 import functools
 import json
 import os
+import random
 import sys
 from typing import Any, Sequence
 
 from .annealer import CalibrationError, RunResult, StepRecord, plan_schedule, run
 from .corpus import (
-    CvPolicy,
     DataError,
-    FixedTestPolicy,
-    HoldoutPolicy,
     PreparedCorpus,
+    hold_out,
     load_cr,
     load_mr,
     load_trec,
@@ -358,6 +357,7 @@ def prepare_corpus(path: str | None, ratio_init: float, seed: int) -> PreparedCo
             m[key] = checked_number(value, convert, floor, ceiling)
         except ValueError as exc:
             raise _manifest_error(kind, key, str(exc)) from None
+    rng = random.Random(seed)
     if kind == "synthetic":
         fewest = 2 * m["class_count"]
         if m["vocab_size"] < fewest:
@@ -368,14 +368,18 @@ def prepare_corpus(path: str | None, ratio_init: float, seed: int) -> PreparedCo
         if not 0.0 <= test_fraction < 1.0:
             raise _manifest_error(kind, "test_fraction", "is outside [0, 1)")
         data = synthetic_corpus(**m)
-        return make_splits(data, HoldoutPolicy(test_fraction), ratio_init, seed)
-    if kind == "trec":
-        train, test, _ = load_trec(m["train"], m["test"])
-        return make_splits(train, FixedTestPolicy(tuple(test)), ratio_init, seed)
-    if not 0 <= m["fold_index"] < m["folds"]:
-        raise _manifest_error(kind, "fold_index", f"is outside [0, {m['folds']})")
-    data = load_mr(m["pos"], m["neg"]) if kind == "mr" else load_cr(m["path"])
-    return make_splits(data, CvPolicy(m["folds"], m["fold_index"]), ratio_init, seed)
+        pool, test = hold_out(data, 0, round(test_fraction * len(data)), rng)
+    elif kind == "trec":
+        pool, test, _ = load_trec(m["train"], m["test"])
+    else:
+        folds, fold = m["folds"], m["fold_index"]
+        if not 0 <= fold < folds:
+            raise _manifest_error(kind, "fold_index", f"is outside [0, {folds})")
+        data = load_mr(m["pos"], m["neg"]) if kind == "mr" else load_cr(m["path"])
+        base, extra = divmod(len(data), folds)
+        start = fold * base + min(fold, extra)
+        pool, test = hold_out(data, start, start + base + (fold < extra), rng)
+    return make_splits(pool, test, ratio_init, rng)
 
 
 def build_evaluator(config: RunConfig, cache_path: str | None = None):

@@ -1,10 +1,10 @@
 """Dataset ingestion and split management.
 
 Line-oriented loaders for the three supported corpus formats, a tokenizer,
-train-only vocabulary building, cross-validation / holdout / fixed-test
-split policies, and a deterministic synthetic corpus so the package tests
-itself without licensed data. numpy is imported where a corpus is first
-encoded, so loading sentences needs none.
+the holdout of a test split, the stratified train / validation split with
+train-only vocabulary building, and a deterministic synthetic corpus so the
+package tests itself without licensed data. numpy is imported where a
+corpus is first encoded, so loading sentences needs none.
 """
 
 from __future__ import annotations
@@ -122,28 +122,6 @@ def load_trec(
     return train, test, tuple(class_ids)
 
 
-# --- split policies -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CvPolicy:
-    folds: int
-    fold_index: int
-
-
-@dataclass(frozen=True)
-class HoldoutPolicy:
-    test_fraction: float
-
-
-@dataclass(frozen=True)
-class FixedTestPolicy:
-    test: tuple[LabeledSentence, ...]
-
-
-SplitPolicy = CvPolicy | HoldoutPolicy | FixedTestPolicy
-
-
 @dataclass
 class PreparedCorpus:
     train_ids: np.ndarray
@@ -169,69 +147,52 @@ def _encode(
     return ids, labels
 
 
-def split_off_test(
-    data: Sequence[LabeledSentence], policy: SplitPolicy, rng: random.Random
+def hold_out(
+    data: Sequence[LabeledSentence], start: int, stop: int, rng: random.Random
 ) -> tuple[list[LabeledSentence], list[LabeledSentence]]:
-    """The policy's test split and the rest of ``data`` (the "original
-    training set"). CV and holdout pick the test sentences by shuffling
-    with ``rng`` and keep ``data`` order in both parts."""
-    data = list(data)
-    if isinstance(policy, FixedTestPolicy):
-        return list(policy.test), data
-    if isinstance(policy, CvPolicy):
-        if policy.folds < 2:
-            raise ValueError("cross validation needs at least 2 folds")
-        if not 0 <= policy.fold_index < policy.folds:
-            raise ValueError("fold_index outside range")
-        base, extra = divmod(len(data), policy.folds)
-        start = policy.fold_index * base + min(policy.fold_index, extra)
-        stop = start + base + (policy.fold_index < extra)
-    elif isinstance(policy, HoldoutPolicy):
-        if not 0.0 <= policy.test_fraction < 1.0:
-            raise ValueError("test_fraction must lie in [0, 1)")
-        start, stop = 0, round(policy.test_fraction * len(data))
-    else:
-        raise TypeError(f"unknown split policy: {policy!r}")
+    """The rest of ``data`` and the sentences at positions [start, stop) of
+    its indices shuffled by ``rng``, both in ``data`` order: a CV fold or a
+    holdout test split, in the order make_splits takes them."""
     indices = list(range(len(data)))
     rng.shuffle(indices)
     chosen = set(indices[start:stop])
     test = [data[i] for i in sorted(chosen)]
-    return test, [s for i, s in enumerate(data) if i not in chosen]
+    return [s for i, s in enumerate(data) if i not in chosen], test
 
 
 def make_splits(
-    data: Sequence[LabeledSentence],
-    policy: SplitPolicy,
+    pool: Sequence[LabeledSentence],
+    test: Sequence[LabeledSentence],
     ratio_init: float,
-    seed: int,
+    rng: random.Random,
 ) -> PreparedCorpus:
-    """Hold out the policy's test split and encode train / validation.
+    """Split ``pool``, the "original training set", into train / validation
+    and encode both.
 
-    The policy fixes the test split, which stays out of both; the remaining
-    "original training set" is split train/validation by ratio_init,
-    stratified per class with a seeded shuffle. The vocabulary comes from
-    the train split only, so unknown-token handling in validation is
+    ``test`` is the test split prepare_corpus held out of the corpus (a CV
+    fold or holdout share by hold_out, or TREC's test file); it stays out
+    of both splits and only its labels count towards class_count. The pool
+    is split by ratio_init, stratified per class, with shuffles drawn from
+    ``rng`` after whatever hold_out drew: a class of n sentences puts
+    round(ratio_init * n) in train, but at most n - 1 when n >= 2, so every
+    class of two or more keeps a validation sentence. The vocabulary comes
+    from the train split only, so unknown-token handling in validation is
     exercised honestly.
     """
     import numpy as np
 
-    if not data:
-        raise DataError("empty dataset")
     if not 0.0 < ratio_init < 1.0:
         raise ValueError("ratio_init must lie in (0, 1)")
-    rng = random.Random(seed)
-    test, original_train = split_off_test(data, policy, rng)
 
-    # stratified train/validation split of the original training set
     by_class: dict[int, list[int]] = {}
-    for i, sentence in enumerate(original_train):
+    for i, sentence in enumerate(pool):
         by_class.setdefault(sentence.label, []).append(i)
     train_idx: list[int] = []
     val_idx: list[int] = []
     for label in sorted(by_class):
         group = by_class[label]
         rng.shuffle(group)
-        n_train = round(ratio_init * len(group))
+        n_train = min(round(ratio_init * len(group)), max(len(group) - 1, 1))
         if n_train == 0:
             raise DataError(
                 f"stratification failed: class {label} would vanish from train"
@@ -240,12 +201,12 @@ def make_splits(
         val_idx.extend(group[n_train:])
     train_idx.sort()
     val_idx.sort()
-    train = [original_train[i] for i in train_idx]
-    validation = [original_train[i] for i in val_idx]
+    train = [pool[i] for i in train_idx]
+    validation = [pool[i] for i in val_idx]
     for name, split in (("train", train), ("validation", validation)):
         if not split:
             raise DataError(
-                f"the {name} split is empty: {len(original_train)} sentences "
+                f"the {name} split is empty: {len(pool)} sentences "
                 f"outside the test split, ratio_init {ratio_init}"
             )
 
@@ -267,7 +228,7 @@ def make_splits(
         validation_ids=val_ids,
         validation_labels=val_labels,
         sentence_length=sentence_length,
-        class_count=max(s.label for s in (*data, *test)) + 1,
+        class_count=max(s.label for s in (*pool, *test)) + 1,
         vocab_size=len(vocab),
     )
 

@@ -266,6 +266,17 @@ def loss(probs: np.ndarray, labels: np.ndarray) -> float:
     return -float(np.log(np.maximum(picked, 1e-12)).sum())
 
 
+def _scatter_add(ids: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """Zeros of ``shape`` with each (..., k) row of ``rows`` added to the row
+    its id names, in one bincount over (id, column) cells: np.add.at's
+    result bit for bit, as both add each cell's terms in token order from
+    0.0."""
+    k = shape[1]
+    cells = (ids.reshape(-1, 1) * k + np.arange(k)).ravel()
+    sums = np.bincount(cells, weights=rows.ravel(), minlength=shape[0] * k)
+    return sums.reshape(shape)
+
+
 def backward(
     model: TextCnnModel, cache: dict, labels: np.ndarray
 ) -> dict[str, np.ndarray]:
@@ -315,8 +326,7 @@ def backward(
         for j in range(w):  # token j of each window sits at position p + j
             dembedded[:, j : j + positions] += dwindows[:, :, j]
 
-    grads["embedding"] = np.zeros_like(model.embedding)
-    np.add.at(grads["embedding"], ids.ravel(), dembedded.reshape(-1, k))
+    grads["embedding"] = _scatter_add(ids, dembedded, model.embedding.shape)
     return grads
 
 

@@ -1,7 +1,8 @@
-"""Shared test oracles and builders: run config files, finite-difference
-gradients, comparison metrics, trace lines, evaluators with the run
-configuration's defaults, a record of the evaluators the command line
-builds, a stand-in ``open`` and the mark of a test that needs numpy.
+"""Shared test oracles and builders: run config files, holdout splits,
+finite-difference gradients, comparison metrics, trace lines, evaluators
+with the run configuration's defaults, a record of the evaluators the
+command line builds, a stand-in ``open`` and the mark of a test that needs
+numpy.
 numpy and the text CNN are imported only by the helpers that use them, so
 numpy-free tests can import this module."""
 
@@ -9,10 +10,12 @@ import errno
 import importlib.util
 import json
 import os
+import random
 from dataclasses import fields
 
 import pytest
 from annealtune import cli
+from annealtune.corpus import hold_out, make_splits
 from annealtune.evaluator import TextCnnEvaluator
 from annealtune.search_space import RunConfig
 
@@ -55,6 +58,14 @@ def write_run_config(path, **overrides) -> str:
     }
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+def holdout_splits(data, test_fraction, ratio_init, seed):
+    """make_splits of ``data`` less a held-out test share, drawn as
+    prepare_corpus draws a synthetic manifest's."""
+    rng = random.Random(seed)
+    pool, test = hold_out(data, 0, round(test_fraction * len(data)), rng)
+    return make_splits(pool, test, ratio_init, rng)
 
 
 TRAINING_SETTINGS = (

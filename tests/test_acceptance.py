@@ -19,7 +19,7 @@ from reference_pareto import brute_force_front
 
 import annealtune.cli as cli
 from annealtune.annealer import initial_temperature, metropolis_accepts, run
-from annealtune.corpus import load_cr, load_mr, load_trec, make_splits, CvPolicy
+from annealtune.corpus import load_cr, load_mr, load_trec
 from annealtune.evaluator import SyntheticEvaluator
 from annealtune.pareto import (
     ArchiveEntry,
@@ -236,7 +236,7 @@ def test_criterion_8_byte_identical_runs(tmp_path):
 TABLE2 = {"mr": 18765, "cr": 5340, "trec": 9592}
 
 
-def test_criterion_9_dataset_loaders():
+def test_criterion_9_dataset_loaders(tmp_path):
     mr_pos = os.environ.get("ANNEALTUNE_MR_POS")
     mr_neg = os.environ.get("ANNEALTUNE_MR_NEG")
     cr_path = os.environ.get("ANNEALTUNE_CR")
@@ -247,27 +247,27 @@ def test_criterion_9_dataset_loaders():
             "criterion 9 skipped: set ANNEALTUNE_MR_POS/.._MR_NEG, "
             "ANNEALTUNE_CR, ANNEALTUNE_TREC_TRAIN/.._TREC_TEST to run"
         )
+
+    def vocab_size(**manifest):
+        # split as a run config naming this manifest would be: fold 0 of 10
+        # for mr and cr, the test file for trec
+        path = tmp_path / f"{manifest['kind']}.json"
+        path.write_text(json.dumps(manifest))
+        return cli.prepare_corpus(str(path), 0.9, 40).vocab_size
+
     checks = []
     if mr_pos and mr_neg:
-        data = load_mr(mr_pos, mr_neg)
-        prepared = make_splits(data, CvPolicy(10, 0), 0.9, 40)
-        checks.append(("mr", len(data) == 10662, len(data),
-                       prepared.vocab_size))
+        size = len(load_mr(mr_pos, mr_neg))
+        vocab = vocab_size(kind="mr", pos=mr_pos, neg=mr_neg)
+        checks.append(("mr", size == 10662, size, vocab))
     if cr_path:
-        data = load_cr(cr_path)
-        prepared = make_splits(data, CvPolicy(10, 0), 0.9, 40)
-        checks.append(("cr", len(data) == 3775, len(data),
-                       prepared.vocab_size))
+        size = len(load_cr(cr_path))
+        checks.append(("cr", size == 3775, size, vocab_size(kind="cr", path=cr_path)))
     if trec_train and trec_test:
         train, test, names = load_trec(trec_train, trec_test)
-        from annealtune.corpus import FixedTestPolicy
-
-        prepared = make_splits(train, FixedTestPolicy(tuple(test)), 0.9, 40)
         total = len(train) + len(test)
-        checks.append(
-            ("trec", total == 5952 and len(names) == 6, total,
-             prepared.vocab_size)
-        )
+        vocab = vocab_size(kind="trec", train=trec_train, test=trec_test)
+        checks.append(("trec", total == 5952 and len(names) == 6, total, vocab))
     for name, exact_ok, size, vocab in checks:
         ratio = vocab / TABLE2[name]
         print(

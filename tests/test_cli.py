@@ -297,10 +297,10 @@ class TestTune:
 
     @needs_numpy
     def test_empty_validation_split_is_data_error(self, tmp_path, capsys):
-        # 2 sentences per class, none held out: ratio_init 0.9 puts both in train
+        # 1 sentence per class, none held out: ratio_init 0.9 puts it in train
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps(
-            {"kind": "synthetic", "samples_per_class": 2, "test_fraction": 0}
+            {"kind": "synthetic", "samples_per_class": 1, "test_fraction": 0}
         ))
         config = write_run_config(
             tmp_path / "rc.json", objective_kind="textcnn", dataset_path=str(dataset)

@@ -1,24 +1,23 @@
+import json
 import random
 from collections import Counter
 
 import pytest
-from helpers import needs_numpy
+from helpers import holdout_splits, needs_numpy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annealtune import cli
 from annealtune.corpus import (
     PAD_ID,
     UNK_ID,
-    CvPolicy,
     DataError,
-    FixedTestPolicy,
-    HoldoutPolicy,
     LabeledSentence,
+    hold_out,
     load_cr,
     load_mr,
     load_trec,
     make_splits,
-    split_off_test,
     synthetic_corpus,
     tokenize,
 )
@@ -203,21 +202,39 @@ def corpus_of(n, classes=2, seed=0):
     return sentences
 
 
+def cr_manifest(tmp_path, data, **keys):
+    """The path of a cr manifest, with ``keys``, over a file of ``data``."""
+    path = tmp_path / "cr.tsv"
+    path.write_text("".join(f"{s.label}\t{' '.join(s.tokens)}\n" for s in data))
+    manifest = tmp_path / "cr.json"
+    manifest.write_text(json.dumps({"kind": "cr", "path": str(path), **keys}))
+    return str(manifest)
+
+
+def split_inputs(monkeypatch, manifest, seed):
+    """The pool, the test split and the rng's state that prepare_corpus
+    hands make_splits for ``manifest``."""
+    seen = []
+    monkeypatch.setattr(
+        cli, "make_splits",
+        lambda pool, test, ratio_init, rng: seen.append((pool, test, rng.getstate())),
+    )
+    cli.prepare_corpus(manifest, 0.9, seed)
+    return seen[0]
+
+
 class TestMakeSplits:
     @needs_numpy
-    def test_cv_fold_arithmetic(self):
-        data = corpus_of(100)
-        test, rest = split_off_test(data, CvPolicy(10, 0), random.Random(1))
-        assert len(test) == 10
-        assert len(rest) == 90
-        prepared = make_splits(data, CvPolicy(10, 0), ratio_init=0.9, seed=1)
+    def test_cv_fold_arithmetic(self, tmp_path):
+        # fold 0 of 10 holds out 10 of 100 sentences; 0.9 of 90 train
+        prepared = cli.prepare_corpus(cr_manifest(tmp_path, corpus_of(100)), 0.9, 1)
         assert len(prepared.train_labels) == 81
         assert len(prepared.validation_labels) == 9
 
-    def test_cv_folds_partition_dataset(self):
+    def test_cv_folds_partition_dataset(self, tmp_path, monkeypatch):
         data = corpus_of(103)  # uneven fold sizes, no repeated sentence
         folds = [
-            split_off_test(data, CvPolicy(10, fold), random.Random(7))[0]
+            split_inputs(monkeypatch, cr_manifest(tmp_path, data, fold_index=fold), 7)[1]
             for fold in range(10)
         ]
         sizes = [len(fold) for fold in folds]
@@ -228,9 +245,9 @@ class TestMakeSplits:
     @needs_numpy
     def test_splits_partition_input_exactly(self):
         data = corpus_of(60, classes=3)
-        # make_splits draws the test split first from its seed's stream
-        test, _ = split_off_test(data, HoldoutPolicy(0.2), random.Random(3))
-        prepared = make_splits(data, HoldoutPolicy(0.2), ratio_init=0.8, seed=3)
+        rng = random.Random(3)
+        pool, test = hold_out(data, 0, 12, rng)
+        prepared = make_splits(pool, test, ratio_init=0.8, rng=rng)
         combined = Counter(s.label for s in test)
         for labels in (prepared.train_labels, prepared.validation_labels):
             combined.update(int(l) for l in labels)
@@ -238,84 +255,80 @@ class TestMakeSplits:
         assert combined == Counter(s.label for s in data)
 
     @pytest.mark.parametrize(
-        "policy",
-        [CvPolicy(4, 1), HoldoutPolicy(0.3), HoldoutPolicy(0.0)],
-        ids=["cv", "holdout", "holdout-empty"],
+        "start,stop", [(10, 20), (0, 12), (0, 0)], ids=["cv", "holdout", "holdout-empty"]
     )
-    def test_test_split_stays_out_of_train_and_validation(self, policy):
+    def test_test_split_stays_out_of_train_and_validation(self, start, stop):
         data = corpus_of(40)
-        test, rest = split_off_test(data, policy, random.Random(5))
-        assert not set(test) & set(rest)
-        assert sorted(test + rest, key=data.index) == data
-        assert rest == [s for s in data if s not in test]
+        pool, test = hold_out(data, start, stop, random.Random(5))
+        assert len(test) == stop - start
+        assert not set(test) & set(pool)
+        assert sorted(test + pool, key=data.index) == data
+        assert pool == [s for s in data if s not in test]
 
-    def test_fixed_test_split_is_the_policy_s_own(self):
-        data = corpus_of(10)
-        held_out = (LabeledSentence(("zeta",), 1),)
-        rng = random.Random(0)
-        state = rng.getstate()
-        assert split_off_test(data, FixedTestPolicy(held_out), rng) == (
-            list(held_out), data
+    def test_fixed_test_split_is_the_policy_s_own(self, tmp_path, monkeypatch):
+        # a trec manifest's test split is its test file, and nothing is
+        # drawn from the run's stream before the stratified split
+        train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+        train.write_text("A:x one two\nB:x three four\nA:x five six\n")
+        test.write_text("B:x seven\n")
+        manifest = tmp_path / "trec.json"
+        manifest.write_text(
+            json.dumps({"kind": "trec", "train": str(train), "test": str(test)})
         )
-        assert rng.getstate() == state
-
-    @pytest.mark.parametrize(
-        "policy,error,message",
-        [
-            (CvPolicy(1, 0), ValueError, "at least 2 folds"),
-            (CvPolicy(3, 3), ValueError, "fold_index outside range"),
-            (CvPolicy(3, -1), ValueError, "fold_index outside range"),
-            (HoldoutPolicy(1.0), ValueError, r"test_fraction must lie in \[0, 1\)"),
-            (HoldoutPolicy(-0.1), ValueError, r"test_fraction must lie in \[0, 1\)"),
-            (0.2, TypeError, "unknown split policy: 0.2"),
-        ],
-        ids=["one-fold", "index-at-folds", "index-negative", "fraction-one",
-             "fraction-negative", "not-a-policy"],
-    )
-    def test_unusable_policy_is_refused(self, policy, error, message):
-        with pytest.raises(error, match=message):
-            split_off_test(corpus_of(10), policy, random.Random(0))
+        pool, held_out, state = split_inputs(monkeypatch, str(manifest), 7)
+        assert (pool, held_out) == load_trec(str(train), str(test))[:2]
+        assert state == random.Random(7).getstate()
 
     @needs_numpy
     @pytest.mark.parametrize("ratio_init", [0.0, 1.0])
     def test_ratio_init_outside_the_open_unit_interval_is_refused(self, ratio_init):
         with pytest.raises(ValueError, match=r"ratio_init must lie in \(0, 1\)"):
-            make_splits(corpus_of(10), HoldoutPolicy(0.2), ratio_init, seed=0)
+            make_splits(corpus_of(10), [], ratio_init, random.Random(0))
 
     @needs_numpy
     def test_stratified_mix_preserved(self):
         data = [
             LabeledSentence(("a", "b", "c"), 0) for _ in range(60)
         ] + [LabeledSentence(("d", "e", "f"), 1) for _ in range(40)]
-        prepared = make_splits(data, HoldoutPolicy(0.0), ratio_init=0.9, seed=5)
+        prepared = holdout_splits(data, 0.0, ratio_init=0.9, seed=5)
         train_mix = Counter(int(l) for l in prepared.train_labels)
         assert abs(train_mix[0] - 54) <= 2
         assert abs(train_mix[1] - 36) <= 2
 
     @needs_numpy
+    def test_every_class_of_two_or_more_keeps_a_validation_sentence(self):
+        # 40 classes of 3: round(0.9 * 3) alone would put all 3 in train
+        data = corpus_of(120, classes=40)
+        prepared = holdout_splits(data, 0.0, ratio_init=0.9, seed=1)
+        assert Counter(int(l) for l in prepared.train_labels) == dict.fromkeys(range(40), 2)
+        assert Counter(int(l) for l in prepared.validation_labels) == dict.fromkeys(
+            range(40), 1
+        )
+
+    @needs_numpy
     def test_class_vanishing_from_train_is_an_error(self):
         data = [LabeledSentence(("a", "b", "c"), 0) for _ in range(50)]
         data.append(LabeledSentence(("d", "e", "f"), 1))
-        # the single class-1 item lands in validation at ratio 0.5
+        # the single class-1 item lands in validation at ratio 0.4
         with pytest.raises(DataError, match="stratification"):
-            make_splits(data, HoldoutPolicy(0.0), ratio_init=0.4, seed=1)
+            holdout_splits(data, 0.0, ratio_init=0.4, seed=1)
 
     @needs_numpy
     @pytest.mark.parametrize(
-        "policy,ratio_init,empty",
-        [(HoldoutPolicy(0.0), 0.9, "validation"), (HoldoutPolicy(0.9), 0.5, "train")],
+        "size,test_fraction,ratio_init,empty",
+        [(2, 0.0, 0.9, "validation"), (4, 0.9, 0.5, "train")],
         ids=["validation", "train"],
     )
-    def test_empty_split_is_an_error(self, policy, ratio_init, empty):
-        # 4 sentences: 0.9 keeps both of a class in train; a 0.9 test
-        # fraction leaves nothing outside the test split
+    def test_empty_split_is_an_error(self, size, test_fraction, ratio_init, empty):
+        # 2 classes of 1: 0.9 keeps each in train; a 0.9 test fraction of 4
+        # leaves nothing outside the test split
         with pytest.raises(DataError, match=f"the {empty} split is empty"):
-            make_splits(corpus_of(4), policy, ratio_init, seed=1)
+            holdout_splits(corpus_of(size), test_fraction, ratio_init, seed=1)
 
     @needs_numpy
     def test_all_ids_below_vocab_size_and_reserved_ids_distinct(self):
         data = synthetic_corpus(2, 30, 40, seed=3)
-        prepared = make_splits(data, HoldoutPolicy(0.2), ratio_init=0.9, seed=2)
+        prepared = holdout_splits(data, 0.2, ratio_init=0.9, seed=2)
         assert PAD_ID != UNK_ID
         for ids in (prepared.train_ids, prepared.validation_ids):
             assert ids.max() < prepared.vocab_size
@@ -330,7 +343,7 @@ class TestMakeSplits:
             LabeledSentence(tuple(f"s{i}w{j}" for j in range(5)), 0)
             for i in range(10)
         ]
-        prepared = make_splits(data, HoldoutPolicy(0.0), ratio_init=0.9, seed=0)
+        prepared = holdout_splits(data, 0.0, ratio_init=0.9, seed=0)
         assert prepared.validation_ids.shape == (1, 5)
         assert np.all(prepared.validation_ids == UNK_ID)
         assert np.all(prepared.train_ids > UNK_ID)
@@ -338,13 +351,13 @@ class TestMakeSplits:
     @needs_numpy
     def test_stats_recomputed_from_content(self):
         data = corpus_of(50, classes=4)
-        prepared = make_splits(data, HoldoutPolicy(0.1), ratio_init=0.9, seed=0)
+        prepared = holdout_splits(data, 0.1, ratio_init=0.9, seed=0)
         assert prepared.class_count == 4
 
     @needs_numpy
     def test_sentence_length_floor_of_five(self):
         data = corpus_of(30)  # all length 3
-        prepared = make_splits(data, HoldoutPolicy(0.0), ratio_init=0.9, seed=0)
+        prepared = holdout_splits(data, 0.0, ratio_init=0.9, seed=0)
         assert prepared.sentence_length == 5
         assert prepared.train_ids.shape[1] == 5
 
@@ -384,25 +397,22 @@ sentences = st.builds(
 tiny_corpora = st.lists(sentences, max_size=8)
 
 
-POLICIES = {
-    "holdout": st.builds(HoldoutPolicy, st.floats(0.0, 1.0, exclude_max=True)),
-    "cv": st.integers(2, 10).flatmap(
-        lambda folds: st.builds(CvPolicy, st.just(folds), st.integers(0, folds - 1))
-    ),
-    "fixed": st.lists(sentences, max_size=3).map(lambda t: FixedTestPolicy(tuple(t))),
-}
-
-
 @needs_numpy
-@pytest.mark.parametrize("kind", sorted(POLICIES))
+@pytest.mark.parametrize("kind", ["cv", "fixed", "holdout"])
 @settings(max_examples=150, deadline=None)
 @given(draw=st.data())
 def test_tiny_corpus_splits_are_non_empty_or_a_data_error(kind, draw):
     data = draw.draw(tiny_corpora)
-    policy = draw.draw(POLICIES[kind])
+    rng = random.Random(draw.draw(st.integers(0, 99)))
+    if kind == "fixed":
+        pool, test = data, draw.draw(st.lists(sentences, max_size=3))
+    else:
+        stop = draw.draw(st.integers(0, len(data)))
+        start = 0 if kind == "holdout" else draw.draw(st.integers(0, stop))
+        pool, test = hold_out(data, start, stop, rng)
     ratio_init = draw.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     try:
-        prepared = make_splits(data, policy, ratio_init, seed=draw.draw(st.integers(0, 99)))
+        prepared = make_splits(pool, test, ratio_init, rng)
     except DataError:
         return
     assert len(prepared.train_labels) > 0

@@ -4,15 +4,16 @@ import os
 import random
 
 import pytest
-from helpers import RUN_DEFAULTS, needs_numpy, open_refusing_reads, text_cnn_evaluator
+from helpers import (
+    RUN_DEFAULTS,
+    holdout_splits,
+    needs_numpy,
+    open_refusing_reads,
+    text_cnn_evaluator,
+)
 
 import annealtune.evaluator as evaluator_module
-from annealtune.corpus import (
-    HoldoutPolicy,
-    LabeledSentence,
-    make_splits,
-    synthetic_corpus,
-)
+from annealtune.corpus import LabeledSentence, synthetic_corpus
 from annealtune.evaluator import (
     SYNTHETIC_CLASS_COUNT,
     SYNTHETIC_EMBEDDING_DIM,
@@ -445,7 +446,7 @@ def small_textcnn_space(**overrides):
 
 def small_corpus(seed=40, class_count=2, samples_per_class=50):
     data = synthetic_corpus(class_count, samples_per_class, 40, seed=seed)
-    return make_splits(data, HoldoutPolicy(0.2), ratio_init=0.9, seed=seed)
+    return holdout_splits(data, 0.2, ratio_init=0.9, seed=seed)
 
 
 @needs_numpy
@@ -505,8 +506,7 @@ class TestTextCnnEvaluator:
         shuffled = [
             LabeledSentence(s.tokens, l) for s, l in zip(data, labels)
         ]
-        corpus = make_splits(shuffled, HoldoutPolicy(0.0), ratio_init=0.9,
-                             seed=seed)
+        corpus = holdout_splits(shuffled, 0.0, ratio_init=0.9, seed=seed)
         space = small_textcnn_space()
         evaluator = text_cnn_evaluator(space=space, corpus=corpus, seed=seed,
                                        max_epochs=5)

@@ -6,9 +6,9 @@ import pytest
 np = pytest.importorskip("numpy")
 
 import reference_textcnn as reference
-from helpers import finite_difference_gradients, relative_error
+from helpers import finite_difference_gradients, holdout_splits, relative_error
 
-from annealtune.corpus import make_splits, synthetic_corpus, HoldoutPolicy
+from annealtune.corpus import synthetic_corpus
 from annealtune.search_space import ParamDomain, SearchSpace, default_search_space
 from annealtune.textcnn import (
     ACTIVATIONS,
@@ -16,6 +16,7 @@ from annealtune.textcnn import (
     DivergenceError,
     TextCnnModel,
     TrainingSettings,
+    _scatter_add,
     accuracy,
     backward,
     forward,
@@ -329,6 +330,23 @@ class TestBatchedEqualsPerSentence:
         for name in grads:
             assert np.allclose(grads[name], expected[name], rtol=0, atol=1e-10), name
 
+    def test_embedding_scatter_equals_add_at_bit_for_bit(self):
+        # the np.add.at scatter backward used and the reference still uses
+        rng = np.random.default_rng(8)
+        cases = [(np.array([[3, 1, 3, 3], [0, 3, 5, 0]]), 6, 6)]  # 2 and 4 untouched
+        cases += [
+            (rng.integers(0, vocab, size=(int(rng.integers(1, 5)), 7)), vocab, 4)
+            for vocab in (1, 2, 9, 30)
+        ]
+        for ids, vocab, k in cases:
+            rows = rng.standard_normal((*ids.shape, k))
+            rows[rng.random(rows.shape) < 0.3] = -0.0
+            rows[ids == ids.flat[-1]] = -0.0  # a row summed from -0.0 alone
+            expected = np.zeros((vocab, k))
+            np.add.at(expected, ids.ravel(), rows.reshape(-1, k))
+            got = _scatter_add(ids, rows, (vocab, k))
+            assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_eval_predictions_identical(self, activation):
         model = tiny_model(activation=activation)
@@ -454,7 +472,7 @@ class TestRmsprop:
 def prepared_synthetic(seed=40):
     data = synthetic_corpus(class_count=3, samples_per_class=30, vocab_size=30,
                             seed=seed)
-    return make_splits(data, HoldoutPolicy(0.2), ratio_init=0.9, seed=seed)
+    return holdout_splits(data, 0.2, ratio_init=0.9, seed=seed)
 
 
 def model_for_corpus(corpus, activation="relu", seed=40):
