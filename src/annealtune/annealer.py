@@ -45,8 +45,6 @@ def _truncate1(x: float) -> float:
 class AnnealingSchedule:
     t_init: float
     t_final: float
-    cooling_rate: float
-    iteration_budget: int
     outer_iterations: float
     inner_iterations: float
 
@@ -87,8 +85,6 @@ def plan_schedule(
     return AnnealingSchedule(
         t_init=t_init,
         t_final=t_final,
-        cooling_rate=cooling_rate,
-        iteration_budget=iteration_budget,
         outer_iterations=outer,
         inner_iterations=iteration_budget / outer,
     )
@@ -113,13 +109,6 @@ def initial_temperature(delta_f_ave: float, acceptance: float) -> float:
     return -delta_f_ave / math.log(acceptance)
 
 
-def cool(temperature: float, cooling_rate: float) -> float:
-    """Geometric decay: one outer step multiplies T by the cooling rate."""
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    return temperature * cooling_rate
-
-
 def metropolis_accepts(
     delta_f: float, temperature: float, rng: random.Random
 ) -> tuple[bool, float]:
@@ -130,68 +119,6 @@ def metropolis_accepts(
     if delta_f < 0.0:
         return True, probability
     return rng.random() <= probability, probability
-
-
-@dataclass(frozen=True)
-class CalibrationReport:
-    delta_f_ave: float
-    probe_count: int
-    t_init: float
-    t_final: float
-    #: the probe walk's first configuration, reused as the run's start
-    start: Configuration
-    start_objectives: ObjectiveVector
-
-
-def calibrate_initial_temperature(
-    evaluator: ObjectiveEvaluator,
-    p_init: float,
-    p_final: float,
-    probe_count: int,
-    rng: random.Random,
-) -> CalibrationReport:
-    """Short random walk over ``evaluator.space``; the mean of the positive
-    scalar deteriorations fixes both temperatures through the inverted
-    acceptance law."""
-    if probe_count < 2:
-        raise ValueError("probe_count must be >= 2")
-    space = evaluator.space
-    start = random_configuration(space, rng)
-    start_objectives = evaluator.evaluate(start)
-    current, current_objectives = start, start_objectives
-    # summed left to right, not by sum(): from Python 3.12 sum()
-    # compensates float rounding, which moves the last bits
-    total, count = 0.0, 0
-    for _ in range(probe_count):
-        nxt = neighbor(current, space, rng)
-        nxt_objectives = evaluator.evaluate(nxt)
-        delta = scalar_deterioration(
-            current_objectives, nxt_objectives, evaluator.flops_max
-        )
-        if delta > 0.0:
-            total += delta
-            count += 1
-        current, current_objectives = nxt, nxt_objectives
-    if not count:
-        raise CalibrationError(
-            f"no deteriorating step in {probe_count} probes; "
-            "retry with a larger probe_count"
-        )
-    delta_f_ave = total / count
-    t_init = initial_temperature(delta_f_ave, p_init)
-    t_final = initial_temperature(delta_f_ave, p_final)
-    if not t_final < t_init:  # probabilities a few floats apart round together
-        raise CalibrationError(
-            f"acceptance probabilities {p_init!r} and {p_final!r} give one temperature"
-        )
-    return CalibrationReport(
-        delta_f_ave=delta_f_ave,
-        probe_count=probe_count,
-        t_init=t_init,
-        t_final=t_final,
-        start=start,
-        start_objectives=start_objectives,
-    )
 
 
 @dataclass(slots=True)
@@ -212,6 +139,22 @@ class StepRecord:
     archive_action: ArchiveAction
 
 
+def _propose(
+    current: Configuration,
+    current_objectives: ObjectiveVector,
+    evaluator: ObjectiveEvaluator,
+    rng: random.Random,
+) -> tuple[Configuration, ObjectiveVector, float]:
+    """A neighbor of ``current``, its objectives and its scalar deterioration
+    from ``current_objectives``: the one proposal of the probe walk and of
+    every annealing step."""
+    candidate = neighbor(current, evaluator.space, rng)
+    objectives = evaluator.evaluate(candidate)
+    return candidate, objectives, scalar_deterioration(
+        current_objectives, objectives, evaluator.flops_max
+    )
+
+
 def step(
     current: Configuration,
     current_objectives: ObjectiveVector,
@@ -230,10 +173,8 @@ def step(
     the evaluation comes before the archive insert, so an evaluator failure
     leaves the archive untouched.
     """
-    candidate = neighbor(current, evaluator.space, rng)
-    candidate_objectives = evaluator.evaluate(candidate)
-    delta_f = scalar_deterioration(
-        current_objectives, candidate_objectives, evaluator.flops_max
+    candidate, candidate_objectives, delta_f = _propose(
+        current, current_objectives, evaluator, rng
     )
     accepted, probability = metropolis_accepts(delta_f, temperature, rng)
     action = archive.insert(ArchiveEntry(candidate, candidate_objectives, iteration))
@@ -254,7 +195,8 @@ def step(
 @dataclass
 class RunResult:
     archive: ParetoArchive
-    calibration: CalibrationReport
+    #: the probe walk's mean positive deterioration, which fixed the schedule
+    delta_f_ave: float
     schedule: AnnealingSchedule
     stop_reason: str
     evaluations: int
@@ -265,10 +207,12 @@ def run(
     evaluator: ObjectiveEvaluator,
     on_step: Callable[[StepRecord], object],
 ) -> RunResult:
-    """Full tuning run: calibrate, plan, anneal, return the archive; hand
+    """Full tuning run: probe, plan, anneal, return the archive; hand
     ``on_step`` each step's record as the step ends, iteration 1's first.
 
-    The calibration walk's starting point doubles as the initial solution
+    The probe walk takes probe_count steps from a random start; the mean of
+    its positive scalar deteriorations fixes both temperatures through the
+    inverted acceptance law. Its start doubles as the initial solution
     (evaluation 1 of the budget), so total evaluator calls stay within
     iteration_budget + probe_count. Stops on budget exhaustion, on cooling
     to t_final or below, or when the best archived error rate stagnates for
@@ -277,23 +221,39 @@ def run(
     if not evaluator.space.mutable:
         raise ValueError("search space has no mutable domain")
     rng = random.Random(run_config.seed_number)
-    calibration = calibrate_initial_temperature(
-        evaluator,
-        run_config.initial_acceptance_probability,
-        run_config.final_acceptance_probability,
-        run_config.probe_count,
-        rng,
-    )
+    current = random_configuration(evaluator.space, rng)
+    current_objectives = evaluator.evaluate(current)
+    probe, probe_objectives = current, current_objectives
+    # summed left to right, not by sum(): from Python 3.12 sum()
+    # compensates float rounding, which moves the last bits
+    total, count = 0.0, 0
+    for _ in range(run_config.probe_count):
+        probe, probe_objectives, delta = _propose(
+            probe, probe_objectives, evaluator, rng
+        )
+        if delta > 0.0:
+            total += delta
+            count += 1
+    if not count:
+        raise CalibrationError(
+            f"no deteriorating step in {run_config.probe_count} probes; "
+            "retry with a larger probe_count"
+        )
+    delta_f_ave = total / count
+    p_init = run_config.initial_acceptance_probability
+    p_final = run_config.final_acceptance_probability
+    t_init = initial_temperature(delta_f_ave, p_init)
+    t_final = initial_temperature(delta_f_ave, p_final)
+    if not t_final < t_init:  # probabilities a few floats apart round together
+        raise CalibrationError(
+            f"acceptance probabilities {p_init!r} and {p_final!r} give one temperature"
+        )
     schedule = plan_schedule(
-        calibration.t_init,
-        calibration.t_final,
-        run_config.cooling_rate,
-        run_config.iteration_budget,
+        t_init, t_final, run_config.cooling_rate, run_config.iteration_budget
     )
-    current, current_objectives = calibration.start, calibration.start_objectives
     temperature = schedule.t_init
     archive = ParetoArchive()
-    # the reused calibration start is evaluation 1 of the budget
+    # the reused probe start is evaluation 1 of the budget
     iteration = 1
     action = archive.insert(ArchiveEntry(current, current_objectives, iteration))
     on_step(
@@ -329,7 +289,7 @@ def run(
         if steps < schedule.inner_steps:
             stop_reason = "budget"
             break
-        temperature = cool(temperature, run_config.cooling_rate)
+        temperature *= run_config.cooling_rate
         if temperature <= schedule.t_final:
             stop_reason = "temperature"
             break
@@ -347,7 +307,7 @@ def run(
             current, current_objectives = base.config, base.objectives
     return RunResult(
         archive=archive,
-        calibration=calibration,
+        delta_f_ave=delta_f_ave,
         schedule=schedule,
         stop_reason=stop_reason,
         evaluations=run_config.probe_count + iteration,  # start shared

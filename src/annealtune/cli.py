@@ -243,20 +243,23 @@ def trace_jsonl(s: StepRecord) -> str:
     )
 
 
-def calibration_json(result: RunResult) -> str:
+def calibration_json(result: RunResult, config: RunConfig) -> str:
+    """The probe walk's outcome and the schedule it fixed, with the run
+    config's settings that shaped them."""
+    schedule = result.schedule
     payload = {
         "format_version": FORMAT_VERSION,
-        "delta_f_ave": result.calibration.delta_f_ave,
-        "probe_count": result.calibration.probe_count,
-        "t_init": result.calibration.t_init,
-        "t_final": result.calibration.t_final,
+        "delta_f_ave": result.delta_f_ave,
+        "probe_count": config.probe_count,
+        "t_init": schedule.t_init,
+        "t_final": schedule.t_final,
         "schedule": {
-            "cooling_rate": result.schedule.cooling_rate,
-            "iteration_budget": result.schedule.iteration_budget,
-            "outer_iterations": result.schedule.outer_iterations,
-            "inner_iterations": result.schedule.inner_iterations,
-            "outer_steps": result.schedule.outer_steps,
-            "inner_steps": result.schedule.inner_steps,
+            "cooling_rate": config.cooling_rate,
+            "iteration_budget": config.iteration_budget,
+            "outer_iterations": schedule.outer_iterations,
+            "inner_iterations": schedule.inner_iterations,
+            "outer_steps": schedule.outer_steps,
+            "inner_steps": schedule.inner_steps,
         },
         "stop_reason": result.stop_reason,
         "evaluations": result.evaluations,
@@ -329,7 +332,7 @@ def prepare_corpus(path: str | None, ratio_init: float, seed: int) -> PreparedCo
     generated.
     """
     manifest = {"kind": "synthetic"}
-    if path:
+    if path is not None:
         manifest = _read_json(
             path, "dataset manifest", DataError, "dataset manifest is not valid JSON"
         )
@@ -446,7 +449,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         front = result.archive.front()
         write(txt_path, archive_text(front, config.space, args.top_k))
         write(json_path, archive_json(front, args.top_k, config))
-        write(calibration_path, calibration_json(result))
+        write(calibration_path, calibration_json(result, config))
     best = front[0]
     print(f"stop reason: {result.stop_reason}; evaluations: {result.evaluations}")
     print(f"archive size: {len(front)}")
@@ -465,6 +468,8 @@ def _config_from_sets(space: SearchSpace, pairs: Sequence[str]) -> Configuration
         name, eq, text = pair.partition("=")
         if not eq:
             raise UsageError(f"--set expects name=value, got {brief(pair)}")
+        if name in assignments:
+            raise UsageError(f"--set assigns {brief(name)} twice")
         try:
             domain = space.domain(name)
         except KeyError:

@@ -285,7 +285,10 @@ def checked_number(value: Any, convert: type, floor=None, ceiling=None):
     and infinities, a fraction for an int and a value below ``floor`` or
     above ``ceiling`` are ValueErrors whose message ("is not a number", ...)
     follows a key. Text that int() refuses is judged as the float it reads,
-    as a JSON number is: "10.0" is the int 10, "1.5" is not an integer."""
+    as a JSON number is: "10.0" is the int 10, "1.5" is not an integer.
+    JSON true and false are not numbers."""
+    if isinstance(value, bool):
+        raise ValueError("is not a number")
     try:
         if convert is int and isinstance(value, str):
             try:

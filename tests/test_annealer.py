@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import pytest
@@ -10,8 +10,6 @@ from reference_pareto import brute_force_front
 from annealtune.annealer import (
     CalibrationError,
     acceptance_probability,
-    calibrate_initial_temperature,
-    cool,
     initial_temperature,
     plan_schedule,
     run,
@@ -115,6 +113,8 @@ class TestInitialTemperature:
 
 
 class TestCalibration:
+    """The probe walk that run takes before it anneals."""
+
     def alternating_evaluator(self) -> StubEvaluator:
         # neighbor() must flip the single mutable domain each probe, so the
         # walk alternates 0.1 <-> 0.9; every deterioration is exactly
@@ -126,34 +126,33 @@ class TestCalibration:
 
         return StubEvaluator(space=space, fn=fn, flops_max=100)
 
+    def probed_run(self, evaluator, seed):
+        """run with 10 probes at p_init 0.5; also the evaluator's call count
+        when the first step record reached on_step."""
+        config = replace(sphere_run_config(evaluator.space, seed), probe_count=10)
+        calls_at_steps = []
+        result = run(config, evaluator, lambda r: calls_at_steps.append(evaluator.calls))
+        return result, calls_at_steps[0]
+
     def test_exact_average_deterioration(self):
-        evaluator = self.alternating_evaluator()
-        report = calibrate_initial_temperature(
-            evaluator, p_init=0.5, p_final=P_FINAL, probe_count=10,
-            rng=random.Random(40),
-        )
-        assert report.delta_f_ave == pytest.approx(0.4)
-        assert report.t_init == pytest.approx(0.5770, abs=5e-4)
-        assert report.t_final == pytest.approx(0.12, abs=5e-4)
-        assert report.probe_count == 10
-        # report satisfies the defining identity
-        assert report.t_init == pytest.approx(-0.4 / math.log(0.5))
+        result, _ = self.probed_run(self.alternating_evaluator(), seed=40)
+        assert result.delta_f_ave == 0.4
+        assert result.schedule.t_init == pytest.approx(0.5770, abs=5e-4)
+        assert result.schedule.t_final == pytest.approx(0.12, abs=5e-4)
+        # the schedule satisfies the defining identity
+        assert result.schedule.t_init == -0.4 / math.log(0.5)
+        assert result.schedule.t_final == -0.4 / math.log(P_FINAL)
 
     def test_walk_evaluates_start_plus_probe_count(self):
-        evaluator = self.alternating_evaluator()
-        calibrate_initial_temperature(evaluator, 0.5, P_FINAL, 10, random.Random(1))
-        assert evaluator.calls == 11
+        _, calls = self.probed_run(self.alternating_evaluator(), seed=1)
+        assert calls == 11
 
     def test_no_deterioration_is_an_error(self):
         space = two_value_space()
         flat = StubEvaluator(space=space, fn=lambda c: ObjectiveVector(0.5, 100))
-        with pytest.raises(CalibrationError):
-            calibrate_initial_temperature(flat, 0.5, P_FINAL, 10, random.Random(0))
-
-    def test_probe_count_precondition(self):
-        evaluator = self.alternating_evaluator()
-        with pytest.raises(ValueError):
-            calibrate_initial_temperature(evaluator, 0.5, P_FINAL, 1, random.Random(0))
+        with pytest.raises(CalibrationError, match="no deteriorating step in 10 probes"):
+            self.probed_run(flat, seed=0)
+        assert flat.calls == 11
 
 
 class TestPlanSchedule:
@@ -179,26 +178,6 @@ class TestPlanSchedule:
             plan_schedule(0.577, 0.12, 1.0, 250)
         with pytest.raises(ValueError):
             plan_schedule(0.577, 0.12, 0.95, 0)
-
-
-class TestCool:
-    def test_single_multiplication(self):
-        assert cool(0.577, 0.95) == pytest.approx(0.54815)
-
-    def test_thirty_cools_stay_above_final_temperature(self):
-        t = 0.577
-        for _ in range(30):
-            t = cool(t, 0.95)
-        assert t == pytest.approx(0.577 * 0.95**30)
-        assert t >= 0.12
-        assert cool(t, 0.95) < 0.12
-
-    def test_unit_rate_leaves_temperature_unchanged(self):
-        assert cool(0.42, 1.0) == 0.42
-
-    def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            cool(0.0, 0.9)
 
 
 def lo_start(space, evaluator):
@@ -366,8 +345,8 @@ class TestRun:
             if not temperatures or record.temperature != temperatures[-1]:
                 temperatures.append(record.temperature)
         for prev, nxt in zip(temperatures, temperatures[1:]):
-            assert nxt == pytest.approx(prev * config.cooling_rate)
-        assert temperatures[0] == pytest.approx(result.calibration.t_init)
+            assert nxt == prev * config.cooling_rate
+        assert temperatures[0] == result.schedule.t_init
 
     def test_same_seed_identical_traces(self):
         space = restricted_space(**SIXTEEN)
@@ -416,13 +395,13 @@ class TestRun:
         assert result.stop_reason == "temperature"
         assert len(set(temperatures)) == result.schedule.outer_steps == 3
         assert result.evaluations == 120
-        assert temperatures[-1] * 0.5923859632105352 < result.calibration.t_final
+        assert temperatures[-1] * 0.5923859632105352 < result.schedule.t_final
 
     def test_cooling_onto_final_temperature_stops_on_temperature(self):
         # (ln 0.5 / ln 0.0357) ** (1/5): the fifth cooling lands exactly on
         # t_final, where the run stops rather than cooling a sixth time
         result, temperatures = self.cooled_run(0.7304800080798652, budget=51)
-        assert temperatures[-1] * 0.7304800080798652 == result.calibration.t_final
+        assert temperatures[-1] * 0.7304800080798652 == result.schedule.t_final
         assert result.stop_reason == "temperature"
         assert len(set(temperatures)) == result.schedule.outer_steps == 5
         assert result.evaluations == 71

@@ -404,6 +404,18 @@ class TestEval:
             capsys.readouterr().err
         )
 
+    def test_flops_only_empty_manifest_path_is_data_error(self, tmp_path, capsys):
+        # "" names no file; it does not stand for the bundled synthetic corpus
+        assert cli.main(eval_on(tmp_path, "", "--flops-only")) == 2
+        assert capsys.readouterr().err == "data error: dataset manifest not found: \n"
+
+    def test_repeated_name_is_usage_error(self, tmp_path, capsys):
+        args = TOP1_SETS + ["--set", "kernel_count_w3=32"]
+        assert cli.main(eval_argv(tmp_path, *args, "--flops-only")) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --set assigns 'kernel_count_w3' twice\n"
+        )
+
     def test_missing_domain_usage_error(self, tmp_path, capsys):
         partial = TOP1_SETS[:-2]  # drop batch_size
         assert cli.main(eval_argv(tmp_path, *partial, "--flops-only")) == 1
@@ -548,6 +560,8 @@ def wrong_type_message(kind: str, key: str, value) -> str | None:
         return "unknown dataset kind"
     if key in PATH_KEYS:
         return None if isinstance(value, str) else f"{kind} dataset manifest key {key!r}"
+    if isinstance(value, bool):  # JSON true and false are not numbers
+        return f"{kind} dataset manifest key {key!r}"
     try:  # the number keys take what int() and float() convert
         int(value)
     except (TypeError, ValueError):
@@ -570,11 +584,12 @@ class TestManifestValues:
             ("synthetic", "samples_per_class", "10.5", "is not an integer"),
             ("synthetic", "seed", 1.5, "is not an integer"),
             ("mr", "folds", 2.9, "is not an integer"),
+            ("synthetic", "class_count", True, "is not a number"),
         ],
         ids=["path-int", "path-list", "path-null", "seed-null", "fraction-list",
              "folds-string", "fold-index-infinite", "samples-fractional",
              "samples-fractional-text",
-             "seed-fractional", "folds-fractional"],
+             "seed-fractional", "folds-fractional", "class-count-true"],
     )
     def test_wrong_json_type_is_data_error(
         self, tmp_path, capsys, kind, key, value, problem

@@ -2,8 +2,8 @@
 
 ``RunConfig`` alone decides it, with the number rule that dataset manifests
 use: a number key takes the finite numbers ``int()`` or ``float()`` converts,
-an int key takes no fractional value, and a key with a floor takes nothing
-below it.
+but not ``true`` or ``false``, an int key takes no fractional value, and a
+key with a floor takes nothing below it.
 Every value it refuses is a usage error (exit 1) that names its key, raised
 before any evaluator is built. The file imports no numpy, so it runs where
 numpy is missing: each text-CNN case here is refused before a corpus is
@@ -69,13 +69,16 @@ def assert_refused(capsys, key: str) -> None:
         ("seed_number", None),
         ("seed_number", [1]),
         ("seed_number", 1.5),
+        ("seed_number", False),
+        ("max_epochs", True),
         ("iteration_budget", 10.5),
         ("probe_count", 2.5),
         ("ratio_init", "x"),
         ("objective_kind", 3),
         ("objective_kind", "synthetic:rosenbrock"),
     ],
-    ids=["seed-null", "seed-list", "seed-fractional", "budget-fractional",
+    ids=["seed-null", "seed-list", "seed-fractional", "seed-false", "epochs-true",
+         "budget-fractional",
          "probes-fractional", "ratio-string", "kind-number", "kind-unknown-synthetic"],
 )
 def test_bad_value_is_usage_error_naming_its_key(
@@ -210,6 +213,8 @@ def refused_key(key: str, value) -> bool:
         return value is not None and not isinstance(value, str)
     if key == "space":
         return False  # a restriction's problems are named by the space
+    if isinstance(value, bool):  # JSON true and false are not numbers
+        return True
     try:  # the number keys take what int() and float() convert
         float(value)
     except (TypeError, ValueError):
