@@ -218,8 +218,6 @@ def run(
     to t_final or below, or when the best archived error rate stagnates for
     STAGNATION_OUTER_STEPS consecutive outer steps.
     """
-    if not evaluator.space.mutable:
-        raise ValueError("search space has no mutable domain")
     rng = random.Random(run_config.seed_number)
     current = random_configuration(evaluator.space, rng)
     current_objectives = evaluator.evaluate(current)

@@ -387,19 +387,9 @@ def prepare_corpus(path: str | None, ratio_init: float, seed: int) -> PreparedCo
 
 def build_evaluator(config: RunConfig, cache_path: str | None = None):
     if config.objective_kind.startswith(SYNTHETIC_PREFIX):
-        name = config.objective_kind[len(SYNTHETIC_PREFIX) :]
-        return SyntheticEvaluator(space=config.space, name=name)
+        return SyntheticEvaluator(config)
     corpus = prepare_corpus(config.dataset_path, config.ratio_init, config.seed_number)
-    return TextCnnEvaluator(
-        space=config.space,
-        corpus=corpus,
-        seed=config.seed_number,
-        max_epochs=config.max_epochs,
-        embedding_dim=config.embedding_dim,
-        early_stop_margin=config.early_stop_margin,
-        early_stop_patience=config.early_stop_patience,
-        cache=EvaluationCache(cache_path),
-    )
+    return TextCnnEvaluator(config, corpus, EvaluationCache(cache_path))
 
 
 # --- subcommands ---------------------------------------------------------------

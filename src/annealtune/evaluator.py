@@ -2,9 +2,11 @@
 
 Contains the forward-pass FLOPs estimator, instant synthetic objectives for
 exercising the annealer, the early-termination rule for poor trainings, a
-persistent evaluation cache, and the real text-CNN evaluator. Only the
-text-CNN evaluator imports numpy, hashlib, ctypes and the text CNN, so a
-synthetic run starts without them.
+persistent evaluation cache, and the real text-CNN evaluator. Each
+evaluator is built from a RunConfig, which owns its search space, seed,
+objective kind and training settings. Only the text-CNN evaluator imports
+numpy, hashlib, ctypes and the text CNN, so a synthetic run starts without
+them.
 """
 
 from __future__ import annotations
@@ -16,12 +18,19 @@ from typing import Mapping, Protocol
 
 from .corpus import DataError, PreparedCorpus
 from .pareto import ObjectiveVector
-from .search_space import SYNTHETIC_NAMES, WINDOWS, Configuration, SearchSpace
+from .search_space import (
+    SYNTHETIC_PREFIX, WINDOWS, Configuration, RunConfig, SearchSpace
+)
 
 #: fixed network-shape constants for the synthetic objectives
 SYNTHETIC_SENTENCE_LENGTH = 10
 SYNTHETIC_EMBEDDING_DIM = 50
 SYNTHETIC_CLASS_COUNT = 6
+_SPHERE_PROXY = SYNTHETIC_PREFIX + "sphere_proxy"
+
+#: the RunConfig fields, besides the seed, that fix how a text CNN trains
+TRAINING_SETTINGS = ("max_epochs", "embedding_dim", "early_stop_margin",
+                     "early_stop_patience")
 
 
 class DivergenceError(RuntimeError):
@@ -99,28 +108,25 @@ class ObjectiveEvaluator(Protocol):
     def evaluate(self, config: Configuration) -> ObjectiveVector: ...
 
 
-def _index_fractions(space: SearchSpace, config: Configuration) -> list[float]:
-    # pinned domains carry no signal
-    return [d.fraction[config[d.name]] for d in space.mutable]
-
-
 @dataclass
 class SyntheticEvaluator:
-    """Deterministic, instantaneous objectives for testing the search loop.
+    """Deterministic, instantaneous objectives for testing the search loop,
+    built from a run config whose objective kind is synthetic.
 
-    sphere_proxy: error = mean squared index fraction over the mutable
-    domains (0 at all-first-index, 1 at all-last-index).
+    synthetic:sphere_proxy: error = mean squared index fraction over the
+    mutable domains (0 at all-first-index, 1 at all-last-index).
 
-    deceptive_trap: with t the mean index fraction, error = 0.05 exactly at
-    t = 1 (narrow global optimum) and 0.25 + 0.5*t elsewhere, a wide basin
-    whose slope points away from the global optimum.
+    synthetic:deceptive_trap: with t the mean index fraction, error = 0.05
+    exactly at t = 1 (narrow global optimum) and 0.25 + 0.5*t elsewhere, a
+    wide basin whose slope points away from the global optimum.
 
     Both report flops from the estimator under the fixed synthetic
-    network-shape constants, estimated once per network shape.
+    network-shape constants, estimated once per network shape. A run
+    config's space has at least 2 configurations, so some domain is mutable.
     """
 
-    space: SearchSpace
-    name: str
+    run_config: RunConfig
+    space: SearchSpace = field(init=False)
     flops_max: int = field(init=False)
     network: tuple[int, int, int] = field(init=False, default=(
         SYNTHETIC_SENTENCE_LENGTH, SYNTHETIC_EMBEDDING_DIM, SYNTHETIC_CLASS_COUNT
@@ -129,8 +135,10 @@ class SyntheticEvaluator:
     _flops: dict[tuple, int] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.name not in SYNTHETIC_NAMES:
-            raise ValueError(f"unknown synthetic objective {self.name!r}")
+        kind = self.run_config.objective_kind
+        if not kind.startswith(SYNTHETIC_PREFIX):
+            raise ValueError(f"objective_kind {kind!r} is not a synthetic objective")
+        self.space = self.run_config.space
         self.flops_max = flops_ceiling(self.space, *self.network)
 
     def evaluate(self, config: Configuration) -> ObjectiveVector:
@@ -138,18 +146,19 @@ class SyntheticEvaluator:
         flops = self._flops.get(shape)
         if flops is None:
             flops = self._flops[shape] = estimate_flops(config, *self.network).total
-        fractions = _index_fractions(self.space, config)
+        # pinned domains carry no signal
+        fractions = [d.fraction[config[d.name]] for d in self.space.mutable]
         # summed left to right, not by sum(): from Python 3.12 sum()
         # compensates float rounding, which moves the last bits
         total = 0.0
-        if self.name == "sphere_proxy":
+        if self.run_config.objective_kind == _SPHERE_PROXY:
             for f in fractions:
                 total += f * f
-            error = total / len(fractions) if fractions else 0.0
+            error = total / len(fractions)
         else:
             for f in fractions:
                 total += f
-            t = total / len(fractions) if fractions else 0.0
+            t = total / len(fractions)
             error = 0.05 if t >= 1.0 else 0.25 + 0.5 * t
         return ObjectiveVector(error_rate=error, flops=flops)
 
@@ -288,41 +297,33 @@ def _keep_freed_heap() -> None:
 @dataclass
 class TextCnnEvaluator:
     """Trains a fresh text CNN per configuration and scores it on the
-    validation split.
+    validation split, under the run config's seed and training settings.
 
     Results are cached under a key covering the configuration, the seed,
-    the prepared corpus and the training settings, so a shared cache never
+    the prepared corpus and the TRAINING_SETTINGS, so a shared cache never
     answers for a different corpus, epoch limit, embedding width or
     early-stop rule.
     """
 
-    space: SearchSpace
+    run_config: RunConfig
     corpus: PreparedCorpus
-    seed: int
-    max_epochs: int
-    embedding_dim: int
-    early_stop_margin: float
-    early_stop_patience: int
     cache: EvaluationCache = field(default_factory=EvaluationCache)
+    space: SearchSpace = field(init=False)
     flops_max: int = field(init=False)
     network: tuple[int, int, int] = field(init=False)
     trainings: int = field(default=0, init=False)
     _context: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        corpus = self.corpus
-        self.network = (corpus.sentence_length, self.embedding_dim, corpus.class_count)
-        self.flops_max = flops_ceiling(self.space, *self.network)
-        self._context = json.dumps(
-            {
-                "corpus": _corpus_fingerprint(corpus),
-                "max_epochs": self.max_epochs,
-                "embedding_dim": self.embedding_dim,
-                "early_stop_margin": self.early_stop_margin,
-                "early_stop_patience": self.early_stop_patience,
-            },
-            sort_keys=True,
+        run_config, corpus = self.run_config, self.corpus
+        self.space = run_config.space
+        self.network = (
+            corpus.sentence_length, run_config.embedding_dim, corpus.class_count
         )
+        self.flops_max = flops_ceiling(self.space, *self.network)
+        context = {name: getattr(run_config, name) for name in TRAINING_SETTINGS}
+        context["corpus"] = _corpus_fingerprint(corpus)
+        self._context = json.dumps(context, sort_keys=True)
 
     def evaluate(self, config: Configuration) -> ObjectiveVector:
         import hashlib
@@ -331,13 +332,13 @@ class TextCnnEvaluator:
 
         from . import textcnn
 
+        run_config, corpus = self.run_config, self.corpus
+        seed = run_config.seed_number
         payload = json.dumps(
-            {"config": [[k, v] for k, v in config.items], "seed": self.seed},
-            sort_keys=True,
+            {"config": [[k, v] for k, v in config.items], "seed": seed}, sort_keys=True
         )
         digest = hashlib.sha256(payload.encode()).hexdigest()
         key = hashlib.sha256(f"{self._context}:{digest}".encode()).hexdigest()
-        corpus = self.corpus
         flops = estimate_flops(config, *self.network).total
         cached = self.cache.get(key)
         if cached is not None:
@@ -353,12 +354,15 @@ class TextCnnEvaluator:
         model = textcnn.init_model(
             config,
             vocab_size=corpus.vocab_size,
-            embedding_dim=self.embedding_dim,
+            embedding_dim=run_config.embedding_dim,
             class_count=corpus.class_count,
             rng=np.random.default_rng(model_seed),
         )
-        settings = textcnn.TrainingSettings.from_configuration(
-            config, max_epochs=self.max_epochs, seed=model_seed
+        settings = textcnn.TrainingSettings(
+            float(config["learning_rate"]),
+            int(config["batch_size"]),
+            run_config.max_epochs,
+            model_seed,
         )
         try:
             _, history = textcnn.train(
@@ -371,8 +375,8 @@ class TextCnnEvaluator:
                 early_stop=functools.partial(
                     early_termination_check,
                     class_count=corpus.class_count,
-                    chance_margin=self.early_stop_margin,
-                    patience=self.early_stop_patience,
+                    chance_margin=run_config.early_stop_margin,
+                    patience=run_config.early_stop_patience,
                 ),
             )
         except DivergenceError as exc:

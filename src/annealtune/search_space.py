@@ -316,7 +316,8 @@ def checked_number(value: Any, convert: type, floor=None, ceiling=None):
 #: the budget as a float, exact for every integer up to 2**53; an embedding
 #: wider than 1,000, over three times word2vec's 300, would only exhaust memory
 _BOUNDS = {"iteration_budget": (1, 2**53), "probe_count": (2, None),
-           "max_epochs": (1, None), "embedding_dim": (1, 1000)}
+           "max_epochs": (1, None), "embedding_dim": (1, 1000),
+           "early_stop_patience": (1, None), "early_stop_margin": (0, None)}
 _UNIT_RANGE = ("cooling_rate", "initial_acceptance_probability",
                "final_acceptance_probability", "ratio_init")
 

@@ -69,17 +69,6 @@ class TrainingSettings:
     max_epochs: int
     seed: int
 
-    @staticmethod
-    def from_configuration(
-        config: Configuration, max_epochs: int, seed: int
-    ) -> "TrainingSettings":
-        return TrainingSettings(
-            learning_rate=float(config["learning_rate"]),
-            batch_size=int(config["batch_size"]),
-            max_epochs=max_epochs,
-            seed=seed,
-        )
-
 
 @dataclass
 class TextCnnModel:

@@ -1,8 +1,7 @@
-"""Shared test oracles and builders: run config files, holdout splits,
-finite-difference gradients, comparison metrics, trace lines, evaluators
-with the run configuration's defaults, a record of the evaluators the
-command line builds, a stand-in ``open`` and the mark of a test that needs
-numpy.
+"""Shared test oracles and builders: run configs and run config files,
+holdout splits, finite-difference gradients, comparison metrics,
+trace lines, a record of the evaluators the command line builds, a
+stand-in ``open`` and the mark of a test that needs numpy.
 numpy and the text CNN are imported only by the helpers that use them, so
 numpy-free tests can import this module."""
 
@@ -16,7 +15,7 @@ from dataclasses import fields
 import pytest
 from annealtune import cli
 from annealtune.corpus import hold_out, make_splits
-from annealtune.evaluator import TextCnnEvaluator
+from annealtune.evaluator import TRAINING_SETTINGS
 from annealtune.search_space import RunConfig
 
 #: RunConfig's field defaults (MISSING for required fields)
@@ -42,21 +41,22 @@ SMALL_SPACE = {
 }
 
 
+#: the required keys of a synthetic:sphere_proxy run config at seed 40
+SPHERE_RUN = {
+    "seed_number": 40,
+    "ratio_init": 0.9,
+    "iteration_budget": 250,
+    "initial_acceptance_probability": 0.5,
+    "cooling_rate": 0.8,
+    "objective_kind": "synthetic:sphere_proxy",
+}
+
+
 def write_run_config(path, **overrides) -> str:
-    """Write a synthetic:sphere_proxy run config over SMALL_SPACE, with
-    ``overrides`` on top (``space=None`` keeps the whole default space), to
-    ``path``; return the path as text."""
-    raw = {
-        "seed_number": 40,
-        "ratio_init": 0.9,
-        "iteration_budget": 250,
-        "initial_acceptance_probability": 0.5,
-        "cooling_rate": 0.8,
-        "objective_kind": "synthetic:sphere_proxy",
-        "space": SMALL_SPACE,
-        **overrides,
-    }
-    path.write_text(json.dumps(raw))
+    """Write a SPHERE_RUN run config over SMALL_SPACE, with ``overrides`` on
+    top (``space=None`` keeps the whole default space), to ``path``; return
+    the path as text."""
+    path.write_text(json.dumps({**SPHERE_RUN, "space": SMALL_SPACE, **overrides}))
     return str(path)
 
 
@@ -68,19 +68,17 @@ def holdout_splits(data, test_fraction, ratio_init, seed):
     return make_splits(pool, test, ratio_init, rng)
 
 
-TRAINING_SETTINGS = (
-    "max_epochs",
-    "embedding_dim",
-    "early_stop_margin",
-    "early_stop_patience",
-)
+def make_run_config(space, **overrides) -> RunConfig:
+    """A SPHERE_RUN RunConfig over ``space``, with ``overrides`` on top."""
+    return RunConfig(**{**SPHERE_RUN, "space": space, **overrides})
 
 
-def text_cnn_evaluator(**kwargs) -> TextCnnEvaluator:
-    """A TextCnnEvaluator that takes each training setting not given from
-    RunConfig's defaults."""
-    settings = {name: RUN_DEFAULTS[name] for name in TRAINING_SETTINGS}
-    return TextCnnEvaluator(**{**settings, **kwargs})
+def text_cnn_run_config(space, **settings) -> RunConfig:
+    """A textcnn ``make_run_config`` over ``space`` whose seed and
+    TRAINING_SETTINGS keep their defaults, apart from those in
+    ``settings``."""
+    assert set(settings) <= {"seed_number", *TRAINING_SETTINGS}, settings
+    return make_run_config(space, objective_kind="textcnn", **settings)
 
 
 def finite_difference_gradients(model, ids, labels, mask_seed, eps=1e-4):

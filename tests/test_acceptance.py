@@ -9,12 +9,13 @@ import json
 import math
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
-from helpers import finite_difference_gradients, relative_error
+from helpers import finite_difference_gradients, make_run_config, relative_error
 from reference_pareto import brute_force_front
 
 import annealtune.cli as cli
@@ -28,7 +29,6 @@ from annealtune.pareto import (
 )
 from annealtune.search_space import (
     Configuration,
-    RunConfig,
     default_search_space,
     enumerate_space,
 )
@@ -118,22 +118,14 @@ def test_criterion_4_archive_equals_brute_force():
 
 def test_criterion_5_full_loop_oracle_equivalence():
     space = default_search_space().restrict(RESTRICTED_36)
-    evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
+    config = make_run_config(space, seed_number=1)
+    evaluator = SyntheticEvaluator(config)
     exhaustive = brute_force_front(
         [(c, evaluator.evaluate(c)) for c in enumerate_space(space)]
     )
     equal = subset = 0
     for seed in range(1, 21):
-        config = RunConfig(
-            seed_number=seed,
-            ratio_init=0.9,
-            iteration_budget=250,
-            initial_acceptance_probability=0.5,
-            cooling_rate=0.8,
-            objective_kind="synthetic:sphere_proxy",
-            space=space,
-        )
-        result = run(config, evaluator, lambda record: None)
+        result = run(replace(config, seed_number=seed), evaluator, lambda record: None)
         got = {(e.config, e.objectives) for e in result.archive.entries}
         equal += got == exhaustive
         subset += got <= exhaustive

@@ -286,8 +286,8 @@ SIXTEEN = dict(
 class TestRun:
     def test_budget_and_outer_step_counts(self):
         space = restricted_space(**SIXTEEN)
-        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
         config = sphere_run_config(space, seed=2, cooling=0.95)
+        evaluator = SyntheticEvaluator(config)
         trace = []
         result = run(config, evaluator, trace.append)
         assert trace[-1].iteration <= 250
@@ -297,19 +297,18 @@ class TestRun:
 
     def test_evaluator_call_budget(self):
         space = restricted_space(**SIXTEEN)
-        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
-
+        config = sphere_run_config(space, seed=3)
+        evaluator = SyntheticEvaluator(config)
         counting = StubEvaluator(space=space, fn=evaluator.evaluate,
                                  flops_max=evaluator.flops_max)
-        config = sphere_run_config(space, seed=3)
         result = run(config, counting, lambda record: None)
         assert counting.calls <= config.iteration_budget + config.probe_count
         assert result.evaluations == counting.calls
 
     def test_archive_equals_exhaustive_front_on_sixteen_configs(self):
         space = restricted_space(**SIXTEEN)
-        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
         config = sphere_run_config(space, seed=40)
+        evaluator = SyntheticEvaluator(config)
         result = run(config, evaluator, lambda record: None)
         exhaustive = brute_force_front(
             [(c, evaluator.evaluate(c)) for c in enumerate_space(space)]
@@ -319,9 +318,10 @@ class TestRun:
 
     def test_archive_equals_front_of_trace_candidates(self):
         space = restricted_space(**SIXTEEN)
-        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
+        config = sphere_run_config(space, seed=5)
+        evaluator = SyntheticEvaluator(config)
         trace = []
-        result = run(sphere_run_config(space, seed=5), evaluator, trace.append)
+        result = run(config, evaluator, trace.append)
         offered = [(r.candidate_config, r.candidate_objectives) for r in trace]
         assert {(e.config, e.objectives) for e in result.archive.entries} == (
             brute_force_front(offered)
@@ -329,15 +329,16 @@ class TestRun:
 
     def test_improving_steps_never_rejected(self):
         space = restricted_space(**SIXTEEN)
-        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
+        config = sphere_run_config(space, seed=6)
+        evaluator = SyntheticEvaluator(config)
         trace = []
-        run(sphere_run_config(space, seed=6), evaluator, trace.append)
+        run(config, evaluator, trace.append)
         assert not any(r.delta_f < 0 and not r.accepted for r in trace)
 
     def test_temperature_sequence_geometric(self):
         space = restricted_space(**SIXTEEN)
-        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
         config = sphere_run_config(space, seed=7)
+        evaluator = SyntheticEvaluator(config)
         trace = []
         result = run(config, evaluator, trace.append)
         temperatures = []
@@ -350,20 +351,13 @@ class TestRun:
 
     def test_same_seed_identical_traces(self):
         space = restricted_space(**SIXTEEN)
-        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
+        config = sphere_run_config(space, seed=40)
+        evaluator = SyntheticEvaluator(config)
         t1, t2 = [], []
-        r1 = run(sphere_run_config(space, seed=40), evaluator, t1.append)
+        r1 = run(config, evaluator, t1.append)
         r2 = run(sphere_run_config(space, seed=40), evaluator, t2.append)
         assert t1 == t2
         assert r1.archive.entries == r2.archive.entries
-
-    def test_evaluator_space_without_a_mutable_domain_is_refused(self):
-        pinned = SearchSpace((ParamDomain("x", ("lo",)),))
-        stub = StubEvaluator(space=pinned, fn=lambda c: ObjectiveVector(0.5, 10))
-        config = sphere_run_config(two_value_space(), seed=1)
-        with pytest.raises(ValueError, match="search space has no mutable domain"):
-            run(config, stub, lambda record: None)
-        assert stub.calls == 0
 
     def test_calibration_failure_propagates(self):
         space = two_value_space()
@@ -375,8 +369,8 @@ class TestRun:
     def test_tiny_budget_stops_on_budget(self):
         # budget 3 exhausts before the stagnation window (3 outer steps) can
         space = restricted_space(**SIXTEEN)
-        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
         config = sphere_run_config(space, seed=8, budget=3, cooling=0.95)
+        evaluator = SyntheticEvaluator(config)
         trace = []
         result = run(config, evaluator, trace.append)
         assert result.stop_reason == "budget"
@@ -384,8 +378,8 @@ class TestRun:
 
     def cooled_run(self, cooling, budget):
         space = default_search_space()
-        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
         config = sphere_run_config(space, seed=1, budget=budget, cooling=cooling)
+        evaluator = SyntheticEvaluator(config)
         trace = []
         result = run(config, evaluator, trace.append)
         return result, [r.temperature for r in trace]

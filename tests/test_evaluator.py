@@ -2,30 +2,36 @@ import errno
 import io
 import os
 import random
+from dataclasses import replace
 
 import pytest
 from helpers import (
     RUN_DEFAULTS,
     holdout_splits,
+    make_run_config,
     needs_numpy,
     open_refusing_reads,
-    text_cnn_evaluator,
+    text_cnn_run_config,
 )
 
 import annealtune.evaluator as evaluator_module
+from annealtune import cli
 from annealtune.corpus import LabeledSentence, synthetic_corpus
 from annealtune.evaluator import (
     SYNTHETIC_CLASS_COUNT,
     SYNTHETIC_EMBEDDING_DIM,
-    SYNTHETIC_NAMES,
     SYNTHETIC_SENTENCE_LENGTH,
+    TRAINING_SETTINGS,
     EvaluationCache,
     SyntheticEvaluator,
+    TextCnnEvaluator,
     early_termination_check,
     estimate_flops,
     flops_ceiling,
 )
 from annealtune.search_space import (
+    SYNTHETIC_NAMES,
+    SYNTHETIC_PREFIX,
     ParamDomain,
     SearchSpace,
     default_search_space,
@@ -160,10 +166,16 @@ def all_index_config(space, index):
     return space.configuration(assignments)
 
 
+def synthetic_evaluator(space, name) -> SyntheticEvaluator:
+    return SyntheticEvaluator(
+        make_run_config(space, objective_kind=SYNTHETIC_PREFIX + name)
+    )
+
+
 class TestSynthetic:
     def test_sphere_extremes(self):
         space = default_search_space()
-        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
+        evaluator = synthetic_evaluator(space, "sphere_proxy")
         first = evaluator.evaluate(all_index_config(space, 0))
         last = evaluator.evaluate(all_index_config(space, -1))
         assert first.error_rate == 0.0
@@ -178,7 +190,7 @@ class TestSynthetic:
             SYNTHETIC_EMBEDDING_DIM,
             SYNTHETIC_CLASS_COUNT,
         ).total
-        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
+        evaluator = synthetic_evaluator(space, "sphere_proxy")
         assert evaluator.evaluate(config).flops == expected
 
     def test_trap_has_deceptive_shape(self):
@@ -187,7 +199,7 @@ class TestSynthetic:
                 "kernel_count_w3": [32, 64, 96, 100, 128, 160, 256],
             }
         )
-        evaluator = SyntheticEvaluator(space=space, name="deceptive_trap")
+        evaluator = synthetic_evaluator(space, "deceptive_trap")
         at_first = evaluator.evaluate(all_index_config(space, 0))
         at_last = evaluator.evaluate(all_index_config(space, -1))
         assert at_last.error_rate == 0.05  # narrow global optimum
@@ -202,13 +214,13 @@ class TestSynthetic:
         mid_error = evaluator.evaluate(mid).error_rate
         assert 0.25 < mid_error < 0.75
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            SyntheticEvaluator(space=default_search_space(), name="rosenbrock")
+    def test_text_cnn_run_config_refused(self):
+        with pytest.raises(ValueError, match="'textcnn' is not a synthetic objective"):
+            SyntheticEvaluator(text_cnn_run_config(default_search_space()))
 
     def test_pure_function(self):
         space = default_search_space()
-        evaluator = SyntheticEvaluator(space=space, name="sphere_proxy")
+        evaluator = synthetic_evaluator(space, "sphere_proxy")
         config = all_index_config(space, 2)
         assert evaluator.evaluate(config) == evaluator.evaluate(config)
 
@@ -227,7 +239,7 @@ class TestSynthetic:
             }
         )
         for name in ("sphere_proxy", "deceptive_trap"):
-            evaluator = SyntheticEvaluator(space=space, name=name)
+            evaluator = synthetic_evaluator(space, name)
             for config in enumerate_space(space):
                 objectives = evaluator.evaluate(config)
                 assert 0.0 <= objectives.error_rate <= 1.0
@@ -249,7 +261,7 @@ class TestSynthetic:
                 "batch_size": [64],
             }
         )
-        evaluator = SyntheticEvaluator(space=space, name=name)
+        evaluator = synthetic_evaluator(space, name)
         for _ in range(2):  # the second pass reads every shape from the cache
             for config in enumerate_space(space):
                 expected = estimate_flops(
@@ -435,7 +447,7 @@ def small_textcnn_space(**overrides):
         "fc_units": (16,),
         "fc_dropout": ("0.1",),
         "activation": ("relu",),
-        "learning_rate": ("0.01",),
+        "learning_rate": ("0.01", "0.004"),
         "batch_size": (64,),
     }
     values.update(overrides)
@@ -454,8 +466,7 @@ class TestTextCnnEvaluator:
     def test_repeated_request_hits_cache(self):
         corpus = small_corpus()
         space = small_textcnn_space()
-        evaluator = text_cnn_evaluator(space=space, corpus=corpus, seed=40,
-                                       max_epochs=10)
+        evaluator = TextCnnEvaluator(text_cnn_run_config(space, max_epochs=10), corpus)
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         first = evaluator.evaluate(config)
         second = evaluator.evaluate(config)
@@ -464,9 +475,8 @@ class TestTextCnnEvaluator:
 
     def test_trainings_bounded_by_distinct_configs(self):
         corpus = small_corpus()
-        space = small_textcnn_space(learning_rate=("0.01", "0.004"))
-        evaluator = text_cnn_evaluator(space=space, corpus=corpus, seed=40,
-                                       max_epochs=5)
+        space = small_textcnn_space()
+        evaluator = TextCnnEvaluator(text_cnn_run_config(space, max_epochs=5), corpus)
         configs = list(enumerate_space(space))
         for config in configs * 3:
             evaluator.evaluate(config)
@@ -477,8 +487,7 @@ class TestTextCnnEvaluator:
         # the corpus tests; the network should match it within 20 epochs
         corpus = small_corpus()
         space = small_textcnn_space()
-        evaluator = text_cnn_evaluator(space=space, corpus=corpus, seed=40,
-                                       max_epochs=20)
+        evaluator = TextCnnEvaluator(text_cnn_run_config(space, max_epochs=20), corpus)
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         objectives = evaluator.evaluate(config)
         assert objectives.error_rate <= 0.05
@@ -486,8 +495,7 @@ class TestTextCnnEvaluator:
     def test_flops_reported_from_estimator(self):
         corpus = small_corpus()
         space = small_textcnn_space()
-        evaluator = text_cnn_evaluator(space=space, corpus=corpus, seed=40,
-                                       max_epochs=2)
+        evaluator = TextCnnEvaluator(text_cnn_run_config(space, max_epochs=2), corpus)
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         objectives = evaluator.evaluate(config)
         expected = estimate_flops(
@@ -508,8 +516,9 @@ class TestTextCnnEvaluator:
         ]
         corpus = holdout_splits(shuffled, 0.0, ratio_init=0.9, seed=seed)
         space = small_textcnn_space()
-        evaluator = text_cnn_evaluator(space=space, corpus=corpus, seed=seed,
-                                       max_epochs=5)
+        evaluator = TextCnnEvaluator(
+            text_cnn_run_config(space, seed_number=seed, max_epochs=5), corpus
+        )
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         objectives = evaluator.evaluate(config)
         assert abs(objectives.error_rate - 0.5) <= 0.05
@@ -518,10 +527,10 @@ class TestTextCnnEvaluator:
         corpus = small_corpus()
         space = small_textcnn_space()
         config = space.configuration({d.name: d.values[0] for d in space.domains})
+        run_config = text_cnn_run_config(space, max_epochs=5)
         results = []
         for _ in range(2):
-            evaluator = text_cnn_evaluator(space=space, corpus=corpus, seed=40,
-                                           max_epochs=5)
+            evaluator = TextCnnEvaluator(run_config, corpus)
             results.append(evaluator.evaluate(config))
         assert results[0] == results[1]
 
@@ -529,20 +538,51 @@ class TestTextCnnEvaluator:
         space = small_textcnn_space()
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         cache = EvaluationCache(str(tmp_path / "cache.jsonl"))
-        base = dict(space=space, corpus=small_corpus(), seed=40, max_epochs=1,
-                    cache=cache)
-        text_cnn_evaluator(**base).evaluate(config)
-        for change in (
-            {"seed": 41},
-            {"corpus": small_corpus(seed=41)},
-            {"max_epochs": 8},
-            {"embedding_dim": 49},
-            {"early_stop_margin": 0.0},
-            {"early_stop_patience": 4},
-        ):
-            evaluator = text_cnn_evaluator(**{**base, **change})
+        run_config, corpus = text_cnn_run_config(space, max_epochs=1), small_corpus()
+        TextCnnEvaluator(run_config, corpus, cache).evaluate(config)
+        changes = {"seed_number": 41, "max_epochs": 8, "embedding_dim": 49,
+                   "early_stop_margin": 0.0, "early_stop_patience": 4}
+        assert set(changes) == {"seed_number", *TRAINING_SETTINGS}
+        evaluators = [
+            TextCnnEvaluator(replace(run_config, **{name: value}), corpus, cache)
+            for name, value in changes.items()
+        ]
+        evaluators.append(TextCnnEvaluator(run_config, small_corpus(seed=41), cache))
+        for evaluator in evaluators:
             evaluator.evaluate(config)
-            assert evaluator.trainings == 1, change
-        again = text_cnn_evaluator(**base)
+            assert evaluator.trainings == 1, evaluator.run_config
+        again = TextCnnEvaluator(run_config, corpus, cache)
         again.evaluate(config)
         assert again.trainings == 0
+
+    def test_trains_with_settings_from_configuration_and_run_config(
+        self, monkeypatch
+    ):
+        from annealtune import textcnn
+
+        trained, train = [], textcnn.train
+
+        def recorded(*args, **kwargs):
+            trained.append(args[5])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(textcnn, "train", recorded)
+        space = small_textcnn_space()
+        config = space.configuration({d.name: d.values[-1] for d in space.domains})
+        run_config = text_cnn_run_config(space, max_epochs=2)
+        TextCnnEvaluator(run_config, small_corpus()).evaluate(config)
+        [settings] = trained
+        assert settings.learning_rate == 0.004
+        assert settings.batch_size == 64
+        assert settings.max_epochs == 2
+
+
+@pytest.mark.parametrize(
+    "kind", [pytest.param("textcnn", marks=needs_numpy),
+             *(SYNTHETIC_PREFIX + name for name in SYNTHETIC_NAMES)]
+)
+def test_build_evaluator_takes_the_run_config_whole(kind):
+    config = make_run_config(small_textcnn_space(), objective_kind=kind)
+    evaluator = cli.build_evaluator(config)
+    assert evaluator.run_config is config
+    assert evaluator.space is config.space

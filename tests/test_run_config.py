@@ -107,9 +107,13 @@ def test_final_probability_not_below_initial_is_refused_before_evaluating(
         ("embedding_dim", 2.5),
         ("early_stop_margin", "x"),
         ("early_stop_patience", 2.5),
+        ("early_stop_patience", 0),
+        ("early_stop_patience", -5),
+        ("early_stop_margin", -0.5),
     ],
     ids=["dataset-number", "epochs-fractional", "embedding-fractional",
-         "margin-string", "patience-fractional"],
+         "margin-string", "patience-fractional", "patience-zero",
+         "patience-negative", "margin-negative"],
 )
 def test_bad_text_cnn_setting_is_usage_error_naming_its_key(
     tmp_path, capsys, no_evaluator, key, value

@@ -557,19 +557,6 @@ class TestTrain:
         )
         assert len(history) == 2
 
-    def test_early_stop_uses_settings_from_configuration(self):
-        space = SearchSpace(
-            (
-                ParamDomain("learning_rate", ("0.004",)),
-                ParamDomain("batch_size", (64,)),
-            )
-        )
-        config = space.configuration({"learning_rate": "0.004", "batch_size": 64})
-        settings = TrainingSettings.from_configuration(config, max_epochs=7, seed=3)
-        assert settings.learning_rate == 0.004
-        assert settings.batch_size == 64
-        assert settings.max_epochs == 7
-
     def test_divergence_raises(self):
         corpus = prepared_synthetic()
         model = model_for_corpus(corpus)
