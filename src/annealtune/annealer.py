@@ -81,7 +81,10 @@ def plan_schedule(
         raise ValueError("cooling_rate must lie in (0, 1)")
     if iteration_budget < 1:
         raise ValueError("iteration_budget must be >= 1")
-    outer = math.log(t_final / t_init) / math.log(cooling_rate)
+    ratio = t_final / t_init
+    if ratio == 0.0:
+        raise ValueError(f"t_final {t_final!r} / t_init {t_init!r} underflows to 0")
+    outer = math.log(ratio) / math.log(cooling_rate)
     return AnnealingSchedule(
         t_init=t_init,
         t_final=t_final,

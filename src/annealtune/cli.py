@@ -61,6 +61,9 @@ EXIT_RUNTIME = 3
 
 FORMAT_VERSION = 1
 
+#: how many of the front's lowest-error entries the archive files list apart
+TOP_K = 3
+
 
 class UsageError(Exception):
     pass
@@ -163,12 +166,10 @@ def _entry_payload(entry: ArchiveEntry) -> dict[str, Any]:
     }
 
 
-def archive_text(
-    entries: list[ArchiveEntry], space: SearchSpace, top_k: int
-) -> str:
-    """Front table (one row per entry) plus a transposed top-k block.
-
-    ``entries`` are ``ParetoArchive.front()``, so the top-k are the first k.
+def archive_text(entries: list[ArchiveEntry], space: SearchSpace) -> str:
+    """Front table (one row per entry) plus a transposed block of the TOP_K
+    lowest error rates: ``entries`` are ``ParetoArchive.front()``, so those
+    are the first TOP_K.
     """
     names = list(space.names)
     lines = [f"# annealtune archive format v{FORMAT_VERSION}"]
@@ -184,7 +185,7 @@ def archive_text(
         )
     lines.append(_format_table(rows))
 
-    top = entries[:top_k]
+    top = entries[:TOP_K]
     if top:
         lines.append("")
         lines.append(f"# top-{len(top)} by error rate")
@@ -199,15 +200,15 @@ def archive_text(
     return "\n".join(lines) + "\n"
 
 
-def archive_json(entries: list[ArchiveEntry], top_k: int, config: RunConfig) -> str:
-    """Front entries (``ParetoArchive.front()``) and the first top_k of them,
+def archive_json(entries: list[ArchiveEntry], config: RunConfig) -> str:
+    """Front entries (``ParetoArchive.front()``) and the first TOP_K of them,
     after the run config's objective and seed, which decide every score."""
     payload = {
         "format_version": FORMAT_VERSION,
         "objective_kind": config.objective_kind,
         "seed_number": config.seed_number,
         "entries": [_entry_payload(e) for e in entries],
-        "top": [_entry_payload(e) for e in entries[:top_k]],
+        "top": [_entry_payload(e) for e in entries[:TOP_K]],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -437,8 +438,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
         with open(write(trace_path, TRACE_HEADER), "a", encoding="utf-8") as trace:
             result = run(config, evaluator, lambda s: trace.write(trace_jsonl(s)))
         front = result.archive.front()
-        write(txt_path, archive_text(front, config.space, args.top_k))
-        write(json_path, archive_json(front, args.top_k, config))
+        write(txt_path, archive_text(front, config.space))
+        write(json_path, archive_json(front, config))
         write(calibration_path, calibration_json(result, config))
     best = front[0]
     print(f"stop reason: {result.stop_reason}; evaluations: {result.evaluations}")
@@ -501,8 +502,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         for candidate in enumerate_space(space):
             archive.insert(ArchiveEntry(candidate, evaluator.evaluate(candidate), 0))
         entries = archive.front()
-        write(args.output, archive_text(entries, space, args.top_k))
-        write(json_path, archive_json(entries, args.top_k, config))
+        write(args.output, archive_text(entries, space))
+        write(json_path, archive_json(entries, config))
     print(f"evaluated {space.cardinality()} configurations; front size {len(entries)}")
     print(f"wrote {args.output}")
     return EXIT_OK
@@ -518,14 +519,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="annealtune", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # a run setting's flag takes RunConfig's rule for it; other numbers a floor
+    # a run setting's flag takes RunConfig's rule; a temperature, any finite float
     rule = functools.partial(_flag, checked_setting)
-    number = functools.partial(_flag, checked_number)
     cache_help = "evaluation cache path; a synthetic objective never opens it"
 
     p_plan = sub.add_parser("plan", help="print the outer/inner iteration table")
-    p_plan.add_argument("--t-init", type=number(float), default=0.577)
-    p_plan.add_argument("--t-final", type=number(float), default=0.12)
+    p_plan.add_argument("--t-init", type=_flag(checked_number, float), default=0.577)
+    p_plan.add_argument("--t-final", type=_flag(checked_number, float), default=0.12)
     p_plan.add_argument("--budget", type=rule("iteration_budget"), default=250)
     p_plan.add_argument(
         "--cooling-rates", type=_flag(_rates), default=[0.99, 0.95, 0.9, 0.85, 0.8]
@@ -534,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune = sub.add_parser("tune", help="run the annealing search")
     p_tune.add_argument("--config", required=True, help="run config JSON path")
     p_tune.add_argument("--output-dir", required=True)
-    p_tune.add_argument("--top-k", type=number(int, 0), default=3)
     p_tune.add_argument("--cache", default=None, help=cache_help)
 
     p_eval = sub.add_parser("eval", help="evaluate one configuration")
@@ -551,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--config", required=True, help="run config JSON path")
     p_oracle.add_argument("--cache", default=None, help=cache_help)
     p_oracle.add_argument("--output", required=True)
-    p_oracle.add_argument("--top-k", type=number(int, 0), default=3)
     return parser
 
 

@@ -4,7 +4,7 @@ Contains the forward-pass FLOPs estimator, instant synthetic objectives for
 exercising the annealer, the early-termination rule for poor trainings, a
 persistent evaluation cache, and the real text-CNN evaluator. Each
 evaluator is built from a RunConfig, which owns its search space, seed,
-objective kind and training settings. Only the text-CNN evaluator imports
+objective kind and epoch limit. Only the text-CNN evaluator imports
 numpy, hashlib, ctypes and the text CNN, so a synthetic run starts without
 them.
 """
@@ -22,15 +22,17 @@ from .search_space import (
     SYNTHETIC_PREFIX, WINDOWS, Configuration, RunConfig, SearchSpace
 )
 
-#: fixed network-shape constants for the synthetic objectives
+#: the embedding width of every network, text CNN and synthetic alike
+EMBEDDING_DIM = 50
+#: early_termination_check's rule for every training: the margin over
+#: chance the first epoch must clear, and the epochs without a new best
+EARLY_STOP_MARGIN = 0.02
+EARLY_STOP_PATIENCE = 3
+
+#: the synthetic objectives' sentence length and class count
 SYNTHETIC_SENTENCE_LENGTH = 10
-SYNTHETIC_EMBEDDING_DIM = 50
 SYNTHETIC_CLASS_COUNT = 6
 _SPHERE_PROXY = SYNTHETIC_PREFIX + "sphere_proxy"
-
-#: the RunConfig fields, besides the seed, that fix how a text CNN trains
-TRAINING_SETTINGS = ("max_epochs", "embedding_dim", "early_stop_margin",
-                     "early_stop_patience")
 
 
 class DivergenceError(RuntimeError):
@@ -129,7 +131,7 @@ class SyntheticEvaluator:
     space: SearchSpace = field(init=False)
     flops_max: int = field(init=False)
     network: tuple[int, int, int] = field(init=False, default=(
-        SYNTHETIC_SENTENCE_LENGTH, SYNTHETIC_EMBEDDING_DIM, SYNTHETIC_CLASS_COUNT
+        SYNTHETIC_SENTENCE_LENGTH, EMBEDDING_DIM, SYNTHETIC_CLASS_COUNT
     ))
     #: shape (the _SHAPE_NAMES values) -> its estimate_flops total
     _flops: dict[tuple, int] = field(default_factory=dict, init=False, repr=False)
@@ -297,12 +299,11 @@ def _keep_freed_heap() -> None:
 @dataclass
 class TextCnnEvaluator:
     """Trains a fresh text CNN per configuration and scores it on the
-    validation split, under the run config's seed and training settings.
+    validation split, under a ``textcnn`` run config's seed and max_epochs.
 
     Results are cached under a key covering the configuration, the seed,
-    the prepared corpus and the TRAINING_SETTINGS, so a shared cache never
-    answers for a different corpus, epoch limit, embedding width or
-    early-stop rule.
+    the prepared corpus, max_epochs, EMBEDDING_DIM and the early-stop rule,
+    so a shared cache never answers for another corpus or training setting.
     """
 
     run_config: RunConfig
@@ -316,13 +317,16 @@ class TextCnnEvaluator:
 
     def __post_init__(self) -> None:
         run_config, corpus = self.run_config, self.corpus
+        kind = run_config.objective_kind
+        if kind != "textcnn":
+            raise ValueError(f"objective_kind {kind!r} is not textcnn")
         self.space = run_config.space
-        self.network = (
-            corpus.sentence_length, run_config.embedding_dim, corpus.class_count
-        )
+        self.network = (corpus.sentence_length, EMBEDDING_DIM, corpus.class_count)
         self.flops_max = flops_ceiling(self.space, *self.network)
-        context = {name: getattr(run_config, name) for name in TRAINING_SETTINGS}
-        context["corpus"] = _corpus_fingerprint(corpus)
+        context = {"max_epochs": run_config.max_epochs, "embedding_dim": EMBEDDING_DIM,
+                   "early_stop_margin": EARLY_STOP_MARGIN,
+                   "early_stop_patience": EARLY_STOP_PATIENCE,
+                   "corpus": _corpus_fingerprint(corpus)}
         self._context = json.dumps(context, sort_keys=True)
 
     def evaluate(self, config: Configuration) -> ObjectiveVector:
@@ -354,7 +358,7 @@ class TextCnnEvaluator:
         model = textcnn.init_model(
             config,
             vocab_size=corpus.vocab_size,
-            embedding_dim=run_config.embedding_dim,
+            embedding_dim=self.network[1],
             class_count=corpus.class_count,
             rng=np.random.default_rng(model_seed),
         )
@@ -375,8 +379,8 @@ class TextCnnEvaluator:
                 early_stop=functools.partial(
                     early_termination_check,
                     class_count=corpus.class_count,
-                    chance_margin=run_config.early_stop_margin,
-                    patience=run_config.early_stop_patience,
+                    chance_margin=EARLY_STOP_MARGIN,
+                    patience=EARLY_STOP_PATIENCE,
                 ),
             )
         except DivergenceError as exc:

@@ -313,11 +313,9 @@ def checked_number(value: Any, convert: type, floor=None, ceiling=None):
 
 
 #: (floor, ceiling) of RunConfig's bounded number fields. The schedule divides
-#: the budget as a float, exact for every integer up to 2**53; an embedding
-#: wider than 1,000, over three times word2vec's 300, would only exhaust memory
+#: the budget as a float, exact for every integer up to 2**53
 _BOUNDS = {"iteration_budget": (1, 2**53), "probe_count": (2, None),
-           "max_epochs": (1, None), "embedding_dim": (1, 1000),
-           "early_stop_patience": (1, None), "early_stop_margin": (0, None)}
+           "max_epochs": (1, None)}
 _UNIT_RANGE = ("cooling_rate", "initial_acceptance_probability",
                "final_acceptance_probability", "ratio_init")
 
@@ -350,9 +348,6 @@ class RunConfig:
     final_acceptance_probability: float = 0.0357
     probe_count: int = 20
     max_epochs: int = 20
-    early_stop_margin: float = 0.02
-    early_stop_patience: int = 3
-    embedding_dim: int = 50
 
     def __post_init__(self) -> None:
         for name in _NUMBERS:

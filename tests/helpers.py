@@ -15,7 +15,6 @@ from dataclasses import fields
 import pytest
 from annealtune import cli
 from annealtune.corpus import hold_out, make_splits
-from annealtune.evaluator import TRAINING_SETTINGS
 from annealtune.search_space import RunConfig
 
 #: RunConfig's field defaults (MISSING for required fields)
@@ -75,9 +74,8 @@ def make_run_config(space, **overrides) -> RunConfig:
 
 def text_cnn_run_config(space, **settings) -> RunConfig:
     """A textcnn ``make_run_config`` over ``space`` whose seed and
-    TRAINING_SETTINGS keep their defaults, apart from those in
-    ``settings``."""
-    assert set(settings) <= {"seed_number", *TRAINING_SETTINGS}, settings
+    ``max_epochs`` keep their defaults, apart from those in ``settings``."""
+    assert set(settings) <= {"seed_number", "max_epochs"}, settings
     return make_run_config(space, objective_kind="textcnn", **settings)
 
 

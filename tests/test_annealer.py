@@ -28,7 +28,6 @@ from annealtune.search_space import (
     SearchSpace,
     default_search_space,
     enumerate_space,
-    random_configuration,
 )
 
 P_FINAL = RUN_DEFAULTS["final_acceptance_probability"]
@@ -365,6 +364,22 @@ class TestRun:
         config = sphere_run_config(space, seed=1)
         with pytest.raises(CalibrationError):
             run(config, flat, lambda record: None)
+
+    def test_inner_count_below_one_half_still_evaluates_each_outer_step(self):
+        # textcnn-study's schedule: budget 4 over about 14.9 outer steps
+        space = restricted_space(**SIXTEEN)
+        config = sphere_run_config(space, seed=2, budget=4, cooling=0.9)
+        trace = []
+        result = run(config, SyntheticEvaluator(config), trace.append)
+        assert result.schedule.inner_iterations < 0.5
+        assert result.schedule.inner_steps == 1
+        # after the start, which shares t_init, each outer step has one step
+        temperatures = [r.temperature for r in trace[1:]]
+        assert len(temperatures) == 3
+        assert temperatures[0] == result.schedule.t_init
+        for prev, nxt in zip(temperatures, temperatures[1:]):
+            assert nxt == prev * config.cooling_rate
+        assert result.evaluations == config.probe_count + 4
 
     def test_tiny_budget_stops_on_budget(self):
         # budget 3 exhausts before the stagnation window (3 outer steps) can

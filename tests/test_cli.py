@@ -53,6 +53,13 @@ class TestPlan:
     def test_inverted_temperatures_is_usage_error(self, capsys):
         assert cli.main(["plan", "--t-init", "0.1", "--t-final", "0.5"]) == 1
 
+    def test_underflowing_temperature_ratio_names_both_temperatures(self, capsys):
+        # 1e-300 / 1e308 is below the smallest float, so it reads as 0
+        assert cli.main(["plan", "--t-init", "1e308", "--t-final", "1e-300"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: t_final 1e-300 / t_init 1e+308 underflows to 0\n"
+        )
+
     def test_unknown_flag_is_usage_error(self):
         assert cli.main(["plan", "--no-such-flag"]) == 1
 
@@ -310,12 +317,15 @@ class TestTune:
         assert "validation split is empty" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_top_k_is_usage_error(self, tmp_path):
+    def test_top_k_is_an_unrecognized_argument(self, tmp_path, capsys):
         config = write_run_config(tmp_path / "rc.json")
         out = tmp_path / "out"
         code = cli.main(["tune", "--config", config, "--output-dir", str(out),
-                         "--top-k", "-1"])
+                         "--top-k", "5"])
         assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: unrecognized arguments: --top-k 5\n"
+        )
         assert not out.exists()
 
     def test_calibration_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
@@ -746,11 +756,14 @@ class TestOracle:
         # the three relu configurations
         assert fronts == {(256, "relu"), (100, "relu"), (32, "relu")}
 
-    def test_negative_top_k_is_usage_error(self, tmp_path):
+    def test_top_k_is_an_unrecognized_argument(self, tmp_path, capsys):
         config = write_run_config(tmp_path / "rc.json")
         out = tmp_path / "front.txt"
-        argv = ["oracle", "--config", config, "--output", str(out), "--top-k", "-1"]
+        argv = ["oracle", "--config", config, "--output", str(out), "--top-k", "5"]
         assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "usage error: unrecognized arguments: --top-k 5\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

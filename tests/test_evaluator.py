@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import pytest
 from helpers import (
-    RUN_DEFAULTS,
     holdout_splits,
     make_run_config,
     needs_numpy,
@@ -18,10 +17,11 @@ import annealtune.evaluator as evaluator_module
 from annealtune import cli
 from annealtune.corpus import LabeledSentence, synthetic_corpus
 from annealtune.evaluator import (
+    EARLY_STOP_MARGIN,
+    EARLY_STOP_PATIENCE,
+    EMBEDDING_DIM,
     SYNTHETIC_CLASS_COUNT,
-    SYNTHETIC_EMBEDDING_DIM,
     SYNTHETIC_SENTENCE_LENGTH,
-    TRAINING_SETTINGS,
     EvaluationCache,
     SyntheticEvaluator,
     TextCnnEvaluator,
@@ -144,14 +144,14 @@ class TestFlopsCeiling:
         ceiling = flops_ceiling(
             space,
             SYNTHETIC_SENTENCE_LENGTH,
-            SYNTHETIC_EMBEDDING_DIM,
+            EMBEDDING_DIM,
             SYNTHETIC_CLASS_COUNT,
         )
         totals = [
             estimate_flops(
                 c,
                 SYNTHETIC_SENTENCE_LENGTH,
-                SYNTHETIC_EMBEDDING_DIM,
+                EMBEDDING_DIM,
                 SYNTHETIC_CLASS_COUNT,
             ).total
             for c in enumerate_space(space)
@@ -187,7 +187,7 @@ class TestSynthetic:
         expected = estimate_flops(
             config,
             SYNTHETIC_SENTENCE_LENGTH,
-            SYNTHETIC_EMBEDDING_DIM,
+            EMBEDDING_DIM,
             SYNTHETIC_CLASS_COUNT,
         ).total
         evaluator = synthetic_evaluator(space, "sphere_proxy")
@@ -267,16 +267,15 @@ class TestSynthetic:
                 expected = estimate_flops(
                     config,
                     SYNTHETIC_SENTENCE_LENGTH,
-                    SYNTHETIC_EMBEDDING_DIM,
+                    EMBEDDING_DIM,
                     SYNTHETIC_CLASS_COUNT,
                 ).total
                 assert evaluator.evaluate(config).flops == expected
 
 
-def stops(history, chance_margin=RUN_DEFAULTS["early_stop_margin"],
-          patience=RUN_DEFAULTS["early_stop_patience"]):
-    """early_termination_check on two classes, by default under the run
-    configuration's rule."""
+def stops(history, chance_margin=EARLY_STOP_MARGIN, patience=EARLY_STOP_PATIENCE):
+    """early_termination_check on two classes, by default under the rule
+    the text-CNN evaluator passes it."""
     return early_termination_check(history, 2, chance_margin, patience)
 
 
@@ -501,7 +500,7 @@ class TestTextCnnEvaluator:
         expected = estimate_flops(
             config,
             corpus.sentence_length,
-            RUN_DEFAULTS["embedding_dim"],
+            EMBEDDING_DIM,
             corpus.class_count,
         ).total
         assert objectives.flops == expected
@@ -534,26 +533,42 @@ class TestTextCnnEvaluator:
             results.append(evaluator.evaluate(config))
         assert results[0] == results[1]
 
-    def test_cache_key_covers_seed_corpus_and_training_settings(self, tmp_path):
+    def test_cache_key_covers_seed_corpus_and_training_settings(
+        self, tmp_path, monkeypatch
+    ):
         space = small_textcnn_space()
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         cache = EvaluationCache(str(tmp_path / "cache.jsonl"))
         run_config, corpus = text_cnn_run_config(space, max_epochs=1), small_corpus()
         TextCnnEvaluator(run_config, corpus, cache).evaluate(config)
-        changes = {"seed_number": 41, "max_epochs": 8, "embedding_dim": 49,
-                   "early_stop_margin": 0.0, "early_stop_patience": 4}
-        assert set(changes) == {"seed_number", *TRAINING_SETTINGS}
         evaluators = [
             TextCnnEvaluator(replace(run_config, **{name: value}), corpus, cache)
-            for name, value in changes.items()
+            for name, value in {"seed_number": 41, "max_epochs": 8}.items()
         ]
         evaluators.append(TextCnnEvaluator(run_config, small_corpus(seed=41), cache))
         for evaluator in evaluators:
             evaluator.evaluate(config)
             assert evaluator.trainings == 1, evaluator.run_config
+        # a later edit of a training constant is not answered from the cache
+        constants = {"EMBEDDING_DIM": 49, "EARLY_STOP_MARGIN": 0.0,
+                     "EARLY_STOP_PATIENCE": 4}
+        for name, value in constants.items():
+            with monkeypatch.context() as patched:
+                patched.setattr(evaluator_module, name, value)
+                evaluator = TextCnnEvaluator(run_config, corpus, cache)
+                evaluator.evaluate(config)
+            assert evaluator.trainings == 1, name
         again = TextCnnEvaluator(run_config, corpus, cache)
         again.evaluate(config)
         assert again.trainings == 0
+
+    @pytest.mark.parametrize("name", SYNTHETIC_NAMES)
+    def test_synthetic_run_config_refused(self, name):
+        run_config = make_run_config(
+            small_textcnn_space(), objective_kind=SYNTHETIC_PREFIX + name
+        )
+        with pytest.raises(ValueError, match=f"'{SYNTHETIC_PREFIX}{name}' is not textcnn"):
+            TextCnnEvaluator(run_config, small_corpus())
 
     def test_trains_with_settings_from_configuration_and_run_config(
         self, monkeypatch

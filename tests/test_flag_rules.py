@@ -1,15 +1,16 @@
 """What the command line's numeric flags accept, and where outputs go.
 
 A flag that sets a run setting takes ``RunConfig``'s rule for that key
-(``search_space.checked_setting``); every other numeric flag takes the same
-number rule with its own floor. A value the rule refuses is a usage error
+(``search_space.checked_setting``); a temperature flag takes the same
+number rule with no floor. A value the rule refuses is a usage error
 (exit 1) that names the flag, raised before any file is read; a value the
-rule takes but a later check refuses is still a usage error. ``eval`` takes
-its settings from a run config, whose bad values are refused before its
-dataset manifest is read. An output path that cannot be written is a usage
-error that names it; the command then writes none of its outputs and leaves
-no temp file. The file imports neither numpy nor hypothesis, so it runs
-where they are missing: no case here builds a text-CNN corpus.
+rule takes but a later check refuses is still a usage error, and so is a
+removed flag, whatever its value. ``eval`` takes its settings from a run
+config, whose bad values are refused before its dataset manifest is read.
+An output path that cannot be written is a usage error that names it; the
+command then writes none of its outputs and leaves no temp file. The file
+imports neither numpy nor hypothesis, so it runs where they are missing:
+no case here builds a text-CNN corpus.
 """
 
 import math
@@ -73,9 +74,9 @@ FLAGS = {
     ("plan", "--t-final"): (float, None, None, False),
     ("plan", "--budget"): (int, 1, 2**53, False),
     ("plan", "--cooling-rates"): (float, None, None, True),
-    ("tune", "--top-k"): (int, 0, None, False),
-    ("oracle", "--top-k"): (int, 0, None, False),
 }
+#: flags the command line no longer has, which every value leaves unrecognized
+REMOVED_FLAGS = [("tune", "--top-k"), ("oracle", "--top-k")]
 
 
 def rule_refuses(convert, floor, ceiling, unit_range, text: str) -> bool:
@@ -96,21 +97,27 @@ def rule_refuses(convert, floor, ceiling, unit_range, text: str) -> bool:
 
 
 @pytest.mark.parametrize("text", VALUES, ids=["x", "1.5", "-1", "0", "nan", "inf", "big"])
-@pytest.mark.parametrize("command,flag", list(FLAGS), ids=[" ".join(k) for k in FLAGS])
+@pytest.mark.parametrize(
+    "command,flag", [*FLAGS, *REMOVED_FLAGS],
+    ids=[" ".join(k) for k in [*FLAGS, *REMOVED_FLAGS]],
+)
 def test_every_numeric_flag_takes_every_value(tmp_path, capsys, command, flag, text):
     code = cli.main([*base_argv(command, tmp_path), flag, text])
     err = capsys.readouterr().err
     assert code in (0, 1), err
     if code == 1:
         assert err.startswith("usage error: "), err
-    if rule_refuses(*FLAGS[command, flag], text):
+    if (command, flag) in REMOVED_FLAGS:
+        assert code == 1
+        assert err.startswith(f"usage error: unrecognized arguments: {flag}"), err
+    elif rule_refuses(*FLAGS[command, flag], text):
         assert code == 1
         assert err.startswith(f"usage error: argument {flag}: "), err
 
 
 @pytest.mark.parametrize(
-    "key,value", [("ratio_init", 1.5), ("max_epochs", 0), ("embedding_dim", 1001)],
-    ids=["ratio_init", "max_epochs", "embedding_dim"],
+    "key,value", [("ratio_init", 1.5), ("max_epochs", 0), ("probe_count", 1)],
+    ids=["ratio_init", "max_epochs", "probe_count"],
 )
 def test_bad_setting_is_refused_before_the_manifest_is_read(tmp_path, capsys, key, value):
     config = write_run_config(

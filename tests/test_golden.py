@@ -311,10 +311,10 @@ ORACLE_SPACE = {
 
 ORACLE_DIGESTS = {
     "front.txt": (
-        "0b22c91e1c84ae015dfc7b8b4ce95643556e1665e834d52bdde6e2581f6afaa7"
+        "1e969bb4673fa9c0bf8e72ff99b71643b06d76763e2c713dbc11d6f4b72acb52"
     ),
     "front.json": (
-        "e8098b166a63b504eeb84d501410d96a060d2b88eec5bd11de9b795d3c0c3841"
+        "36c0637b3697a74c229b8a1e960279666f5f7d466f380588966f5e56816085ff"
     ),
 }
 
@@ -323,8 +323,7 @@ def test_oracle_outputs_match_recorded_digests(tmp_path):
     config = tmp_path / "rc.json"
     config.write_text(json.dumps({**GOLDEN[0][0], "space": ORACLE_SPACE}))
     out = tmp_path / "out"
-    argv = ["oracle", "--config", str(config), "--top-k", "5",
-            "--output", str(out / "front.txt")]
+    argv = ["oracle", "--config", str(config), "--output", str(out / "front.txt")]
     assert cli.main(argv) == 0
     assert digests_of(out) == ORACLE_DIGESTS
 

@@ -16,7 +16,7 @@ from dataclasses import fields
 import pytest
 
 import annealtune.cli as cli
-from annealtune.search_space import RunConfig
+from annealtune.search_space import RunConfig, checked_number
 
 #: a space of 8 configurations, so a synthetic run takes milliseconds
 SMALL_SPACE = {
@@ -104,16 +104,15 @@ def test_final_probability_not_below_initial_is_refused_before_evaluating(
     [
         ("dataset_path", 1),
         ("max_epochs", 1.5),
-        ("embedding_dim", 2.5),
-        ("early_stop_margin", "x"),
-        ("early_stop_patience", 2.5),
-        ("early_stop_patience", 0),
-        ("early_stop_patience", -5),
-        ("early_stop_margin", -0.5),
+        ("max_epochs", "2.5"),
+        ("final_acceptance_probability", "x"),
+        ("max_epochs", 0),
+        ("max_epochs", -5),
+        ("final_acceptance_probability", -0.5),
     ],
-    ids=["dataset-number", "epochs-fractional", "embedding-fractional",
-         "margin-string", "patience-fractional", "patience-zero",
-         "patience-negative", "margin-negative"],
+    ids=["dataset-number", "epochs-fractional", "epochs-fractional-text",
+         "final-probability-string", "epochs-zero", "epochs-negative",
+         "final-probability-negative"],
 )
 def test_bad_text_cnn_setting_is_usage_error_naming_its_key(
     tmp_path, capsys, no_evaluator, key, value
@@ -123,18 +122,17 @@ def test_bad_text_cnn_setting_is_usage_error_naming_its_key(
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["infinity", "nan"])
-def test_non_finite_margin_is_refused_before_evaluating(
+def test_non_finite_ratio_is_refused_before_evaluating(
     tmp_path, capsys, no_evaluator, value
 ):
     # json.dumps writes Infinity and NaN, and json.load reads them back
-    assert tune(tmp_path, objective_kind="textcnn", early_stop_margin=value) == 1
+    assert tune(tmp_path, objective_kind="textcnn", ratio_init=value) == 1
     err = capsys.readouterr().err
-    assert err == "usage error: bad run config: early_stop_margin is not finite\n"
+    assert err == "usage error: bad run config: ratio_init is not finite\n"
 
 
 @pytest.mark.parametrize(
-    "key,floor",
-    [("iteration_budget", 1), ("probe_count", 2), ("max_epochs", 1), ("embedding_dim", 1)],
+    "key,floor", [("iteration_budget", 1), ("probe_count", 2), ("max_epochs", 1)]
 )
 def test_value_below_floor_is_usage_error(tmp_path, capsys, no_evaluator, key, floor):
     assert tune(tmp_path, **{key: floor - 1}) == 1
@@ -147,10 +145,8 @@ def test_value_below_floor_is_usage_error(tmp_path, capsys, no_evaluator, key, f
     [
         ("iteration_budget", 2**53, 2**53 + 1),
         ("iteration_budget", 2**53, 10**400),
-        ("embedding_dim", 1000, 1001),
-        ("embedding_dim", 1000, 10**400),
     ],
-    ids=["budget-above", "budget-huge", "embedding-above", "embedding-huge"],
+    ids=["budget-above", "budget-huge"],
 )
 def test_value_above_ceiling_is_usage_error(
     tmp_path, capsys, no_evaluator, key, ceiling, value
@@ -162,8 +158,8 @@ def test_value_above_ceiling_is_usage_error(
 
 def test_ceilings_themselves_are_accepted():
     settings = {k: v for k, v in BASE.items() if k != "space"}
-    config = RunConfig(**{**settings, "iteration_budget": 2**53, "embedding_dim": 1000})
-    assert (config.iteration_budget, config.embedding_dim) == (2**53, 1000)
+    config = RunConfig(**{**settings, "iteration_budget": 2**53})
+    assert config.iteration_budget == 2**53
 
 
 def test_probabilities_one_float_apart_are_a_runtime_error(tmp_path, capsys):
@@ -193,15 +189,20 @@ def test_numbers_convert_as_in_manifests():
         initial_acceptance_probability="0.5",
         cooling_rate=0.8,
         objective_kind="textcnn",
-        early_stop_margin=0,
     )
     assert (config.seed_number, config.iteration_budget) == (7, 12)
     assert type(config.seed_number) is int
     assert config.initial_acceptance_probability == 0.5
-    assert type(config.early_stop_margin) is float
+    # every float key of a run config lies in (0, 1), so a manifest's
+    # test_fraction shows an integral JSON number kept as a float
+    convert, _, floor, ceiling = cli.MANIFEST_RULES["synthetic"]["test_fraction"]
+    fraction = checked_number(0, convert, floor, ceiling)
+    assert fraction == 0 and type(fraction) is float
 
 
 RUN_CONFIG_KEYS = [f.name for f in fields(RunConfig)]
+#: keys that earlier run configs took, now constants of annealtune.evaluator
+RETIRED_KEYS = ["early_stop_margin", "early_stop_patience", "embedding_dim"]
 JSON_VALUES = {
     "null": None, "bool": True, "int": 3, "float": 0.25, "string": "x", "list": [1],
     "object": {"a": 1},
@@ -227,7 +228,7 @@ def refused_key(key: str, value) -> bool:
 
 
 @pytest.mark.parametrize("json_type", sorted(JSON_VALUES))
-@pytest.mark.parametrize("key", RUN_CONFIG_KEYS)
+@pytest.mark.parametrize("key", RUN_CONFIG_KEYS + RETIRED_KEYS)
 def test_every_key_takes_every_json_type(tmp_path, capsys, key, json_type):
     value = JSON_VALUES[json_type]
     code = tune(tmp_path, **{key: value})
@@ -235,6 +236,9 @@ def test_every_key_takes_every_json_type(tmp_path, capsys, key, json_type):
     assert code in (0, 1), err
     if code == 1:
         assert err.startswith("usage error: bad run config: "), err
-    if refused_key(key, value):
+    if key in RETIRED_KEYS:  # refused whatever its value
+        assert code == 1
+        assert err == f"usage error: bad run config: unknown run config keys: ['{key}']\n"
+    elif refused_key(key, value):
         assert code == 1
         assert err.startswith(f"usage error: bad run config: {key} "), err

@@ -10,7 +10,6 @@ from annealtune.cli import trace_jsonl
 from annealtune.pareto import ArchiveAction, ObjectiveVector
 from annealtune.search_space import (
     ParamDomain,
-    RunConfig,
     SearchSpace,
     default_search_space,
     enumerate_space,
@@ -320,7 +319,6 @@ class TestRunConfig:
             ("objective_kind", "nonsense"),
             ("probe_count", 1),
             ("max_epochs", 0),
-            ("embedding_dim", 0),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):

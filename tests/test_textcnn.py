@@ -11,7 +11,6 @@ from helpers import finite_difference_gradients, holdout_splits, relative_error
 from annealtune.corpus import synthetic_corpus
 from annealtune.search_space import ParamDomain, SearchSpace, default_search_space
 from annealtune.textcnn import (
-    ACTIVATIONS,
     EVAL_BATCH,
     DivergenceError,
     TextCnnModel,
