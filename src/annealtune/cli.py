@@ -137,7 +137,8 @@ def _write_files(paths: Sequence[str]):
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         yield write
         for path in paths:
-            os.replace(temps.pop(path), path)
+            os.replace(temps[path], path)
+            del temps[path]  # renamed: no longer the finally block's to remove
         missing.clear()
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
@@ -296,25 +297,20 @@ def load_run_config(path: str) -> RunConfig:
         raise UsageError(f"bad run config: {exc}") from None
 
 
-#: the cross-validation keys of mr and cr manifests
-_FOLDS = {"folds": (int, 10, 2, None), "fold_index": (int, 0, None, None)}
+#: the bundled corpus a run config without a dataset_path trains on:
+#: synthetic_corpus's class count, sentences a class and vocabulary size,
+#: and the share of it held out as the test split
+BUNDLED_SHAPE = (2, 50, 40)
+BUNDLED_TEST_FRACTION = 0.2
+#: the folds MR and CR are split into, as in Kim (2014); a manifest's
+#: fold_index picks the one that is the test split
+CV_FOLDS = 10
 #: each manifest kind's keys besides "kind", each with its rule: ``str`` for
-#: a file path the manifest must give, or (int or float, default, floor,
-#: ceiling) for a number, judged by checked_number; a synthetic seed of
-#: None takes the run's seed. The synthetic ceilings, 50 classes (TREC's
-#: fine-grained label count), 10,000 sentences a class and a 100,000-word
-#: vocabulary (five times MR's), keep a typo from exhausting memory. Rules
-#: across keys are prepare_corpus's.
+#: a file path the manifest must give, or the range of an integer key's
+#: values, judged by checked_number, whose first value is its default
 MANIFEST_RULES = {
-    "synthetic": {
-        "class_count": (int, 2, 1, 50),
-        "samples_per_class": (int, 50, 1, 10_000),
-        "vocab_size": (int, 40, None, 100_000),
-        "test_fraction": (float, 0.2, None, None),
-        "seed": (int, None, None, None),
-    },
-    "mr": {"pos": str, "neg": str, **_FOLDS},
-    "cr": {"path": str, **_FOLDS},
+    "mr": {"pos": str, "neg": str, "fold_index": range(CV_FOLDS)},
+    "cr": {"path": str, "fold_index": range(CV_FOLDS)},
     "trec": {"train": str, "test": str},
 }
 
@@ -325,18 +321,21 @@ def _manifest_error(kind: str, key: str, problem: str) -> DataError:
 
 def prepare_corpus(path: str | None, ratio_init: float, seed: int) -> PreparedCorpus:
     """Build a PreparedCorpus from the dataset manifest at ``path``; without
-    one, from the bundled synthetic corpus at MANIFEST_RULES' defaults.
+    one, from the bundled corpus, less BUNDLED_TEST_FRACTION of it held out
+    as the test split.
 
-    Kinds: synthetic (bundled generator), mr (pos/neg files, 10-fold CV),
-    cr (tab-separated file, 10-fold CV), trec (train/test files, fixed
-    test split). Every key is judged before any file is read or any corpus
-    generated.
+    Kinds: mr (pos/neg files) and cr (tab-separated file), whose test split
+    is the manifest's fold of CV_FOLDS, and trec (train/test files, fixed
+    test split). Every key is judged before any file is read.
     """
-    manifest = {"kind": "synthetic"}
-    if path is not None:
-        manifest = _read_json(
-            path, "dataset manifest", DataError, "dataset manifest is not valid JSON"
-        )
+    rng = random.Random(seed)
+    if path is None:
+        data = synthetic_corpus(*BUNDLED_SHAPE, seed)
+        pool, test = hold_out(data, 0, round(BUNDLED_TEST_FRACTION * len(data)), rng)
+        return make_splits(pool, test, ratio_init, rng)
+    manifest = _read_json(
+        path, "dataset manifest", DataError, "dataset manifest is not valid JSON"
+    )
     if not isinstance(manifest, dict) or "kind" not in manifest:
         raise DataError("dataset manifest must be an object with a 'kind' key")
     kind = manifest["kind"]
@@ -355,32 +354,16 @@ def prepare_corpus(path: str | None, ratio_init: float, seed: int) -> PreparedCo
                 raise _manifest_error(kind, key, "is not a path")
             m[key] = manifest[key]
             continue
-        convert, default, floor, ceiling = rule
-        value = manifest.get(key, seed if default is None else default)
         try:
-            m[key] = checked_number(value, convert, floor, ceiling)
+            m[key] = checked_number(manifest.get(key, rule[0]), int, rule[0], rule[-1])
         except ValueError as exc:
             raise _manifest_error(kind, key, str(exc)) from None
-    rng = random.Random(seed)
-    if kind == "synthetic":
-        fewest = 2 * m["class_count"]
-        if m["vocab_size"] < fewest:
-            raise _manifest_error(
-                kind, "vocab_size", f"is below {fewest}, twice class_count"
-            )
-        test_fraction = m.pop("test_fraction")
-        if not 0.0 <= test_fraction < 1.0:
-            raise _manifest_error(kind, "test_fraction", "is outside [0, 1)")
-        data = synthetic_corpus(**m)
-        pool, test = hold_out(data, 0, round(test_fraction * len(data)), rng)
-    elif kind == "trec":
+    if kind == "trec":
         pool, test, _ = load_trec(m["train"], m["test"])
     else:
-        folds, fold = m["folds"], m["fold_index"]
-        if not 0 <= fold < folds:
-            raise _manifest_error(kind, "fold_index", f"is outside [0, {folds})")
+        fold = m["fold_index"]
         data = load_mr(m["pos"], m["neg"]) if kind == "mr" else load_cr(m["path"])
-        base, extra = divmod(len(data), folds)
+        base, extra = divmod(len(data), CV_FOLDS)
         start = fold * base + min(fold, extra)
         pool, test = hold_out(data, start, start + base + (fold < extra), rng)
     return make_splits(pool, test, ratio_init, rng)
@@ -491,6 +474,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if not os.path.basename(args.output):  # empty, or ends in a separator
+        raise UsageError(f"--output {brief(args.output)} has no file name")
     json_path = os.path.splitext(args.output)[0] + ".json"
     if json_path == args.output:
         raise UsageError("--output ends in .json, the name of the JSON front")

@@ -67,14 +67,12 @@ def parse_value(domain: "ParamDomain", text: str) -> Value:
 class ParamDomain:
     """One tunable parameter: a name and its ordered finite value list.
 
-    Lookups by value (index, index fraction, the other values) are built
-    once here, because the annealer makes them on every step.
+    Lookups by value (index fraction, the other values) are built once
+    here, because the annealer makes them on every step.
     """
 
     name: str
     values: tuple[Value, ...]
-    #: value -> position in ``values``
-    index: dict[Value, int] = field(init=False, repr=False, compare=False)
     #: value -> index / (len(values) - 1); empty when there is one value
     fraction: dict[Value, float] = field(init=False, repr=False, compare=False)
     #: value -> every other value, in ``values`` order
@@ -90,26 +88,20 @@ class ParamDomain:
             raise ValueError(f"domain {self.name!r} has no values")
         if len(set(values)) != len(values):
             raise ValueError(f"domain {self.name!r} has duplicate values")
-        index = {v: i for i, v in enumerate(values)}
         last = len(values) - 1
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(
-            self, "fraction", {v: i / last for v, i in index.items()} if last else {}
-        )
+        fraction = {v: i / last for i, v in enumerate(values)} if last else {}
+        object.__setattr__(self, "fraction", fraction)
         object.__setattr__(
             self,
             "alternatives",
             {v: tuple(u for u in values if u != v) for v in values},
         )
 
-    def index_of(self, value: Value) -> int:
-        try:
-            return self.index[value]
-        except KeyError:
-            raise ValueError(
-                f"{brief(value)} is not a value of domain {self.name!r}"
-            ) from None
+    def check(self, value: Value) -> None:
+        """Refuse a ``value`` that is not one of the domain's."""
+        if value not in self.alternatives:
+            raise ValueError(f"{brief(value)} is not a value of domain {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -182,7 +174,7 @@ class SearchSpace:
             if d.name not in assignments:
                 raise ValueError(f"missing assignment for domain {d.name!r}")
             value = canonical_value(assignments[d.name])
-            d.index_of(value)
+            d.check(value)
             items.append((d.name, value))
         return Configuration(tuple(items))
 
@@ -204,7 +196,7 @@ class SearchSpace:
                     raise ValueError(f"restriction of {d.name!r} is not a list")
                 chosen = tuple(canonical_value(v) for v in subsets[d.name])
                 for v in chosen:
-                    d.index_of(v)
+                    d.check(v)
                 domains.append(ParamDomain(d.name, chosen))
             else:
                 domains.append(d)

@@ -61,7 +61,7 @@ def write_run_config(path, **overrides) -> str:
 
 def holdout_splits(data, test_fraction, ratio_init, seed):
     """make_splits of ``data`` less a held-out test share, drawn as
-    prepare_corpus draws a synthetic manifest's."""
+    prepare_corpus draws the bundled corpus's."""
     rng = random.Random(seed)
     pool, test = hold_out(data, 0, round(test_fraction * len(data)), rng)
     return make_splits(pool, test, ratio_init, rng)

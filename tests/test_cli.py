@@ -304,10 +304,13 @@ class TestTune:
 
     @needs_numpy
     def test_empty_validation_split_is_data_error(self, tmp_path, capsys):
-        # 1 sentence per class, none held out: ratio_init 0.9 puts it in train
+        # 1 training sentence per class: ratio_init 0.9 puts it in train
+        train, test = tmp_path / "train.label", tmp_path / "test.label"
+        train.write_text("HUM:x who is it ?\nLOC:x where is it ?\n")
+        test.write_text("HUM:x who was it ?\n")
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps(
-            {"kind": "synthetic", "samples_per_class": 1, "test_fraction": 0}
+            {"kind": "trec", "train": str(train), "test": str(test)}
         ))
         config = write_run_config(
             tmp_path / "rc.json", objective_kind="textcnn", dataset_path=str(dataset)
@@ -395,11 +398,9 @@ class TestEval:
 
     @needs_numpy
     def test_flops_only_breakdown_follows_the_corpus(self, tmp_path, capsys):
+        # 2 classes of 6-token sentences; the synthetic network is (10, 50, 6)
         dataset = tmp_path / "dataset.json"
-        dataset.write_text(json.dumps(
-            {"kind": "synthetic", "class_count": 40, "vocab_size": 80,
-             "samples_per_class": 10}
-        ))
+        dataset.write_text(json.dumps(dataset_files(tmp_path)["trec"]))
         argv = eval_on(tmp_path, dataset, max_epochs=1)
         assert cli.main([*argv, "--flops-only"]) == 0
         flops_only = capsys.readouterr().out.splitlines()
@@ -530,13 +531,8 @@ def dataset_files(tmp_path) -> dict[str, dict]:
     ))
     test.write_text("HUM:x who is it ?\nLOC:x where is it ?\n")
     return {
-        "synthetic": {
-            "kind": "synthetic", "class_count": 2, "samples_per_class": 10,
-            "vocab_size": 40, "seed": 1, "test_fraction": 0.2,
-        },
-        "mr": {"kind": "mr", "pos": str(pos), "neg": str(neg), "folds": 5,
-               "fold_index": 1},
-        "cr": {"kind": "cr", "path": str(labeled), "folds": 5, "fold_index": 0},
+        "mr": {"kind": "mr", "pos": str(pos), "neg": str(neg), "fold_index": 1},
+        "cr": {"kind": "cr", "path": str(labeled), "fold_index": 0},
         "trec": {"kind": "trec", "train": str(train), "test": str(test)},
     }
 
@@ -547,10 +543,8 @@ JSON_VALUES = {
     "object": {"a": 1},
 }
 MANIFEST_KEYS = {
-    "synthetic": ["kind", "class_count", "samples_per_class", "vocab_size", "seed",
-                  "test_fraction"],
-    "mr": ["kind", "pos", "neg", "folds", "fold_index"],
-    "cr": ["kind", "path", "folds", "fold_index"],
+    "mr": ["kind", "pos", "neg", "fold_index"],
+    "cr": ["kind", "path", "fold_index"],
     "trec": ["kind", "train", "test"],
 }
 
@@ -586,20 +580,18 @@ class TestManifestValues:
             ("cr", "path", 0, "is not a path"),
             ("cr", "path", ["a"], "is not a path"),
             ("trec", "train", None, "is not a path"),
-            ("synthetic", "seed", None, "is not a number"),
-            ("synthetic", "test_fraction", [], "is not a number"),
-            ("mr", "folds", "x", "is not a number"),
+            ("mr", "fold_index", None, "is not a number"),
+            ("cr", "fold_index", [], "is not a number"),
+            ("mr", "fold_index", "x", "is not a number"),
             ("cr", "fold_index", float("inf"), "is not finite"),
-            ("synthetic", "samples_per_class", 10.9, "is not an integer"),
-            ("synthetic", "samples_per_class", "10.5", "is not an integer"),
-            ("synthetic", "seed", 1.5, "is not an integer"),
-            ("mr", "folds", 2.9, "is not an integer"),
-            ("synthetic", "class_count", True, "is not a number"),
+            ("mr", "fold_index", 1.9, "is not an integer"),
+            ("cr", "fold_index", "1.5", "is not an integer"),
+            ("mr", "fold_index", True, "is not a number"),
         ],
-        ids=["path-int", "path-list", "path-null", "seed-null", "fraction-list",
-             "folds-string", "fold-index-infinite", "samples-fractional",
-             "samples-fractional-text",
-             "seed-fractional", "folds-fractional", "class-count-true"],
+        ids=["path-int", "path-list", "path-null", "fold-index-null",
+             "fold-index-list", "fold-index-string", "fold-index-infinite",
+             "fold-index-fractional", "fold-index-fractional-text",
+             "fold-index-true"],
     )
     def test_wrong_json_type_is_data_error(
         self, tmp_path, capsys, kind, key, value, problem
@@ -610,85 +602,26 @@ class TestManifestValues:
         message = f"data error: {kind} dataset manifest key {key!r} {problem}"
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "key,value",
-        [("class_count", 10**6), ("samples_per_class", 10**9), ("vocab_size", 10**8)],
-    )
-    def test_synthetic_size_above_ceiling_is_data_error(
-        self, tmp_path, capsys, monkeypatch, key, value
-    ):
-        def generator_must_not_run(**sizes):
-            raise AssertionError(f"synthetic corpus generated at {sizes}")
-
-        monkeypatch.setattr(cli, "synthetic_corpus", generator_must_not_run)
-        dataset = tmp_path / "dataset.json"
-        dataset.write_text(json.dumps({"kind": "synthetic", key: value}))
-        assert cli.main(eval_on(tmp_path, dataset)) == 2
-        ceiling = cli.MANIFEST_RULES["synthetic"][key][3]
-        message = f"data error: synthetic dataset manifest key {key!r} is above {ceiling}"
-        assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "values,key,problem",
-        [
-            ({"class_count": 0}, "class_count", "is below 1"),
-            ({"class_count": -3}, "class_count", "is below 1"),
-            ({"samples_per_class": 0}, "samples_per_class", "is below 1"),
-            ({"samples_per_class": -5}, "samples_per_class", "is below 1"),
-            ({"vocab_size": 3}, "vocab_size", "is below 4, twice class_count"),
-            ({"class_count": 5, "vocab_size": 9}, "vocab_size",
-             "is below 10, twice class_count"),
-            ({"test_fraction": 1.0}, "test_fraction", "is outside [0, 1)"),
-            ({"test_fraction": -0.1}, "test_fraction", "is outside [0, 1)"),
-        ],
-        ids=["classes-zero", "classes-negative", "samples-zero", "samples-negative",
-             "vocab-below-default-classes", "vocab-below-classes", "fraction-one",
-             "fraction-negative"],
-    )
-    def test_synthetic_value_out_of_range_is_data_error(
-        self, tmp_path, capsys, monkeypatch, values, key, problem
-    ):
-        def generator_must_not_run(**sizes):
-            raise AssertionError(f"synthetic corpus generated at {sizes}")
-
-        monkeypatch.setattr(cli, "synthetic_corpus", generator_must_not_run)
-        dataset = tmp_path / "dataset.json"
-        dataset.write_text(json.dumps({"kind": "synthetic", **values}))
-        assert cli.main(eval_on(tmp_path, dataset)) == 2
-        message = f"data error: synthetic dataset manifest key {key!r} {problem}"
-        assert message in capsys.readouterr().err
-
     @pytest.mark.parametrize("kind", ["mr", "cr"])
     @pytest.mark.parametrize(
-        "values,key,problem",
-        [
-            ({"folds": 1, "fold_index": 0}, "folds", "is below 2"),
-            ({"folds": 0, "fold_index": 0}, "folds", "is below 2"),
-            ({"folds": -3}, "folds", "is below 2"),
-            ({"folds": 5, "fold_index": 5}, "fold_index", "is outside [0, 5)"),
-            ({"folds": 5, "fold_index": 12}, "fold_index", "is outside [0, 5)"),
-            ({"folds": 5, "fold_index": -1}, "fold_index", "is outside [0, 5)"),
-            ({"fold_index": 10}, "fold_index", "is outside [0, 10)"),
-        ],
-        ids=["folds-one", "folds-zero", "folds-negative", "index-at-folds",
-             "index-above-folds", "index-negative", "index-at-default-folds"],
+        "fold_index,problem",
+        [(-1, "is below 0"), (10, "is above 9"), (12, "is above 9")],
+        ids=["index-negative", "index-at-folds", "index-above-folds"],
     )
     def test_fold_value_out_of_range_is_data_error(
-        self, tmp_path, capsys, kind, values, key, problem
+        self, tmp_path, capsys, kind, fold_index, problem
     ):
-        manifest = {**dataset_files(tmp_path)[kind], **values}
-        if "folds" not in values:
-            del manifest["folds"]
+        manifest = {**dataset_files(tmp_path)[kind], "fold_index": fold_index}
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps(manifest))
         assert cli.main(eval_on(tmp_path, dataset)) == 2
-        message = f"data error: {kind} dataset manifest key {key!r} {problem}"
+        message = f"data error: {kind} dataset manifest key 'fold_index' {problem}"
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "kind,key",
-        [("synthetic", "samples_per_clas"), ("mr", "fold_idx"), ("cr", "class_count"),
-         ("trec", "folds")],
+        [("mr", "fold_idx"), ("cr", "class_count"), ("trec", "folds"), ("mr", "folds"),
+         ("cr", "folds")],
     )
     def test_key_the_kind_does_not_read_is_data_error(self, tmp_path, capsys, kind, key):
         dataset = tmp_path / "dataset.json"
@@ -697,6 +630,13 @@ class TestManifestValues:
         assert cli.main(argv) == 2
         message = f"data error: {kind} dataset manifest key {key!r} is unknown"
         assert message in capsys.readouterr().err
+
+    @needs_numpy
+    def test_no_manifest_is_the_bundled_corpus(self):
+        # 2 classes of 50 sentences, 20 of them held out as the test split
+        prepared = cli.prepare_corpus(None, 0.9, 40)
+        assert prepared.class_count == 2
+        assert len(prepared.train_labels) + len(prepared.validation_labels) == 80
 
     @needs_numpy
     @pytest.mark.parametrize("kind", sorted(MANIFEST_KEYS))

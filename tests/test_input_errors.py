@@ -149,6 +149,11 @@ NAMED_ERRORS = {
         EVAL_ON, json.dumps({"path": "{blank}"}), 2,
         "data error: dataset manifest must be an object with a 'kind' key",
     ),
+    # a run config without a dataset_path trains on the bundled corpus
+    "manifest-synthetic-kind": (
+        EVAL_ON, json.dumps({"kind": "synthetic", "class_count": 2}), 2,
+        "data error: unknown dataset kind 'synthetic'\n",
+    ),
     "restriction-bool": (
         ORACLE, with_space({"fc_units": [True]}), 1,
         "usage error: bad run config: bool is not a valid domain value",
@@ -204,8 +209,8 @@ def test_manifest_numbers_are_judged_before_its_files_are_read(tmp_path, capsys)
     manifest = tmp_path / "dataset.json"
     absent = str(tmp_path / "absent.txt")
     manifest.write_text(json.dumps({"kind": "mr", "pos": absent, "neg": absent,
-                                    "folds": 1}))
+                                    "fold_index": 10}))
     assert cli.main(fill(EVAL_ON, manifest, None)) == 2
     assert capsys.readouterr().err == (
-        "data error: mr dataset manifest key 'folds' is below 2\n"
+        "data error: mr dataset manifest key 'fold_index' is above 9\n"
     )

@@ -179,6 +179,30 @@ def test_oracle_output_named_like_its_json_front_is_usage_error(tmp_path, capsys
     assert [p.name for p in tmp_path.iterdir()] == ["rc.json"]
 
 
+#: an oracle --output that cannot be written -> the usage error it gives
+REFUSED_OUTPUTS = {
+    "name-too-long": ("x" * 300, f"cannot write {'x' * 300}: File name too long"),
+    "empty": ("", "--output '' has no file name"),
+    "ends-in-a-separator": ("sub/", "--output 'sub/' has no file name"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_OUTPUTS))
+def test_refused_oracle_output_leaves_no_temp_file_or_directory(
+    tmp_path, capsys, monkeypatch, case
+):
+    # run from a directory below tmp_path, beside which "" would put a temp
+    output, message = REFUSED_OUTPUTS[case]
+    argv = base_argv("oracle", tmp_path)
+    argv[argv.index("--output") + 1] = output
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_trace_memory_does_not_grow_with_the_budget(tmp_path):
     # cooling_rate 0.1 makes one outer step hold the whole budget, so the run
     # takes all 5,000 steps; keeping them costs about 18 MiB

@@ -193,10 +193,9 @@ def test_numbers_convert_as_in_manifests():
     assert (config.seed_number, config.iteration_budget) == (7, 12)
     assert type(config.seed_number) is int
     assert config.initial_acceptance_probability == 0.5
-    # every float key of a run config lies in (0, 1), so a manifest's
-    # test_fraction shows an integral JSON number kept as a float
-    convert, _, floor, ceiling = cli.MANIFEST_RULES["synthetic"]["test_fraction"]
-    fraction = checked_number(0, convert, floor, ceiling)
+    # every float key of a run config lies in (0, 1), so the number rule
+    # itself shows an integral JSON number kept as a float
+    fraction = checked_number(0, float)
     assert fraction == 0 and type(fraction) is float
 
 
