@@ -74,17 +74,11 @@ def plan_schedule(
 
     outer = ln(t_final/t_init) / ln(cooling_rate); inner = budget / outer.
     Both are kept at full precision; reporting truncates to one decimal.
+    Needs 0 < t_final < t_init, cooling_rate in (0, 1) and a budget of at
+    least 1: callers pass constants or RunConfig's judged settings, and run
+    raises CalibrationError unless t_final < t_init.
     """
-    if not 0.0 < t_final < t_init:
-        raise ValueError("need 0 < t_final < t_init")
-    if not 0.0 < cooling_rate < 1.0:
-        raise ValueError("cooling_rate must lie in (0, 1)")
-    if iteration_budget < 1:
-        raise ValueError("iteration_budget must be >= 1")
-    ratio = t_final / t_init
-    if ratio == 0.0:
-        raise ValueError(f"t_final {t_final!r} / t_init {t_init!r} underflows to 0")
-    outer = math.log(ratio) / math.log(cooling_rate)
+    outer = math.log(t_final / t_init) / math.log(cooling_rate)
     return AnnealingSchedule(
         t_init=t_init,
         t_final=t_final,

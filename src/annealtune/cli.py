@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
-Subcommands: plan (schedule table), tune (full annealing run), eval (one
-configuration), oracle (exhaustive front of a run config's space). tune,
-eval and oracle read one run config and score by the objective that
-build_evaluator makes of it. Exit codes:
+Subcommands: plan (the paper's schedule table), tune (full annealing run),
+eval (one configuration), oracle (exhaustive front of a run config's
+space). tune, eval and oracle read one run config and score by the
+objective that build_evaluator makes of it. Exit codes:
 0 success, 1 usage error, 2 data error, 3 runtime/divergence error. Primary
 artifacts are written to temp files and renamed, so failed commands never
 leave partial outputs.
@@ -48,7 +48,6 @@ from .search_space import (
     SearchSpace,
     brief,
     checked_number,
-    checked_setting,
     enumerate_space,
     parse_value,
     run_config_from_dict,
@@ -74,20 +73,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _flag(check, *args):
-    """A flag's type: ``check(text, *args)``, its refusal an argparse error."""
-    def parse(text: str):
-        try:
-            return check(text, *args)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return parse
-
-
-def _rates(text: str) -> list[float]:
-    return [checked_setting(rate, "cooling_rate") for rate in text.split(",")]
-
-
 # --- output helpers -----------------------------------------------------------
 
 
@@ -110,11 +95,12 @@ def _atomic_write(path: str, content: str) -> str:
 @contextlib.contextmanager
 def _write_files(paths: Sequence[str]):
     """Write every one of ``paths``, which share a directory, or none. The
-    block runs once no path is a directory and the directory exists; its
-    ``write(path, content)`` starts the path's temp file and returns its name.
-    After the block each temp replaces its path. A failure, an interruption
-    included, removes the temps and the directories made for them; an
-    OSError is a usage error naming the path being written."""
+    block runs once the directory exists and no path is a directory or has
+    a name longer than the directory takes; its ``write(path, content)``
+    starts the path's temp file and returns its name. After the block each
+    temp replaces its path. A failure, an interruption included, removes
+    the temps and the directories made for them; an OSError is a usage
+    error naming the path being written."""
     temps: dict[str, str] = {}
     directory = os.path.dirname(os.path.abspath(paths[0]))
     missing = []  # the directories makedirs makes below, deepest first
@@ -134,6 +120,10 @@ def _write_files(paths: Sequence[str]):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             if not os.path.isdir(directory):  # the deepest existing ancestor
                 raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+            # found now, not by a rename after an earlier one has succeeded
+            name = os.fsencode(os.path.basename(path))
+            if len(name) > os.pathconf(directory, "PC_NAME_MAX"):
+                raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG))
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         yield write
         for path in paths:
@@ -379,8 +369,15 @@ def build_evaluator(config: RunConfig, cache_path: str | None = None):
 # --- subcommands ---------------------------------------------------------------
 
 
+#: the schedule table of SA-CNN that ``plan`` prints: its temperature range,
+#: iteration budget and cooling rates
+PLAN_T_INIT = 0.577
+PLAN_T_FINAL = 0.12
+PLAN_BUDGET = 250
+PLAN_COOLING_RATES = (0.99, 0.95, 0.9, 0.85, 0.8)
+
+
 def cmd_plan(args: argparse.Namespace) -> int:
-    rates = args.cooling_rates
     rows = [
         [
             "Iteration budget",
@@ -391,21 +388,18 @@ def cmd_plan(args: argparse.Namespace) -> int:
             "#Inner iterations",
         ]
     ]
-    try:
-        for rate in rates:
-            schedule = plan_schedule(args.t_init, args.t_final, rate, args.budget)
-            rows.append(
-                [
-                    str(args.budget),
-                    f"{args.t_init:g}",
-                    f"{args.t_final:g}",
-                    f"{rate:g}",
-                    f"{schedule.outer_reported:.1f}",
-                    f"{schedule.inner_reported:.1f}",
-                ]
-            )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    for rate in PLAN_COOLING_RATES:
+        schedule = plan_schedule(PLAN_T_INIT, PLAN_T_FINAL, rate, PLAN_BUDGET)
+        rows.append(
+            [
+                str(PLAN_BUDGET),
+                f"{PLAN_T_INIT:g}",
+                f"{PLAN_T_FINAL:g}",
+                f"{rate:g}",
+                f"{schedule.outer_reported:.1f}",
+                f"{schedule.inner_reported:.1f}",
+            ]
+        )
     print(_format_table(rows))
     return EXIT_OK
 
@@ -504,17 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="annealtune", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # a run setting's flag takes RunConfig's rule; a temperature, any finite float
-    rule = functools.partial(_flag, checked_setting)
     cache_help = "evaluation cache path; a synthetic objective never opens it"
 
-    p_plan = sub.add_parser("plan", help="print the outer/inner iteration table")
-    p_plan.add_argument("--t-init", type=_flag(checked_number, float), default=0.577)
-    p_plan.add_argument("--t-final", type=_flag(checked_number, float), default=0.12)
-    p_plan.add_argument("--budget", type=rule("iteration_budget"), default=250)
-    p_plan.add_argument(
-        "--cooling-rates", type=_flag(_rates), default=[0.99, 0.95, 0.9, 0.85, 0.8]
-    )
+    sub.add_parser("plan", help="print the paper's outer/inner iteration table")
 
     p_tune = sub.add_parser("tune", help="run the annealing search")
     p_tune.add_argument("--config", required=True, help="run config JSON path")

@@ -165,24 +165,19 @@ class SyntheticEvaluator:
         return ObjectiveVector(error_rate=error, flops=flops)
 
 
-def early_termination_check(
-    validation_history: list[float],
-    class_count: int,
-    chance_margin: float,
-    patience: int,
-) -> bool:
+def early_termination_check(validation_history: list[float], class_count: int) -> bool:
     """Whether to stop a hopeless training early.
 
-    True when the first epoch lands below chance + chance_margin, or when
-    the best accuracy has not strictly improved for `patience` consecutive
-    epochs.
+    True when the first epoch lands below chance + EARLY_STOP_MARGIN, or
+    when the best accuracy has not strictly improved for
+    EARLY_STOP_PATIENCE consecutive epochs.
     """
     if not validation_history:
         raise ValueError("validation history is empty")
-    if validation_history[0] < 1.0 / class_count + chance_margin:
+    if validation_history[0] < 1.0 / class_count + EARLY_STOP_MARGIN:
         return True
     first_best = validation_history.index(max(validation_history))
-    return len(validation_history) - 1 - first_best >= patience
+    return len(validation_history) - 1 - first_best >= EARLY_STOP_PATIENCE
 
 
 def _parse_record(line: bytes) -> tuple[str, ObjectiveVector] | None:
@@ -377,10 +372,7 @@ class TextCnnEvaluator:
                 corpus.validation_labels,
                 settings,
                 early_stop=functools.partial(
-                    early_termination_check,
-                    class_count=corpus.class_count,
-                    chance_margin=EARLY_STOP_MARGIN,
-                    patience=EARLY_STOP_PATIENCE,
+                    early_termination_check, class_count=corpus.class_count
                 ),
             )
         except DivergenceError as exc:

@@ -312,18 +312,6 @@ _UNIT_RANGE = ("cooling_rate", "initial_acceptance_probability",
                "final_acceptance_probability", "ratio_init")
 
 
-def checked_setting(value: Any, name: str):
-    """RunConfig's rule for its number field ``name``: ``checked_number`` in
-    the field's bounds, and (0, 1) for a rate or probability."""
-    try:
-        number = checked_number(value, _NUMBERS[name], *_BOUNDS.get(name, ()))
-    except ValueError as exc:
-        raise ValueError(f"{name} {exc}") from None
-    if name in _UNIT_RANGE and not 0.0 < number < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1)")
-    return number
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one tuning run needs, loadable from a JSON file; the one
@@ -342,8 +330,16 @@ class RunConfig:
     max_epochs: int = 20
 
     def __post_init__(self) -> None:
-        for name in _NUMBERS:
-            object.__setattr__(self, name, checked_setting(getattr(self, name), name))
+        for name, convert in _NUMBERS.items():
+            try:
+                number = checked_number(
+                    getattr(self, name), convert, *_BOUNDS.get(name, ())
+                )
+            except ValueError as exc:
+                raise ValueError(f"{name} {exc}") from None
+            if name in _UNIT_RANGE and not 0.0 < number < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1)")
+            object.__setattr__(self, name, number)
         if self.final_acceptance_probability >= self.initial_acceptance_probability:
             raise ValueError("final_acceptance_probability must be below the initial")
         if not isinstance(self.dataset_path, (str, type(None))):

@@ -63,8 +63,7 @@ def test_criterion_1_schedule_table(capsys):
         "0.85": (9.6, 25.8),
         "0.8": (7.0, 35.5),
     }
-    assert cli.main(["plan", "--t-init", "0.577", "--t-final", "0.12",
-                     "--budget", "250"]) == 0
+    assert cli.main(["plan"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()[1:]
     deviations = []
     for line in lines:

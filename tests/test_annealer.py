@@ -170,14 +170,6 @@ class TestPlanSchedule:
         assert s.outer_steps == 31
         assert s.inner_steps == 8
 
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            plan_schedule(0.12, 0.577, 0.95, 250)  # t_final >= t_init
-        with pytest.raises(ValueError):
-            plan_schedule(0.577, 0.12, 1.0, 250)
-        with pytest.raises(ValueError):
-            plan_schedule(0.577, 0.12, 0.95, 0)
-
 
 def lo_start(space, evaluator):
     """The configuration x = "lo" and its objectives: the current solution

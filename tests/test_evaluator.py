@@ -17,8 +17,6 @@ import annealtune.evaluator as evaluator_module
 from annealtune import cli
 from annealtune.corpus import LabeledSentence, synthetic_corpus
 from annealtune.evaluator import (
-    EARLY_STOP_MARGIN,
-    EARLY_STOP_PATIENCE,
     EMBEDDING_DIM,
     SYNTHETIC_CLASS_COUNT,
     SYNTHETIC_SENTENCE_LENGTH,
@@ -273,10 +271,9 @@ class TestSynthetic:
                 assert evaluator.evaluate(config).flops == expected
 
 
-def stops(history, chance_margin=EARLY_STOP_MARGIN, patience=EARLY_STOP_PATIENCE):
-    """early_termination_check on two classes, by default under the rule
-    the text-CNN evaluator passes it."""
-    return early_termination_check(history, 2, chance_margin, patience)
+def stops(history):
+    """early_termination_check on two classes."""
+    return early_termination_check(history, 2)
 
 
 class TestEarlyTermination:
@@ -292,10 +289,6 @@ class TestEarlyTermination:
         for upto in range(2, 5):
             assert stops(history[:upto]) is False
         assert stops(history) is True
-
-    def test_margin_and_patience_overridable(self):
-        assert stops([0.51], chance_margin=0.0) is False
-        assert stops([0.9, 0.8, 0.8], patience=2) is True
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):

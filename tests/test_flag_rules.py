@@ -1,19 +1,13 @@
 """What the command line's numeric flags accept, and where outputs go.
 
-A flag that sets a run setting takes ``RunConfig``'s rule for that key
-(``search_space.checked_setting``); a temperature flag takes the same
-number rule with no floor. A value the rule refuses is a usage error
-(exit 1) that names the flag, raised before any file is read; a value the
-rule takes but a later check refuses is still a usage error, and so is a
-removed flag, whatever its value. ``eval`` takes its settings from a run
+The command line has no numeric flag: a removed one is a usage error
+(exit 1), whatever its value. ``eval`` takes its settings from a run
 config, whose bad values are refused before its dataset manifest is read.
 An output path that cannot be written is a usage error that names it; the
 command then writes none of its outputs and leaves no temp file. The file
 imports neither numpy nor hypothesis, so it runs where they are missing:
 no case here builds a text-CNN corpus.
 """
-
-import math
 
 import pytest
 from helpers import write_run_config
@@ -67,52 +61,25 @@ def base_argv(command: str, tmp_path) -> list[str]:
     return ["oracle", "--config", config, "--output", str(tmp_path / "front.txt")]
 
 
-#: (command, flag) -> (int or float, floor, ceiling, whether it lies in (0, 1)),
-#: written out here rather than read from the package
-FLAGS = {
-    ("plan", "--t-init"): (float, None, None, False),
-    ("plan", "--t-final"): (float, None, None, False),
-    ("plan", "--budget"): (int, 1, 2**53, False),
-    ("plan", "--cooling-rates"): (float, None, None, True),
-}
 #: flags the command line no longer has, which every value leaves unrecognized
-REMOVED_FLAGS = [("tune", "--top-k"), ("oracle", "--top-k")]
-
-
-def rule_refuses(convert, floor, ceiling, unit_range, text: str) -> bool:
-    # an int flag takes digits as int() reads them; other text is judged as
-    # the float it reads, which must be finite, and integral for an int flag
-    try:
-        number = int(text) if convert is int and text.lstrip("-").isdigit() else float(text)
-    except ValueError:
-        return True
-    if isinstance(number, float) and not math.isfinite(number):
-        return True
-    return (
-        (convert is int and number != int(number))
-        or (floor is not None and number < floor)
-        or (ceiling is not None and number > ceiling)
-        or (unit_range and not 0.0 < number < 1.0)
-    )
+REMOVED_FLAGS = [
+    ("plan", "--t-init"),
+    ("plan", "--t-final"),
+    ("plan", "--budget"),
+    ("plan", "--cooling-rates"),
+    ("tune", "--top-k"),
+    ("oracle", "--top-k"),
+]
 
 
 @pytest.mark.parametrize("text", VALUES, ids=["x", "1.5", "-1", "0", "nan", "inf", "big"])
 @pytest.mark.parametrize(
-    "command,flag", [*FLAGS, *REMOVED_FLAGS],
-    ids=[" ".join(k) for k in [*FLAGS, *REMOVED_FLAGS]],
+    "command,flag", REMOVED_FLAGS, ids=[" ".join(k) for k in REMOVED_FLAGS]
 )
 def test_every_numeric_flag_takes_every_value(tmp_path, capsys, command, flag, text):
-    code = cli.main([*base_argv(command, tmp_path), flag, text])
+    assert cli.main([*base_argv(command, tmp_path), flag, text]) == 1
     err = capsys.readouterr().err
-    assert code in (0, 1), err
-    if code == 1:
-        assert err.startswith("usage error: "), err
-    if (command, flag) in REMOVED_FLAGS:
-        assert code == 1
-        assert err.startswith(f"usage error: unrecognized arguments: {flag}"), err
-    elif rule_refuses(*FLAGS[command, flag], text):
-        assert code == 1
-        assert err.startswith(f"usage error: argument {flag}: "), err
+    assert err == f"usage error: unrecognized arguments: {flag} {text}\n", err
 
 
 @pytest.mark.parametrize(
@@ -126,29 +93,6 @@ def test_bad_setting_is_refused_before_the_manifest_is_read(tmp_path, capsys, ke
     )
     assert cli.main(["eval", "--config", config, *SETS]) == 1
     assert capsys.readouterr().err.startswith(f"usage error: bad run config: {key} ")
-
-
-def test_flag_takes_the_run_config_message(capsys):
-    assert cli.main(["plan", "--budget", BIG]) == 1
-    err = capsys.readouterr().err
-    assert err == f"usage error: argument --budget: iteration_budget is above {2**53}\n"
-
-
-@pytest.mark.parametrize("text", ["inf", "nan", "-inf"])
-def test_non_finite_temperature_is_refused(capsys, text):
-    # "--t-init -inf" would read -inf as an option, so the value is joined on
-    assert cli.main(["plan", f"--t-init={text}"]) == 1
-    assert capsys.readouterr().err == "usage error: argument --t-init: is not finite\n"
-
-
-def test_fractional_budget_is_refused_and_integral_text_taken(capsys):
-    assert cli.main(["plan", "--budget", "1.5"]) == 1
-    err = capsys.readouterr().err
-    assert err == "usage error: argument --budget: iteration_budget is not an integer\n"
-    assert cli.main(["plan", "--budget", "10.0"]) == 0
-    taken = capsys.readouterr().out
-    assert cli.main(["plan", "--budget", "10"]) == 0
-    assert taken == capsys.readouterr().out
 
 
 def temp_files(directory) -> list:

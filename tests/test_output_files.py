@@ -182,6 +182,10 @@ def test_oracle_output_named_like_its_json_front_is_usage_error(tmp_path, capsys
 #: an oracle --output that cannot be written -> the usage error it gives
 REFUSED_OUTPUTS = {
     "name-too-long": ("x" * 300, f"cannot write {'x' * 300}: File name too long"),
+    # the text front's name fits in 255 bytes, the JSON front's does not
+    "json-name-too-long": (
+        "a" * 252, f"cannot write {'a' * 252}.json: File name too long"
+    ),
     "empty": ("", "--output '' has no file name"),
     "ends-in-a-separator": ("sub/", "--output 'sub/' has no file name"),
 }
@@ -201,6 +205,15 @@ def test_refused_oracle_output_leaves_no_temp_file_or_directory(
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_longest_output_names_are_written(tmp_path, capsys, monkeypatch):
+    # 250 bytes and the 255 of its JSON front fit a 255-byte name limit
+    argv = base_argv("oracle", tmp_path)
+    argv[argv.index("--output") + 1] = "a" * 250
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    assert os.path.isfile("a" * 250) and os.path.isfile("a" * 250 + ".json")
 
 
 def test_trace_memory_does_not_grow_with_the_budget(tmp_path):

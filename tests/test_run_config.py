@@ -121,7 +121,10 @@ def test_bad_text_cnn_setting_is_usage_error_naming_its_key(
     assert_refused(capsys, key)
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["infinity", "nan"])
+@pytest.mark.parametrize(
+    "value", [float("inf"), float("nan"), float("-inf")],
+    ids=["infinity", "nan", "minus-infinity"],
+)
 def test_non_finite_ratio_is_refused_before_evaluating(
     tmp_path, capsys, no_evaluator, value
 ):
@@ -129,6 +132,35 @@ def test_non_finite_ratio_is_refused_before_evaluating(
     assert tune(tmp_path, objective_kind="textcnn", ratio_init=value) == 1
     err = capsys.readouterr().err
     assert err == "usage error: bad run config: ratio_init is not finite\n"
+
+
+@pytest.mark.parametrize(
+    "key,value,problem",
+    [
+        ("iteration_budget", "1.5", "is not an integer"),
+        ("probe_count", 2.5, "is not an integer"),
+        ("seed_number", "x", "is not a number"),
+        ("cooling_rate", 1.0, "must lie in (0, 1)"),
+        ("cooling_rate", "0", "must lie in (0, 1)"),
+    ],
+    ids=["budget-fractional-text", "probes-fractional", "seed-string", "rate-one",
+         "rate-zero-text"],
+)
+def test_refusal_names_its_key_and_problem(
+    tmp_path, capsys, no_evaluator, key, value, problem
+):
+    assert tune(tmp_path, **{key: value}) == 1
+    assert capsys.readouterr().err == f"usage error: bad run config: {key} {problem}\n"
+
+
+def test_integral_text_is_taken_as_its_integer(tmp_path, capsys):
+    outputs = []
+    for budget in ("10.0", 10):
+        assert tune(tmp_path, iteration_budget=budget) == 0
+        outputs.append([(tmp_path / "out" / name).read_bytes()
+                        for name in ("archive.json", "calibration.json")])
+    assert outputs[0] == outputs[1]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
