@@ -22,7 +22,8 @@ from .pareto import (
     ParetoArchive,
     scalar_deterioration,
 )
-from .search_space import Configuration, RunConfig, neighbor, random_configuration
+from .search_space import (FINAL_ACCEPTANCE_PROBABILITY, Configuration, RunConfig,
+                           neighbor, random_configuration)
 
 #: consecutive outer steps without a best-error improvement before stopping
 STAGNATION_OUTER_STEPS = 3
@@ -98,20 +99,17 @@ def acceptance_probability(delta_f: float, temperature: float) -> float:
 
 def initial_temperature(delta_f_ave: float, acceptance: float) -> float:
     """Invert the acceptance law: the temperature at which an average
-    deterioration is accepted with the given probability."""
-    if not 0.0 < acceptance < 1.0:
-        raise ValueError("acceptance probability must lie in (0, 1)")
-    if delta_f_ave <= 0.0:
-        raise ValueError("average deterioration must be positive")
+    deterioration (> 0) is accepted with the given probability (in (0, 1))."""
     return -delta_f_ave / math.log(acceptance)
 
 
 def metropolis_accepts(
     delta_f: float, temperature: float, rng: random.Random
 ) -> tuple[bool, float]:
-    """The acceptance test: improvements pass outright, deteriorations pass
-    when a uniform draw does not exceed the acceptance probability (ties
-    accept). Returns (accepted, probability)."""
+    """The acceptance test: improvements pass outright; any other move
+    draws a uniform and passes when it does not exceed the acceptance
+    probability (ties accept), so a zero deterioration always passes.
+    Returns (accepted, probability)."""
     probability = acceptance_probability(delta_f, temperature)
     if delta_f < 0.0:
         return True, probability
@@ -166,9 +164,9 @@ def step(
     reject it by the Metropolis rule. Changes nothing but the archive and
     ``rng``; the caller moves to the candidate when the record says accepted.
 
-    The acceptance uniform is drawn only for deteriorating candidates, and
-    the evaluation comes before the archive insert, so an evaluator failure
-    leaves the archive untouched.
+    The acceptance uniform is drawn for every candidate that does not
+    improve, zero deteriorations included, and the evaluation comes before
+    the archive insert, so an evaluator failure leaves the archive untouched.
     """
     candidate, candidate_objectives, delta_f = _propose(
         current, current_objectives, evaluator, rng
@@ -236,7 +234,7 @@ def run(
         )
     delta_f_ave = total / count
     p_init = run_config.initial_acceptance_probability
-    p_final = run_config.final_acceptance_probability
+    p_final = FINAL_ACCEPTANCE_PROBABILITY
     t_init = initial_temperature(delta_f_ave, p_init)
     t_final = initial_temperature(delta_f_ave, p_final)
     if not t_final < t_init:  # probabilities a few floats apart round together

@@ -114,17 +114,18 @@ def _write_files(paths: Sequence[str]):
         temps[path] = _atomic_write(path, content)
         return temps[path]
 
+    path = paths[0]  # what a failure of the shared directory names
     try:
+        if not os.path.isdir(directory):  # the deepest existing ancestor
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        name_max = os.pathconf(directory, "PC_NAME_MAX")
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         for path in paths:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            if not os.path.isdir(directory):  # the deepest existing ancestor
-                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
             # found now, not by a rename after an earlier one has succeeded
-            name = os.fsencode(os.path.basename(path))
-            if len(name) > os.pathconf(directory, "PC_NAME_MAX"):
+            if len(os.fsencode(os.path.basename(path))) > name_max:
                 raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG))
-            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         yield write
         for path in paths:
             os.replace(temps[path], path)
@@ -410,9 +411,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
     paths = [os.path.join(args.output_dir, name) for name in names]
     txt_path, json_path, trace_path, calibration_path = paths
     with _write_files(paths) as write:
+        trace_temp = write(trace_path, TRACE_HEADER)  # before --cache is opened
         evaluator = build_evaluator(config, cache_path=args.cache)
         # each step's line goes to the trace temp as the step ends
-        with open(write(trace_path, TRACE_HEADER), "a", encoding="utf-8") as trace:
+        with open(trace_temp, "a", encoding="utf-8") as trace:
             result = run(config, evaluator, lambda s: trace.write(trace_jsonl(s)))
         front = result.archive.front()
         write(txt_path, archive_text(front, config.space))

@@ -177,12 +177,9 @@ def make_splits(
     round(ratio_init * n) in train, but at most n - 1 when n >= 2, so every
     class of two or more keeps a validation sentence. The vocabulary comes
     from the train split only, so unknown-token handling in validation is
-    exercised honestly.
+    exercised honestly. ratio_init lies in (0, 1), as RunConfig judges it.
     """
     import numpy as np
-
-    if not 0.0 < ratio_init < 1.0:
-        raise ValueError("ratio_init must lie in (0, 1)")
 
     by_class: dict[int, list[int]] = {}
     for i, sentence in enumerate(pool):
@@ -238,9 +235,8 @@ def synthetic_corpus(
 ) -> list[LabeledSentence]:
     """Linearly separable sentences: each class owns a disjoint keyword set,
     every sentence opens with one of its class's keywords, and filler tokens
-    come from a shared pool no class owns."""
-    if vocab_size < 2 * class_count:
-        raise ValueError("vocab_size must be at least 2 * class_count")
+    come from a shared pool no class owns. Needs vocab_size >= 2 *
+    class_count, as cli.BUNDLED_SHAPE has, so each class owns a keyword."""
     words = [f"w{i:03d}" for i in range(vocab_size)]
     chunk = vocab_size // (2 * class_count)
     keywords = [words[c * chunk : (c + 1) * chunk] for c in range(class_count)]

@@ -170,10 +170,8 @@ def early_termination_check(validation_history: list[float], class_count: int) -
 
     True when the first epoch lands below chance + EARLY_STOP_MARGIN, or
     when the best accuracy has not strictly improved for
-    EARLY_STOP_PATIENCE consecutive epochs.
+    EARLY_STOP_PATIENCE consecutive epochs; train calls it as each epoch ends.
     """
-    if not validation_history:
-        raise ValueError("validation history is empty")
     if validation_history[0] < 1.0 / class_count + EARLY_STOP_MARGIN:
         return True
     first_best = validation_history.index(max(validation_history))

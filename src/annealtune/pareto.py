@@ -50,13 +50,9 @@ def scalar_deterioration(
     """Aggregate two-objective deterioration into one signed number.
 
     Per-objective deteriorations (error difference; FLOPs difference over
-    the space-wide FLOPs ceiling) are averaged, keeping the result in
-    [-1, 1] and antisymmetric under swapping current and candidate.
+    the space-wide FLOPs ceiling, positive and above both) are averaged,
+    keeping the result in [-1, 1] and antisymmetric under swapping them.
     """
-    if flops_max <= 0:
-        raise ValueError("flops_max must be positive")
-    if flops_max < max(current.flops, candidate.flops):
-        raise ValueError("flops_max below an observed flops value")
     total = (candidate.error_rate - current.error_rate) + (
         candidate.flops - current.flops
     ) / flops_max
@@ -96,8 +92,7 @@ class ParetoArchive:
         return ArchiveAction.ADDED
 
     def best_error_rate(self) -> float:
-        if not self.entries:
-            return float("inf")
+        """The lowest archived error rate; the archive must not be empty."""
         return min(entry.objectives.error_rate for entry in self.entries)
 
     def front(self) -> list[ArchiveEntry]:

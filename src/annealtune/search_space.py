@@ -248,9 +248,8 @@ def neighbor(
     config: Configuration, space: SearchSpace, rng: random.Random
 ) -> Configuration:
     """Reassign exactly one mutable domain to a different value of itself.
-    ``config`` must come from ``space``; it is not checked again here."""
-    if not space.mutable:
-        raise ValueError("no neighbor exists: every domain has a single value")
+    ``config`` must come from ``space``, and ``space`` have a mutable domain,
+    as a RunConfig's does; neither is checked again here."""
     d = rng.choice(space.mutable)
     return config.replace(d.name, rng.choice(d.alternatives[config[d.name]]))
 
@@ -308,8 +307,10 @@ def checked_number(value: Any, convert: type, floor=None, ceiling=None):
 #: the budget as a float, exact for every integer up to 2**53
 _BOUNDS = {"iteration_budget": (1, 2**53), "probe_count": (2, None),
            "max_epochs": (1, None)}
-_UNIT_RANGE = ("cooling_rate", "initial_acceptance_probability",
-               "final_acceptance_probability", "ratio_init")
+_UNIT_RANGE = ("cooling_rate", "initial_acceptance_probability", "ratio_init")
+#: the mean probe deterioration's acceptance probability at the final
+#: temperature: the paper's T_final 0.12 at T_init 0.577 (probability 0.5)
+FINAL_ACCEPTANCE_PROBABILITY = 0.0357
 
 
 @dataclass(frozen=True)
@@ -325,7 +326,6 @@ class RunConfig:
     objective_kind: str
     dataset_path: str | None = None
     space: SearchSpace = field(default_factory=default_search_space)
-    final_acceptance_probability: float = 0.0357
     probe_count: int = 20
     max_epochs: int = 20
 
@@ -340,8 +340,9 @@ class RunConfig:
             if name in _UNIT_RANGE and not 0.0 < number < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
             object.__setattr__(self, name, number)
-        if self.final_acceptance_probability >= self.initial_acceptance_probability:
-            raise ValueError("final_acceptance_probability must be below the initial")
+        if self.initial_acceptance_probability <= FINAL_ACCEPTANCE_PROBABILITY:
+            raise ValueError("initial_acceptance_probability must be above "
+                             f"{FINAL_ACCEPTANCE_PROBABILITY}")
         if not isinstance(self.dataset_path, (str, type(None))):
             raise ValueError("dataset_path is not a path or null")
         kind = self.objective_kind

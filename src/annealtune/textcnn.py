@@ -124,11 +124,9 @@ def init_model(
     """Build a model for one hyperparameter configuration.
 
     Weight matrices use uniform Xavier bounds, biases start at zero, and
-    the (trainable) embedding table is uniform on [-0.25, 0.25].
+    the (trainable) embedding table is uniform on [-0.25, 0.25]. The
+    activation is one of ACTIVATIONS, as every value of its domain is.
     """
-    activation = str(config["activation"])
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
     k = embedding_dim
     filters: dict[int, np.ndarray] = {}
     biases: dict[int, np.ndarray] = {}
@@ -148,7 +146,7 @@ def init_model(
         b2=np.zeros(class_count),
         conv_dropout=float(config["conv_dropout"]),
         fc_dropout=float(config["fc_dropout"]),
-        activation=activation,
+        activation=str(config["activation"]),
     )
 
 
@@ -241,7 +239,6 @@ def forward(
         "mask_fc": mask_fc,
         "a1_dropped": a1_dropped,
         "probs": probs,
-        "train_mode": train_mode,
     }
     if train_mode:
         cache.update(argmax=argmax, pooled_pre=pooled_pre)
@@ -276,8 +273,6 @@ def backward(
     Max-pooling routes each filter's gradient to its argmax position only;
     dropout masks from the cache gate the fully connected path.
     """
-    if not cache["train_mode"]:
-        raise ValueError("backward requires a cache from a train-mode forward")
     _, dact = ACTIVATIONS[model.activation]
     grads: dict[str, np.ndarray] = {}
     rows = np.arange(len(labels))

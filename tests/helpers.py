@@ -1,7 +1,10 @@
 """Shared test oracles and builders: run configs and run config files,
 holdout splits, finite-difference gradients, comparison metrics,
 trace lines, a record of the evaluators the command line builds, a
-stand-in ``open`` and the mark of a test that needs numpy.
+stand-in ``open``, the mark of a test that needs numpy, command lines and
+their inputs, output-directory snapshots, and the text-CNN golden run
+config over a small TREC corpus. Test modules share code through this
+module alone, never by importing one another.
 numpy and the text CNN are imported only by the helpers that use them, so
 numpy-free tests can import this module."""
 
@@ -10,15 +13,11 @@ import importlib.util
 import json
 import os
 import random
-from dataclasses import fields
 
 import pytest
 from annealtune import cli
 from annealtune.corpus import hold_out, make_splits
 from annealtune.search_space import RunConfig
-
-#: RunConfig's field defaults (MISSING for required fields)
-RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 #: a test that builds a text-CNN corpus or trains a text CNN; a test module
 #: that needs numpy throughout starts with pytest.importorskip("numpy")
@@ -156,3 +155,125 @@ def open_refusing_reads(file, mode="r", *args, **kwargs):
     if "r" in mode or "+" in mode:
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
     return open(file, mode, *args, **kwargs)
+
+
+#: JSON nested deeper than the decoder recurses
+DEEP_JSON = "[" * 100_000
+#: ``eval --set`` pairs naming one configuration of the default space
+TOP1_SETS = [
+    "--set", "kernel_count_w3=100",
+    "--set", "kernel_count_w4=64",
+    "--set", "kernel_count_w5=32",
+    "--set", "conv_dropout=0.4",
+    "--set", "fc_units=64",
+    "--set", "fc_dropout=0.4",
+    "--set", "activation=tanh",
+    "--set", "learning_rate=0.002",
+    "--set", "batch_size=64",
+]
+
+#: a restriction of 8 configurations, for a synthetic ``tune`` in milliseconds
+BASE_TUNE_SPACE = {
+    "kernel_count_w3": [256, 100],
+    "kernel_count_w4": [32],
+    "kernel_count_w5": [32],
+    "conv_dropout": ["0.1"],
+    "fc_units": [512, 16],
+    "fc_dropout": ["0.1"],
+    "activation": ["relu", "tanh"],
+    "learning_rate": ["0.001"],
+    "batch_size": [64],
+}
+
+#: a restriction of 2 configurations, for ``oracle``
+BASE_ORACLE_SPACE = {"fc_units": [16, 32], **{
+    name: values[:1] for name, values in BASE_TUNE_SPACE.items() if name != "fc_units"
+}}
+
+
+def base_argv(command: str, tmp_path) -> list[str]:
+    """A working command line for ``command`` that writes into ``tmp_path``."""
+    if command == "plan":
+        return ["plan"]
+    config = write_run_config(
+        tmp_path / "rc.json", iteration_budget=30, probe_count=4,
+        space=BASE_TUNE_SPACE if command == "tune" else BASE_ORACLE_SPACE,
+    )
+    if command == "tune":
+        return ["tune", "--config", config, "--output-dir", str(tmp_path / "out")]
+    return ["oracle", "--config", config, "--output", str(tmp_path / "front.txt")]
+
+
+def temp_files(directory) -> list:
+    """The names of the temp files ``cli`` left in ``directory``."""
+    return [p.name for p in directory.iterdir() if p.name.startswith(".tmp-")]
+
+
+def snapshot(directory) -> dict:
+    """Name -> bytes of each regular file in ``directory``."""
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+
+
+def trec_corpus(directory) -> str:
+    """Write a small TREC-format corpus that no classifier separates (class
+    keywords mixed with shared words, a fifth of the labels redrawn) and
+    its dataset manifest; return the manifest's path."""
+    rng = random.Random(0)
+    keywords = {
+        "HUM": ("who", "person", "name"),
+        "LOC": ("where", "city", "place"),
+        "NUM": ("how", "many", "year"),
+    }
+    shared = [f"w{i}" for i in range(12)]
+
+    def lines(per_class: int) -> str:
+        text = []
+        for label, words in keywords.items():
+            for _ in range(per_class):
+                tokens = [
+                    rng.choice(words) if rng.random() < 0.4 else rng.choice(shared)
+                    for _ in range(rng.randint(5, 7))
+                ]
+                shown = rng.choice(list(keywords)) if rng.random() < 0.2 else label
+                text.append(f"{shown}:x {' '.join(tokens)}\n")
+        return "".join(text)
+
+    train, test = directory / "train.label", directory / "test.label"
+    train.write_text(lines(12))
+    test.write_text(lines(3))
+    manifest = directory / "dataset.json"
+    manifest.write_text(json.dumps({"kind": "trec", "train": str(train), "test": str(test)}))
+    return str(manifest)
+
+
+#: 64 configurations; the filter counts and fc width trade FLOPs against error
+TEXT_CNN_SPACE = {
+    "kernel_count_w3": [32, 100],
+    "kernel_count_w4": [32, 100],
+    "kernel_count_w5": [32],
+    "conv_dropout": ["0.1", "0.5"],
+    "fc_units": [16, 32],
+    "fc_dropout": ["0.1"],
+    "activation": ["relu", "tanh"],
+    "learning_rate": ["0.005", "0.01"],
+    "batch_size": [64],
+}
+
+
+def write_text_cnn_run_config(directory, seed: int) -> str:
+    """Write the text-CNN golden run config of ``seed``, over trec_corpus,
+    into ``directory``; return its path."""
+    config = directory / "rc.json"
+    config.write_text(json.dumps({
+        "seed_number": seed,
+        "ratio_init": 0.6,
+        "iteration_budget": 30,
+        "initial_acceptance_probability": 0.5,
+        "cooling_rate": 0.8,
+        "probe_count": 8,
+        "max_epochs": 3,
+        "objective_kind": "textcnn",
+        "dataset_path": trec_corpus(directory),
+        "space": TEXT_CNN_SPACE,
+    }))
+    return str(config)

@@ -4,7 +4,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import pytest
-from helpers import RUN_DEFAULTS
 from reference_pareto import brute_force_front
 
 from annealtune.annealer import (
@@ -22,15 +21,15 @@ from annealtune.pareto import (
     ParetoArchive,
 )
 from annealtune.search_space import (
+    FINAL_ACCEPTANCE_PROBABILITY,
     Configuration,
     ParamDomain,
     RunConfig,
     SearchSpace,
     default_search_space,
     enumerate_space,
+    neighbor,
 )
-
-P_FINAL = RUN_DEFAULTS["final_acceptance_probability"]
 
 TABLE_ROWS = [
     (0.99, 156.2, 1.6),
@@ -104,12 +103,6 @@ class TestInitialTemperature:
     def test_log_of_inverse_e(self):
         assert initial_temperature(0.25, 1 / math.e) == pytest.approx(0.25)
 
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            initial_temperature(0.0, 0.5)
-        with pytest.raises(ValueError):
-            initial_temperature(0.4, 1.0)
-
 
 class TestCalibration:
     """The probe walk that run takes before it anneals."""
@@ -140,7 +133,7 @@ class TestCalibration:
         assert result.schedule.t_final == pytest.approx(0.12, abs=5e-4)
         # the schedule satisfies the defining identity
         assert result.schedule.t_init == -0.4 / math.log(0.5)
-        assert result.schedule.t_final == -0.4 / math.log(P_FINAL)
+        assert result.schedule.t_final == -0.4 / math.log(FINAL_ACCEPTANCE_PROBABILITY)
 
     def test_walk_evaluates_start_plus_probe_count(self):
         _, calls = self.probed_run(self.alternating_evaluator(), seed=1)
@@ -222,6 +215,19 @@ class TestStep:
             assert record.current_config is current
             accepted += record.accepted
         assert abs(accepted / trials - math.exp(-0.5)) <= 0.03
+
+    def test_zero_deterioration_draws_one_uniform_and_is_accepted(self):
+        space, evaluator = self.worse_neighbor_setup(delta_error=0.0)
+        current, objectives = lo_start(space, evaluator)
+        for seed in range(20):
+            rng, expected = random.Random(seed), random.Random(seed)
+            record = step(current, objectives, 0.4, 2, ParetoArchive(), evaluator, rng)
+            assert record.delta_f == 0.0
+            assert record.accepted and record.probability == 1.0
+            # the neighbor move's draws, then exactly one acceptance uniform
+            neighbor(current, space, expected)
+            expected.random()
+            assert rng.getstate() == expected.getstate()
 
     def test_same_seed_bit_identical_record(self):
         space, evaluator = self.worse_neighbor_setup()

@@ -6,8 +6,14 @@ import sys
 import tracemalloc
 
 import pytest
-from helpers import needs_numpy, open_refusing_reads, trace_line, write_run_config
-from test_input_errors import DEEP_JSON, TOP1_SETS
+from helpers import (
+    DEEP_JSON,
+    TOP1_SETS,
+    needs_numpy,
+    open_refusing_reads,
+    trace_line,
+    write_run_config,
+)
 
 import annealtune.cli as cli
 import annealtune.evaluator as evaluator

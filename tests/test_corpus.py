@@ -280,12 +280,6 @@ class TestMakeSplits:
         assert state == random.Random(7).getstate()
 
     @needs_numpy
-    @pytest.mark.parametrize("ratio_init", [0.0, 1.0])
-    def test_ratio_init_outside_the_open_unit_interval_is_refused(self, ratio_init):
-        with pytest.raises(ValueError, match=r"ratio_init must lie in \(0, 1\)"):
-            make_splits(corpus_of(10), [], ratio_init, random.Random(0))
-
-    @needs_numpy
     def test_stratified_mix_preserved(self):
         data = [
             LabeledSentence(("a", "b", "c"), 0) for _ in range(60)
@@ -441,7 +435,3 @@ class TestSyntheticCorpus:
     def test_three_class_variant_separable(self):
         sentences = synthetic_corpus(3, 30, 42, seed=11)
         assert perceptron_reaches_full_accuracy(sentences, 3)
-
-    def test_vocab_floor(self):
-        with pytest.raises(ValueError):
-            synthetic_corpus(4, 10, 7, seed=0)

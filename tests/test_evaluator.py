@@ -290,10 +290,6 @@ class TestEarlyTermination:
             assert stops(history[:upto]) is False
         assert stops(history) is True
 
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            stops([])
-
 
 class TestEvaluationCache:
     def test_memory_round_trip(self):

@@ -10,7 +10,7 @@ no case here builds a text-CNN corpus.
 """
 
 import pytest
-from helpers import write_run_config
+from helpers import base_argv, snapshot, temp_files, write_run_config
 
 import annealtune.cli as cli
 
@@ -26,39 +26,8 @@ SETS = [
     "--set", "batch_size=64",
 ]
 
-#: a restriction of 8 configurations, for a synthetic ``tune`` in milliseconds
-TUNE_SPACE = {
-    "kernel_count_w3": [256, 100],
-    "kernel_count_w4": [32],
-    "kernel_count_w5": [32],
-    "conv_dropout": ["0.1"],
-    "fc_units": [512, 16],
-    "fc_dropout": ["0.1"],
-    "activation": ["relu", "tanh"],
-    "learning_rate": ["0.001"],
-    "batch_size": [64],
-}
-
-#: a restriction of 2 configurations, for ``oracle``
-ORACLE_SPACE = {"fc_units": [16, 32], **{
-    name: values[:1] for name, values in TUNE_SPACE.items() if name != "fc_units"
-}}
-
 BIG = str(10**400)
 VALUES = ["x", "1.5", "-1", "0", "nan", "inf", BIG]
-
-
-def base_argv(command: str, tmp_path) -> list[str]:
-    """A working command line for ``command`` that writes into ``tmp_path``."""
-    if command == "plan":
-        return ["plan"]
-    config = write_run_config(
-        tmp_path / "rc.json", iteration_budget=30, probe_count=4,
-        space=TUNE_SPACE if command == "tune" else ORACLE_SPACE,
-    )
-    if command == "tune":
-        return ["tune", "--config", config, "--output-dir", str(tmp_path / "out")]
-    return ["oracle", "--config", config, "--output", str(tmp_path / "front.txt")]
 
 
 #: flags the command line no longer has, which every value leaves unrecognized
@@ -95,10 +64,6 @@ def test_bad_setting_is_refused_before_the_manifest_is_read(tmp_path, capsys, ke
     assert capsys.readouterr().err.startswith(f"usage error: bad run config: {key} ")
 
 
-def temp_files(directory) -> list:
-    return [p.name for p in directory.iterdir() if p.name.startswith(".tmp-")]
-
-
 def test_output_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
     argv = base_argv("tune", tmp_path)
     blocker = tmp_path / "out"
@@ -117,10 +82,6 @@ def test_output_that_is_a_directory_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: cannot write {tmp_path / 'front.txt'}"), err
     assert temp_files(tmp_path) == []
-
-
-def snapshot(directory) -> dict:
-    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
 
 
 def test_tune_writes_no_output_when_one_cannot_be_written(tmp_path, capsys):

@@ -27,7 +27,7 @@ import random
 import sys
 
 import pytest
-from helpers import needs_numpy, record_evaluators
+from helpers import needs_numpy, record_evaluators, write_text_cnn_run_config
 
 import annealtune.cli as cli
 
@@ -157,51 +157,6 @@ def tune_digests(tmp_path, run_config) -> dict[str, str]:
     return digests_of(out)
 
 
-def trec_corpus(directory) -> str:
-    """Write a small TREC-format corpus that no classifier separates (class
-    keywords mixed with shared words, a fifth of the labels redrawn) and
-    its dataset manifest; return the manifest's path."""
-    rng = random.Random(0)
-    keywords = {
-        "HUM": ("who", "person", "name"),
-        "LOC": ("where", "city", "place"),
-        "NUM": ("how", "many", "year"),
-    }
-    shared = [f"w{i}" for i in range(12)]
-
-    def lines(per_class: int) -> str:
-        text = []
-        for label, words in keywords.items():
-            for _ in range(per_class):
-                tokens = [
-                    rng.choice(words) if rng.random() < 0.4 else rng.choice(shared)
-                    for _ in range(rng.randint(5, 7))
-                ]
-                shown = rng.choice(list(keywords)) if rng.random() < 0.2 else label
-                text.append(f"{shown}:x {' '.join(tokens)}\n")
-        return "".join(text)
-
-    train, test = directory / "train.label", directory / "test.label"
-    train.write_text(lines(12))
-    test.write_text(lines(3))
-    manifest = directory / "dataset.json"
-    manifest.write_text(json.dumps({"kind": "trec", "train": str(train), "test": str(test)}))
-    return str(manifest)
-
-
-#: 64 configurations; the filter counts and fc width trade FLOPs against error
-TEXT_CNN_SPACE = {
-    "kernel_count_w3": [32, 100],
-    "kernel_count_w4": [32, 100],
-    "kernel_count_w5": [32],
-    "conv_dropout": ["0.1", "0.5"],
-    "fc_units": [16, 32],
-    "fc_dropout": ["0.1"],
-    "activation": ["relu", "tanh"],
-    "learning_rate": ["0.005", "0.01"],
-    "batch_size": [64],
-}
-
 #: seed -> digests of a run whose archive holds more than one error rate and
 #: whose trace both accepts and rejects steps
 TEXT_CNN_GOLDEN = {
@@ -259,29 +214,10 @@ TEXT_CNN_GOLDEN = {
 }
 
 
-def text_cnn_run_config(directory, seed: int) -> str:
-    """Write the text-CNN golden run config of ``seed``, over trec_corpus,
-    into ``directory``; return its path."""
-    config = directory / "rc.json"
-    config.write_text(json.dumps({
-        "seed_number": seed,
-        "ratio_init": 0.6,
-        "iteration_budget": 30,
-        "initial_acceptance_probability": 0.5,
-        "cooling_rate": 0.8,
-        "probe_count": 8,
-        "max_epochs": 3,
-        "objective_kind": "textcnn",
-        "dataset_path": trec_corpus(directory),
-        "space": TEXT_CNN_SPACE,
-    }))
-    return str(config)
-
-
 @needs_numpy
 @pytest.mark.parametrize("seed", sorted(TEXT_CNN_GOLDEN))
 def test_text_cnn_tune_outputs_match_recorded_digests(tmp_path, seed):
-    config = text_cnn_run_config(tmp_path, seed)
+    config = write_text_cnn_run_config(tmp_path, seed)
     out = tmp_path / "out"
     out.mkdir()
     argv = ["tune", "--config", config, "--output-dir", str(out),
@@ -338,7 +274,7 @@ def front_entries(path) -> dict[str, tuple]:
 
 @needs_numpy
 def test_text_cnn_oracle_front_covers_the_tuned_archive(tmp_path, monkeypatch):
-    config = text_cnn_run_config(tmp_path, 28)
+    config = write_text_cnn_run_config(tmp_path, 28)
     cache = tmp_path / "cache.jsonl"
     tune = ["tune", "--config", config, "--output-dir", str(tmp_path / "out")]
     assert cli.main([*tune, "--cache", str(cache)]) == 0
@@ -366,7 +302,7 @@ def test_text_cnn_oracle_front_covers_the_tuned_archive(tmp_path, monkeypatch):
 ])
 def test_eval_scores_each_archive_entry_as_tune_did(tmp_path, capsys, objective):
     if objective == "text-cnn":
-        config = text_cnn_run_config(tmp_path, 28)
+        config = write_text_cnn_run_config(tmp_path, 28)
     else:
         config = tmp_path / "rc.json"
         config.write_text(json.dumps(GOLDEN[0][0]))

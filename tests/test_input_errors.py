@@ -7,28 +7,14 @@ missing."""
 import json
 
 import pytest
-from helpers import write_run_config
+from helpers import DEEP_JSON, SPHERE_RUN, TOP1_SETS, write_run_config
 
 import annealtune.cli as cli
 from annealtune.search_space import default_search_space
 
-#: JSON nested deeper than the decoder recurses
-DEEP_JSON = "[" * 100_000
 #: a list nested 500 deep, within the decoder's reach; its repr is 1,000
 #: characters
 DEEP_LIST = "[" * 500 + "]" * 500
-
-TOP1_SETS = [
-    "--set", "kernel_count_w3=100",
-    "--set", "kernel_count_w4=64",
-    "--set", "kernel_count_w5=32",
-    "--set", "conv_dropout=0.4",
-    "--set", "fc_units=64",
-    "--set", "fc_dropout=0.4",
-    "--set", "activation=tanh",
-    "--set", "learning_rate=0.002",
-    "--set", "batch_size=64",
-]
 
 #: the command lines that read a run config or a dataset manifest from
 #: {path} and would write {out}; {rc} is a text-CNN run config beside
@@ -88,16 +74,9 @@ def test_unusable_json_file_is_a_named_error(tmp_path, capsys, name, failure):
         assert not out.exists()
 
 
-RUN_CONFIG = {
-    "seed_number": 40, "ratio_init": 0.9, "iteration_budget": 250,
-    "initial_acceptance_probability": 0.5, "cooling_rate": 0.8,
-    "objective_kind": "synthetic:sphere_proxy",
-}
-
-
 def with_space(space) -> str:
-    """RUN_CONFIG's text with ``space`` as its restriction."""
-    return json.dumps({**RUN_CONFIG, "space": space})
+    """SPHERE_RUN's text with ``space`` as its restriction."""
+    return json.dumps({**SPHERE_RUN, "space": space})
 
 
 #: each case -> its command line, what it writes to {path} first, and its
@@ -106,18 +85,18 @@ ECHO_CASES = {
     "manifest-kind": (EVAL_ON, '{"kind": ' + DEEP_LIST + "}", 2),
     "manifest-key": (EVAL_ON, json.dumps({"kind": "trec", "x" * 1000: 1}), 2),
     "run-config-objective-kind": (
-        TUNE, json.dumps({**RUN_CONFIG, "objective_kind": json.loads(DEEP_LIST)}), 1
+        TUNE, json.dumps({**SPHERE_RUN, "objective_kind": json.loads(DEEP_LIST)}), 1
     ),
-    "run-config-key": (TUNE, json.dumps({**RUN_CONFIG, "x" * 1000: 1}), 1),
+    "run-config-key": (TUNE, json.dumps({**SPHERE_RUN, "x" * 1000: 1}), 1),
     "restriction-value-type": (
         ORACLE, with_space({"fc_units": [json.loads(DEEP_LIST)]}), 1
     ),
     "restriction-value": (ORACLE, with_space({"fc_units": ["x" * 1000]}), 1),
     "restriction-domain": (ORACLE, with_space({"x" * 1000: [16]}), 1),
-    "set-pair": ([*EVAL, "--set", "x" * 1000], json.dumps(RUN_CONFIG), 1),
-    "set-name": ([*EVAL, "--set", "x" * 1000 + "=1"], json.dumps(RUN_CONFIG), 1),
+    "set-pair": ([*EVAL, "--set", "x" * 1000], json.dumps(SPHERE_RUN), 1),
+    "set-name": ([*EVAL, "--set", "x" * 1000 + "=1"], json.dumps(SPHERE_RUN), 1),
     "set-value": (
-        [*EVAL, "--set", "fc_units=" + "9" * 999], json.dumps(RUN_CONFIG), 1
+        [*EVAL, "--set", "fc_units=" + "9" * 999], json.dumps(SPHERE_RUN), 1
     ),
 }
 

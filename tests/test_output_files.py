@@ -10,16 +10,22 @@ file imports no numpy, so it runs where numpy is missing; the text-CNN case
 needs it and skips itself there.
 """
 
+import errno
 import json
 import os
 import stat
 import tracemalloc
 
 import pytest
-from helpers import needs_numpy, record_evaluators
-from test_flag_rules import base_argv, snapshot, temp_files
-from test_golden import text_cnn_run_config
-from test_input_errors import RUN_CONFIG
+from helpers import (
+    SPHERE_RUN,
+    base_argv,
+    needs_numpy,
+    record_evaluators,
+    snapshot,
+    temp_files,
+    write_text_cnn_run_config,
+)
 
 import annealtune.cli as cli
 from annealtune.evaluator import SyntheticEvaluator, TextCnnEvaluator
@@ -98,7 +104,7 @@ def test_interrupted_tune_leaves_no_new_file(tmp_path, monkeypatch, command, exi
         evaluator_class, interrupt_at = SyntheticEvaluator, 20
     else:
         cache = tmp_path / "cache.jsonl"
-        oracle = ["oracle", "--config", text_cnn_run_config(tmp_path, 28)]
+        oracle = ["oracle", "--config", write_text_cnn_run_config(tmp_path, 28)]
         argv = [*oracle, "--cache", str(cache), "--output", str(out / "front.txt")]
         evaluator_class, interrupt_at = TextCnnEvaluator, 10
     if existing:
@@ -164,11 +170,32 @@ def test_refused_output_leaves_no_new_cache(tmp_path, capsys, command):
     directory.mkdir()
     output = {"tune": ["--output-dir", str(blocker)],
               "oracle": ["--output", str(directory)]}[command]
-    argv = [command, "--config", text_cnn_run_config(tmp_path, 28),
+    argv = [command, "--config", write_text_cnn_run_config(tmp_path, 28),
             "--cache", str(cache), *output]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("usage error: cannot write ")
     assert not cache.exists()
+
+
+def test_unwritable_trace_temp_leaves_no_new_cache(tmp_path, capsys, monkeypatch):
+    # the trace temp is made before the objective, and so the cache file: a
+    # user other than root meets this error in a read-only output directory
+    atomic_write = cli._atomic_write
+
+    def refusing_the_trace(path, content):
+        if os.path.basename(path) == "trace.jsonl":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        return atomic_write(path, content)
+
+    monkeypatch.setattr(cli, "_atomic_write", refusing_the_trace)
+    cache, out = tmp_path / "new.jsonl", tmp_path / "out"
+    argv = ["tune", "--config", write_text_cnn_run_config(tmp_path, 28),
+            "--cache", str(cache), "--output-dir", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: cannot write {out / 'trace.jsonl'}: Permission denied\n"
+    assert not cache.exists()
+    assert not out.exists()
 
 
 def test_oracle_output_named_like_its_json_front_is_usage_error(tmp_path, capsys):
@@ -220,7 +247,7 @@ def test_trace_memory_does_not_grow_with_the_budget(tmp_path):
     # cooling_rate 0.1 makes one outer step hold the whole budget, so the run
     # takes all 5,000 steps; keeping them costs about 18 MiB
     config = tmp_path / "rc.json"
-    config.write_text(json.dumps({**RUN_CONFIG, "iteration_budget": 5000,
+    config.write_text(json.dumps({**SPHERE_RUN, "iteration_budget": 5000,
                                   "cooling_rate": 0.1}))
     out = tmp_path / "out"
     tracemalloc.start()

@@ -82,17 +82,6 @@ class TestScalarDeterioration:
         )
         assert delta == pytest.approx(0.1)
 
-    def test_zero_normalizer_rejected(self):
-        v = ObjectiveVector(0.2, 0)
-        with pytest.raises(ValueError):
-            scalar_deterioration(v, v, 0)
-
-    def test_normalizer_below_observed_flops_rejected(self):
-        with pytest.raises(ValueError):
-            scalar_deterioration(
-                ObjectiveVector(0.2, 100), ObjectiveVector(0.3, 5000), 1000
-            )
-
     @settings(max_examples=200)
     @given(vectors, vectors)
     def test_antisymmetry(self, a, b):
@@ -115,9 +104,8 @@ class TestArchiveInsert:
         assert archive.insert(entry("a", 0.5, 500)) is ArchiveAction.ADDED
         assert len(archive) == 1
 
-    def test_best_error_rate_is_the_lowest_archived_or_infinite(self):
+    def test_best_error_rate_is_the_lowest_archived(self):
         archive = ParetoArchive()
-        assert archive.best_error_rate() == float("inf")
         archive.insert(entry("a", 0.3, 100))
         archive.insert(entry("b", 0.1, 900))
         assert archive.best_error_rate() == 0.1

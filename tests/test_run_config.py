@@ -92,11 +92,14 @@ def test_bad_value_is_usage_error_naming_its_key(
 def test_final_probability_not_below_initial_is_refused_before_evaluating(
     tmp_path, capsys, no_evaluator
 ):
-    code = tune(
-        tmp_path, initial_acceptance_probability=0.3, final_acceptance_probability=0.5
-    )
-    assert code == 1
-    assert_refused(capsys, "final_acceptance_probability")
+    # the final probability is the constant 0.0357
+    for initial in (0.0357, 0.01):
+        assert tune(tmp_path, initial_acceptance_probability=initial) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "usage error: bad run config: "
+            "initial_acceptance_probability must be above 0.0357\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -105,14 +108,14 @@ def test_final_probability_not_below_initial_is_refused_before_evaluating(
         ("dataset_path", 1),
         ("max_epochs", 1.5),
         ("max_epochs", "2.5"),
-        ("final_acceptance_probability", "x"),
+        ("initial_acceptance_probability", "x"),
         ("max_epochs", 0),
         ("max_epochs", -5),
-        ("final_acceptance_probability", -0.5),
+        ("initial_acceptance_probability", -0.5),
     ],
     ids=["dataset-number", "epochs-fractional", "epochs-fractional-text",
-         "final-probability-string", "epochs-zero", "epochs-negative",
-         "final-probability-negative"],
+         "initial-probability-string", "epochs-zero", "epochs-negative",
+         "initial-probability-negative"],
 )
 def test_bad_text_cnn_setting_is_usage_error_naming_its_key(
     tmp_path, capsys, no_evaluator, key, value
@@ -195,13 +198,13 @@ def test_ceilings_themselves_are_accepted():
 
 
 def test_probabilities_one_float_apart_are_a_runtime_error(tmp_path, capsys):
-    # both probabilities invert to the same temperature after the probe walk
+    # one float above the final probability, the initial one inverts to the
+    # same temperature after the probe walk
     code = tune(
         tmp_path,
         seed_number=5,
         iteration_budget=30,
-        initial_acceptance_probability=0.4,
-        final_acceptance_probability=0.39999999999999997,
+        initial_acceptance_probability=0.03570000000000001,
         cooling_rate=0.9,
         probe_count=20,
         space=None,
@@ -209,7 +212,10 @@ def test_probabilities_one_float_apart_are_a_runtime_error(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("runtime error: "), err
-    assert "0.4" in err and "0.39999999999999997" in err
+    assert err == (
+        "runtime error: acceptance probabilities 0.03570000000000001 and 0.0357 "
+        "give one temperature\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -233,7 +239,9 @@ def test_numbers_convert_as_in_manifests():
 
 RUN_CONFIG_KEYS = [f.name for f in fields(RunConfig)]
 #: keys that earlier run configs took, now constants of annealtune.evaluator
-RETIRED_KEYS = ["early_stop_margin", "early_stop_patience", "embedding_dim"]
+#: and annealtune.search_space
+RETIRED_KEYS = ["early_stop_margin", "early_stop_patience", "embedding_dim",
+                "final_acceptance_probability"]
 JSON_VALUES = {
     "null": None, "bool": True, "int": 3, "float": 0.25, "string": "x", "list": [1],
     "object": {"a": 1},
