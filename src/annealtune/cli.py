@@ -39,7 +39,7 @@ from .evaluator import (
     TextCnnEvaluator,
     estimate_flops,
 )
-from .pareto import ArchiveEntry, ParetoArchive
+from .pareto import ArchiveEntry, ObjectiveVector, ParetoArchive
 from .search_space import (
     DISPLAY_LABELS,
     SYNTHETIC_PREFIX,
@@ -217,19 +217,43 @@ def _fragment(item: tuple[str, Any]) -> str:
     return json.dumps(item[0]) + ": " + json.dumps(item[1])
 
 
-def trace_jsonl(s: StepRecord) -> str:
+def _state_text(
+    config: Configuration, objectives: ObjectiveVector, previous: list
+) -> tuple:
+    """(config, objectives, the config's ``{...}`` text, the objectives'
+    ``[error_rate, flops]`` text): the entry of ``previous`` that holds these
+    very objects, or a new one."""
+    for state in previous:
+        if state[0] is config and state[1] is objectives:
+            return state
+    return (config, objectives, "{" + ", ".join(map(_fragment, config.items)) + "}",
+            f"[{objectives.error_rate!r}, {objectives.flops}]")
+
+
+def trace_jsonl(s: StepRecord, previous: list | None = None) -> str:
     """One step's line of the trace format, newline included: the text
     ``json.dumps`` writes for the step's object, whose finite floats it
-    writes as their repr. The format's first line is TRACE_HEADER."""
-    cur, cand = s.current_objectives, s.candidate_objectives
-    current = ", ".join(map(_fragment, s.current_config.items))
-    candidate = ", ".join(map(_fragment, s.candidate_config.items))
+    writes as their repr. The format's first line is TRACE_HEADER.
+
+    A run hands every step's call one list, empty at its start, as
+    ``previous``; the call leaves there its line's temperature, current and
+    candidate with their texts. The temperature changes only between outer
+    steps, and a step's current is the last step's current or candidate
+    unless the walk jumped, so their texts are then not built again."""
+    if previous is None:
+        previous = []
+    if previous and previous[0] is s.temperature:
+        temperature = previous[1]
+    else:
+        temperature = repr(s.temperature)
+    states = previous[2:]
+    current = _state_text(s.current_config, s.current_objectives, states)
+    candidate = _state_text(s.candidate_config, s.candidate_objectives, states)
+    previous[:] = s.temperature, temperature, current, candidate
     return (
-        f'{{"iteration": {s.iteration}, "temperature": {s.temperature!r}, '
-        f'"current": {{{current}}}, '
-        f'"current_objectives": [{cur.error_rate!r}, {cur.flops}], '
-        f'"candidate": {{{candidate}}}, '
-        f'"candidate_objectives": [{cand.error_rate!r}, {cand.flops}], '
+        f'{{"iteration": {s.iteration}, "temperature": {temperature}, '
+        f'"current": {current[2]}, "current_objectives": {current[3]}, '
+        f'"candidate": {candidate[2]}, "candidate_objectives": {candidate[3]}, '
         f'"delta_f": {s.delta_f!r}, "probability": {s.probability!r}, '
         f'"accepted": {"true" if s.accepted else "false"}, '
         f'"archive": "{s.archive_action.value}"}}\n'
@@ -415,7 +439,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
         evaluator = build_evaluator(config, cache_path=args.cache)
         # each step's line goes to the trace temp as the step ends
         with open(trace_temp, "a", encoding="utf-8") as trace:
-            result = run(config, evaluator, lambda s: trace.write(trace_jsonl(s)))
+            previous: list = []
+            result = run(
+                config, evaluator, lambda s: trace.write(trace_jsonl(s, previous))
+            )
         front = result.archive.front()
         write(txt_path, archive_text(front, config.space))
         write(json_path, archive_json(front, config))

@@ -14,12 +14,12 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol
+from typing import Callable, Mapping, Protocol
 
 from .corpus import DataError, PreparedCorpus
 from .pareto import ObjectiveVector
 from .search_space import (
-    SYNTHETIC_PREFIX, WINDOWS, Configuration, RunConfig, SearchSpace
+    SYNTHETIC_PREFIX, WINDOWS, Configuration, RunConfig, SearchSpace, Value
 )
 
 #: the embedding width of every network, text CNN and synthetic alike
@@ -68,8 +68,8 @@ def estimate_flops(
     f * (n - w + 1) * 2*w*k; the two fully connected stages cost
     2 * sum(f) * units + 2 * units * classes. Pooling, dropout, and
     activations are excluded from the count. ``config`` may also be a plain
-    mapping that holds just the filter counts and ``fc_units``, as
-    ``flops_ceiling`` passes.
+    mapping that holds the filter counts and ``fc_units``, such as the
+    shape ``flops_ceiling`` passes or a configuration's ``mapping``.
     """
     n, k = sentence_length, embedding_dim
     conv = []
@@ -125,6 +125,7 @@ class SyntheticEvaluator:
     Both report flops from the estimator under the fixed synthetic
     network-shape constants, estimated once per network shape. A run
     config's space has at least 2 configurations, so some domain is mutable.
+    The tables evaluate reads are built once, with the evaluator.
     """
 
     run_config: RunConfig
@@ -135,32 +136,45 @@ class SyntheticEvaluator:
     ))
     #: shape (the _SHAPE_NAMES values) -> its estimate_flops total
     _flops: dict[tuple, int] = field(default_factory=dict, init=False, repr=False)
+    #: a configuration's mapping -> its shape; (name, value -> index
+    #: fraction) of each mutable domain in space order, as pinned domains
+    #: carry no signal; whether the objective is sphere_proxy
+    _shape: Callable[[Mapping[str, Value]], tuple] = field(init=False, repr=False)
+    _fractions: tuple[tuple[str, dict[Value, float]], ...] = field(
+        init=False, repr=False
+    )
+    _sphere: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        from operator import itemgetter
+
         kind = self.run_config.objective_kind
         if not kind.startswith(SYNTHETIC_PREFIX):
             raise ValueError(f"objective_kind {kind!r} is not a synthetic objective")
         self.space = self.run_config.space
         self.flops_max = flops_ceiling(self.space, *self.network)
+        self._shape = itemgetter(*_SHAPE_NAMES)
+        self._fractions = tuple((d.name, d.fraction) for d in self.space.mutable)
+        self._sphere = kind == _SPHERE_PROXY
 
     def evaluate(self, config: Configuration) -> ObjectiveVector:
-        shape = tuple(map(config.__getitem__, _SHAPE_NAMES))
+        values = config.mapping
+        shape = self._shape(values)
         flops = self._flops.get(shape)
         if flops is None:
-            flops = self._flops[shape] = estimate_flops(config, *self.network).total
-        # pinned domains carry no signal
-        fractions = [d.fraction[config[d.name]] for d in self.space.mutable]
+            flops = self._flops[shape] = estimate_flops(values, *self.network).total
         # summed left to right, not by sum(): from Python 3.12 sum()
         # compensates float rounding, which moves the last bits
         total = 0.0
-        if self.run_config.objective_kind == _SPHERE_PROXY:
-            for f in fractions:
+        if self._sphere:
+            for name, fraction in self._fractions:
+                f = fraction[values[name]]
                 total += f * f
-            error = total / len(fractions)
+            error = total / len(self._fractions)
         else:
-            for f in fractions:
-                total += f
-            t = total / len(fractions)
+            for name, fraction in self._fractions:
+                total += fraction[values[name]]
+            t = total / len(self._fractions)
             error = 0.05 if t >= 1.0 else 0.25 + 0.5 * t
         return ObjectiveVector(error_rate=error, flops=flops)
 

@@ -109,25 +109,29 @@ class Configuration:
     """One concrete assignment, ordered like the owning space's domains."""
 
     items: tuple[tuple[str, Value], ...]
-    #: name -> value; built from ``items`` unless the caller already holds it
-    _values: dict[str, Value] | None = field(default=None, repr=False, compare=False)
+    #: name -> value, built from ``items``; shared, so read it, never change it
+    mapping: dict[str, Value] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self._values is None:
-            object.__setattr__(self, "_values", dict(self.items))
+        object.__setattr__(self, "mapping", dict(self.items))
 
     def __getitem__(self, name: str) -> Value:
-        return self._values[name]
+        return self.mapping[name]
 
     def as_dict(self) -> dict[str, Value]:
         return dict(self.items)
 
     def replace(self, name: str, value: Value) -> "Configuration":
-        values = dict(self._values)
-        if name not in values:
+        mapping = self.mapping.copy()
+        if name not in mapping:
             raise KeyError(name)
-        values[name] = value
-        return Configuration(tuple(values.items()), values)
+        mapping[name] = value
+        # both fields are at hand, so skip __init__ and __post_init__: the
+        # annealer makes one configuration this way on every step
+        new = object.__new__(Configuration)
+        object.__setattr__(new, "items", tuple(mapping.items()))
+        object.__setattr__(new, "mapping", mapping)
+        return new
 
     def sort_key(self) -> tuple[tuple[str, str], ...]:
         """Deterministic lexicographic key, independent of domain order."""
@@ -251,7 +255,7 @@ def neighbor(
     ``config`` must come from ``space``, and ``space`` have a mutable domain,
     as a RunConfig's does; neither is checked again here."""
     d = rng.choice(space.mutable)
-    return config.replace(d.name, rng.choice(d.alternatives[config[d.name]]))
+    return config.replace(d.name, rng.choice(d.alternatives[config.mapping[d.name]]))
 
 
 def enumerate_space(space: SearchSpace) -> Iterator[Configuration]:

@@ -25,8 +25,9 @@ needs_numpy = pytest.mark.skipif(
     importlib.util.find_spec("numpy") is None, reason="numpy is not installed"
 )
 
-#: a restriction of 36 configurations, for a synthetic run in milliseconds
-SMALL_SPACE = {
+#: the restriction of 36 configurations that write_run_config writes, for a
+#: synthetic run in milliseconds
+SPHERE_SPACE = {
     "kernel_count_w3": [256, 100, 32],
     "kernel_count_w4": [32],
     "kernel_count_w5": [32],
@@ -51,10 +52,10 @@ SPHERE_RUN = {
 
 
 def write_run_config(path, **overrides) -> str:
-    """Write a SPHERE_RUN run config over SMALL_SPACE, with ``overrides`` on
+    """Write a SPHERE_RUN run config over SPHERE_SPACE, with ``overrides`` on
     top (``space=None`` keeps the whole default space), to ``path``; return
     the path as text."""
-    path.write_text(json.dumps({**SPHERE_RUN, "space": SMALL_SPACE, **overrides}))
+    path.write_text(json.dumps({**SPHERE_RUN, "space": SPHERE_SPACE, **overrides}))
     return str(path)
 
 

@@ -356,6 +356,51 @@ class TestTraceJsonl:
             # text equality: unlike ==, it tells 0.0 from -0.0
             assert line == trace_line(r) + "\n"
 
+    def test_run_lines_reuse_only_what_a_lone_record_would_write(
+        self, tmp_path, monkeypatch
+    ):
+        # a run hands trace_jsonl the texts of the previous line; every line
+        # must still be the one json.dumps writes, and the one trace_jsonl
+        # writes for the record alone, across accepted and rejected steps
+        # and the walk's jumps back to an archived base
+        records, run = [], cli.run
+
+        def recording_run(config, evaluator, on_step):
+            return run(config, evaluator, lambda r: (records.append(r), on_step(r)))
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        a = write_run_config(tmp_path / "a.json", seed_number=7)
+        b = write_run_config(tmp_path / "b.json")
+        assert cli.main(["tune", "--config", a, "--output-dir", str(tmp_path / "a")]) == 0
+        records.clear()
+        assert cli.main(["tune", "--config", b, "--output-dir", str(tmp_path / "b")]) == 0
+        lines = (tmp_path / "b" / "trace.jsonl").read_text().splitlines(keepends=True)
+        assert lines[0] == cli.TRACE_HEADER
+        assert lines[1:] == [trace_line(r) + "\n" for r in records]
+        assert lines[1:] == [cli.trace_jsonl(r) for r in records]
+        assert any(r.accepted for r in records[1:])
+        assert not all(r.accepted for r in records[1:])
+        # a jump: the current is neither the last step's current nor its candidate
+        assert any(
+            now.current_config is not last.current_config
+            and now.current_config is not last.candidate_config
+            for last, now in zip(records, records[1:])
+        )
+
+        # B after A in one process writes what B alone writes
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        subprocess.run(
+            [sys.executable, "-m", "annealtune.cli", "tune", "--config", b,
+             "--output-dir", str(tmp_path / "alone")],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            )},
+            capture_output=True, timeout=120, check=True,
+        )
+        for name in ("trace.jsonl", "archive.json", "archive.txt", "calibration.json"):
+            alone = (tmp_path / "alone" / name).read_bytes()
+            assert (tmp_path / "b" / name).read_bytes() == alone, name
+
 
 #: TREC train lines, test lines and run-config overrides -> exit code and a
 #: line of its stdout (exit 0) or stderr; {test} is the test file's path

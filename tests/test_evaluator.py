@@ -12,6 +12,9 @@ from helpers import (
     open_refusing_reads,
     text_cnn_run_config,
 )
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from reference_evaluator import reference_error_rate, reference_flops
 
 import annealtune.evaluator as evaluator_module
 from annealtune import cli
@@ -34,6 +37,7 @@ from annealtune.search_space import (
     SearchSpace,
     default_search_space,
     enumerate_space,
+    neighbor,
 )
 
 # frozen from an independent per-layer multiply/add count:
@@ -269,6 +273,61 @@ class TestSynthetic:
                     SYNTHETIC_CLASS_COUNT,
                 ).total
                 assert evaluator.evaluate(config).flops == expected
+
+
+@st.composite
+def synthetic_draws(draw):
+    """A restriction of the default space, each domain a subset of its
+    values in any order and of any size from one, with two or more
+    configurations in all; a configuration of it; a synthetic objective."""
+    subsets = {
+        d.name: draw(st.lists(st.sampled_from(d.values), min_size=1, unique=True))
+        for d in default_search_space().domains
+    }
+    assume(any(len(values) > 1 for values in subsets.values()))
+    space = default_search_space().restrict(subsets)
+    config = space.configuration(
+        {name: draw(st.sampled_from(values)) for name, values in subsets.items()}
+    )
+    return space, config, SYNTHETIC_PREFIX + draw(st.sampled_from(SYNTHETIC_NAMES))
+
+
+class TestAgainstReference:
+    """The evaluator's tables built once per run and the FLOPs count give
+    what reference_evaluator's plain formulas give, to the bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(synthetic_draws(), st.integers(0, 2**16))
+    def test_synthetic_evaluate_matches_reference(self, drawn, seed):
+        space, config, kind = drawn
+        evaluator = SyntheticEvaluator(make_run_config(space, objective_kind=kind))
+        # a neighbor is built by Configuration.replace, not by __init__
+        moved = neighbor(config, space, random.Random(seed))
+        for c in (config, moved, config):  # the last reads the FLOPs memo
+            objectives = evaluator.evaluate(c)
+            # the reference reads the items, not the mapping evaluate reads
+            values = c.as_dict()
+            # hex() tells every bit apart, -0.0 from 0.0 included
+            assert objectives.error_rate.hex() == reference_error_rate(
+                space, kind, values
+            ).hex()
+            conv, fc = reference_flops(values, *evaluator.network)
+            assert objectives.flops == sum(conv) + fc
+
+    @settings(max_examples=150, deadline=None)
+    @given(synthetic_draws(), st.integers(1, 12), st.integers(1, 64), st.integers(2, 8))
+    def test_estimate_flops_matches_reference(self, drawn, length, width, classes):
+        _, config, _ = drawn
+        try:
+            expected = reference_flops(config.as_dict(), length, width, classes)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                estimate_flops(config, length, width, classes)
+            assert str(refused.value) == str(exc)
+            return
+        for given_config in (config, config.mapping):
+            breakdown = estimate_flops(given_config, length, width, classes)
+            assert (breakdown.conv_flops, breakdown.fc_flops) == expected
 
 
 def stops(history):

@@ -14,22 +14,10 @@ import json
 from dataclasses import fields
 
 import pytest
+from helpers import BASE_TUNE_SPACE
 
 import annealtune.cli as cli
 from annealtune.search_space import RunConfig, checked_number
-
-#: a space of 8 configurations, so a synthetic run takes milliseconds
-SMALL_SPACE = {
-    "kernel_count_w3": [256, 100],
-    "kernel_count_w4": [32],
-    "kernel_count_w5": [32],
-    "conv_dropout": ["0.1"],
-    "fc_units": [512, 16],
-    "fc_dropout": ["0.1"],
-    "activation": ["relu", "tanh"],
-    "learning_rate": ["0.001"],
-    "batch_size": [64],
-}
 
 BASE = {
     "seed_number": 40,
@@ -39,7 +27,7 @@ BASE = {
     "cooling_rate": 0.8,
     "objective_kind": "synthetic:sphere_proxy",
     "probe_count": 4,
-    "space": SMALL_SPACE,
+    "space": BASE_TUNE_SPACE,
 }
 
 
