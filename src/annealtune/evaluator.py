@@ -210,8 +210,9 @@ class EvaluationCache:
 
     An interrupted run restarted against the same cache file skips every
     training it already finished. Each record is appended as one line, so an
-    interruption can only tear the last line: loading drops it and truncates
-    the file before it. A malformed line anywhere else is a DataError, and
+    interruption can only leave bytes after the file's last newline: loading
+    truncates the file to drop them. A malformed line that ends in a newline,
+    the last one included, is a DataError and leaves the file untouched, and
     so is a path that cannot be read and appended to (a missing directory,
     a directory, a file without read or write permission): that fails here,
     before any training is spent on it, and again on a later failed append.
@@ -225,21 +226,21 @@ class EvaluationCache:
         try:
             with open(path, "a+b") as fh:
                 fh.seek(0)
-                lines = fh.read().splitlines(keepends=True)
+                data = fh.read()
+                whole = data.rfind(b"\n") + 1  # bytes past it: an append cut short
+                lines = data[:whole].splitlines(keepends=True)
                 for lineno, line in enumerate(lines, 1):
                     if not line.strip():
                         continue
                     record = _parse_record(line) if line.endswith(b"\n") else None
-                    if record is not None:
-                        key, value = record
-                        self._memory[key] = value
-                    elif lineno == len(lines):
-                        # an append cut short: drop it, so the next starts a fresh line
-                        fh.truncate(sum(map(len, lines[:-1])))
-                    else:
+                    if record is None:
                         raise DataError(
                             f"{path}:{lineno}: malformed evaluation cache line"
                         )
+                    key, value = record
+                    self._memory[key] = value
+                if whole < len(data):
+                    fh.truncate(whole)  # so the next append starts a fresh line
         except OSError as exc:
             raise DataError(f"evaluation cache {path}: {exc.strerror}") from None
 

@@ -350,6 +350,18 @@ class TestEarlyTermination:
         assert stops(history) is True
 
 
+#: objectives of a cache record whose JSON types no ObjectiveVector takes
+WRONG_JSON_TYPES = [
+    '"error_rate": "0.5", "flops": 7', '"error_rate": true, "flops": 7',
+    '"error_rate": 0.5, "flops": 1.9', '"error_rate": 0.5, "flops": "7"',
+    '"error_rate": 0.5, "flops": false',
+    # an integer JSON reads that no float holds
+    '"error_rate": 1' + "0" * 400 + ', "flops": 7',
+]
+WRONG_JSON_TYPE_IDS = ["rate-text", "rate-bool", "flops-fraction", "flops-text",
+                       "flops-bool", "rate-beyond-float"]
+
+
 class TestEvaluationCache:
     def test_memory_round_trip(self):
         from annealtune.pareto import ObjectiveVector
@@ -398,20 +410,29 @@ class TestEvaluationCache:
             EvaluationCache(str(path))
 
     @pytest.mark.parametrize(
-        "objectives",
-        ['"error_rate": "0.5", "flops": 7', '"error_rate": true, "flops": 7',
-         '"error_rate": 0.5, "flops": 1.9', '"error_rate": 0.5, "flops": "7"',
-         '"error_rate": 0.5, "flops": false',
-         # an integer JSON reads that no float holds
-         '"error_rate": 1' + "0" * 400 + ', "flops": 7'],
-        ids=["rate-text", "rate-bool", "flops-fraction", "flops-text", "flops-bool",
-             "rate-beyond-float"],
+        "record",
+        ["not json at all", '{"key": "b", "error_rate": 1.5, "flops": 7}']
+        + [f'{{"key": "b", {objectives}}}' for objectives in WRONG_JSON_TYPES],
+        ids=["not-json", "rate-above-one"] + WRONG_JSON_TYPE_IDS,
     )
+    def test_malformed_last_line_is_a_data_error(self, tmp_path, record):
+        from annealtune.corpus import DataError
+
+        path = tmp_path / "cache.jsonl"
+        path.write_text(f'{{"key": "a", "error_rate": 0.5, "flops": 7}}\n{record}\n')
+        whole = path.read_bytes()
+        # it ends in a newline, so no interruption tore it
+        with pytest.raises(DataError, match=":2: malformed"):
+            EvaluationCache(str(path))
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("objectives", WRONG_JSON_TYPES, ids=WRONG_JSON_TYPE_IDS)
     def test_objective_of_a_wrong_json_type_is_a_data_error(self, tmp_path, objectives):
         from annealtune.corpus import DataError
 
         path = tmp_path / "cache.jsonl"
-        # a good line after the bad one: a malformed last line is dropped as torn
+        # a good line after the bad one; test_malformed_last_line_is_a_data_error
+        # puts each bad record last
         path.write_text(
             f'{{"key": "a", {objectives}}}\n{{"key": "b", "error_rate": 0.5, "flops": 7}}\n'
         )
