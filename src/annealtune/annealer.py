@@ -37,25 +37,12 @@ class CalibrationError(RuntimeError):
     """The probe walk fixes no final temperature below the initial one."""
 
 
-def _truncate1(x: float) -> float:
-    # reported to one decimal, truncated toward zero (not rounded)
-    return math.floor(x * 10 + 1e-9) / 10
-
-
 @dataclass(frozen=True)
 class AnnealingSchedule:
     t_init: float
     t_final: float
     outer_iterations: float
     inner_iterations: float
-
-    @property
-    def outer_reported(self) -> float:
-        return _truncate1(self.outer_iterations)
-
-    @property
-    def inner_reported(self) -> float:
-        return _truncate1(self.inner_iterations)
 
     @property
     def outer_steps(self) -> int:
@@ -74,7 +61,7 @@ def plan_schedule(
     """Derive outer/inner iteration counts from the temperature range.
 
     outer = ln(t_final/t_init) / ln(cooling_rate); inner = budget / outer.
-    Both are kept at full precision; reporting truncates to one decimal.
+    Both are kept at full precision; ``plan`` truncates them to one decimal.
     Needs 0 < t_final < t_init, cooling_rate in (0, 1) and a budget of at
     least 1: callers pass constants or RunConfig's judged settings, and run
     raises CalibrationError unless t_final < t_init.

@@ -16,6 +16,7 @@ import contextlib
 import errno
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -384,6 +385,14 @@ def prepare_corpus(path: str | None, ratio_init: float, seed: int) -> PreparedCo
     return make_splits(pool, test, ratio_init, rng)
 
 
+def _refuse_cache_among(cache: str | None, paths: Sequence[str]) -> None:
+    """A ``--cache`` that names one of the command's outputs, through a
+    symbolic link too, is a usage error: the output would replace every
+    training the cache holds."""
+    if cache is not None and os.path.realpath(cache) in map(os.path.realpath, paths):
+        raise UsageError(f"--cache {brief(cache)} is also an output of this command")
+
+
 def build_evaluator(config: RunConfig, cache_path: str | None = None):
     if config.objective_kind.startswith(SYNTHETIC_PREFIX):
         return SyntheticEvaluator(config)
@@ -415,15 +424,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     ]
     for rate in PLAN_COOLING_RATES:
         schedule = plan_schedule(PLAN_T_INIT, PLAN_T_FINAL, rate, PLAN_BUDGET)
+        counts = (schedule.outer_iterations, schedule.inner_iterations)
         rows.append(
-            [
-                str(PLAN_BUDGET),
-                f"{PLAN_T_INIT:g}",
-                f"{PLAN_T_FINAL:g}",
-                f"{rate:g}",
-                f"{schedule.outer_reported:.1f}",
-                f"{schedule.inner_reported:.1f}",
-            ]
+            [str(PLAN_BUDGET), f"{PLAN_T_INIT:g}", f"{PLAN_T_FINAL:g}", f"{rate:g}"]
+            # one decimal, truncated toward zero (not rounded), as the paper has
+            + [f"{math.floor(x * 10 + 1e-9) / 10:.1f}" for x in counts]
         )
     print(_format_table(rows))
     return EXIT_OK
@@ -434,6 +439,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     names = ("archive.txt", "archive.json", "trace.jsonl", "calibration.json")
     paths = [os.path.join(args.output_dir, name) for name in names]
     txt_path, json_path, trace_path, calibration_path = paths
+    _refuse_cache_among(args.cache, paths)
     with _write_files(paths) as write:
         trace_temp = write(trace_path, TRACE_HEADER)  # before --cache is opened
         evaluator = build_evaluator(config, cache_path=args.cache)
@@ -502,6 +508,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     json_path = os.path.splitext(args.output)[0] + ".json"
     if json_path == args.output:
         raise UsageError("--output ends in .json, the name of the JSON front")
+    _refuse_cache_among(args.cache, [args.output, json_path])
     config = load_run_config(args.config)
     space = config.space
     with _write_files([args.output, json_path]) as write:

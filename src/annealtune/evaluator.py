@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol
+from dataclasses import dataclass
+from typing import Mapping, Protocol
 
 from .corpus import DataError, PreparedCorpus
 from .pareto import ObjectiveVector
 from .search_space import (
-    SYNTHETIC_PREFIX, WINDOWS, Configuration, RunConfig, SearchSpace, Value
+    SYNTHETIC_PREFIX, WINDOWS, Configuration, RunConfig, SearchSpace
 )
 
 #: the embedding width of every network, text CNN and synthetic alike
@@ -110,7 +110,6 @@ class ObjectiveEvaluator(Protocol):
     def evaluate(self, config: Configuration) -> ObjectiveVector: ...
 
 
-@dataclass
 class SyntheticEvaluator:
     """Deterministic, instantaneous objectives for testing the search loop,
     built from a run config whose objective kind is synthetic.
@@ -128,33 +127,27 @@ class SyntheticEvaluator:
     The tables evaluate reads are built once, with the evaluator.
     """
 
-    run_config: RunConfig
-    space: SearchSpace = field(init=False)
-    flops_max: int = field(init=False)
-    network: tuple[int, int, int] = field(init=False, default=(
-        SYNTHETIC_SENTENCE_LENGTH, EMBEDDING_DIM, SYNTHETIC_CLASS_COUNT
-    ))
-    #: shape (the _SHAPE_NAMES values) -> its estimate_flops total
-    _flops: dict[tuple, int] = field(default_factory=dict, init=False, repr=False)
-    #: a configuration's mapping -> its shape; (name, value -> index
-    #: fraction) of each mutable domain in space order, as pinned domains
-    #: carry no signal; whether the objective is sphere_proxy
-    _shape: Callable[[Mapping[str, Value]], tuple] = field(init=False, repr=False)
-    _fractions: tuple[tuple[str, dict[Value, float]], ...] = field(
-        init=False, repr=False
-    )
-    _sphere: bool = field(init=False, repr=False)
+    network = (SYNTHETIC_SENTENCE_LENGTH, EMBEDDING_DIM, SYNTHETIC_CLASS_COUNT)
 
-    def __post_init__(self) -> None:
+    def __init__(self, run_config: RunConfig) -> None:
         from operator import itemgetter
 
-        kind = self.run_config.objective_kind
+        kind = run_config.objective_kind
         if not kind.startswith(SYNTHETIC_PREFIX):
             raise ValueError(f"objective_kind {kind!r} is not a synthetic objective")
-        self.space = self.run_config.space
+        self.run_config = run_config
+        self.space = run_config.space
         self.flops_max = flops_ceiling(self.space, *self.network)
+        #: a configuration's mapping -> its shape (the _SHAPE_NAMES values),
+        #: and shape -> its estimate_flops total
         self._shape = itemgetter(*_SHAPE_NAMES)
-        self._fractions = tuple((d.name, d.fraction) for d in self.space.mutable)
+        self._flops: dict[tuple, int] = {}
+        #: (name, value -> index fraction) of each mutable domain in space
+        #: order, as pinned domains carry no signal
+        self._fractions = tuple(
+            (d.name, {v: i / (len(d.values) - 1) for i, v in enumerate(d.values)})
+            for d in self.space.mutable
+        )
         self._sphere = kind == _SPHERE_PROXY
 
     def evaluate(self, config: Configuration) -> ObjectiveVector:
@@ -167,13 +160,13 @@ class SyntheticEvaluator:
         # compensates float rounding, which moves the last bits
         total = 0.0
         if self._sphere:
-            for name, fraction in self._fractions:
-                f = fraction[values[name]]
+            for name, table in self._fractions:
+                f = table[values[name]]
                 total += f * f
             error = total / len(self._fractions)
         else:
-            for name, fraction in self._fractions:
-                total += fraction[values[name]]
+            for name, table in self._fractions:
+                total += table[values[name]]
             t = total / len(self._fractions)
             error = 0.05 if t >= 1.0 else 0.25 + 0.5 * t
         return ObjectiveVector(error_rate=error, flops=flops)
@@ -205,17 +198,22 @@ def _parse_record(line: bytes) -> tuple[str, ObjectiveVector] | None:
     return None
 
 
+#: how every line EvaluationCache.put writes begins
+_RECORD_START = b'{"key": "'
+
+
 class EvaluationCache:
     """Cache key -> ObjectiveVector; optionally persisted as JSON lines.
 
     An interrupted run restarted against the same cache file skips every
     training it already finished. Each record is appended as one line, so an
-    interruption can only leave bytes after the file's last newline: loading
-    truncates the file to drop them. A malformed line that ends in a newline,
-    the last one included, is a DataError and leaves the file untouched, and
-    so is a path that cannot be read and appended to (a missing directory,
-    a directory, a file without read or write permission): that fails here,
-    before any training is spent on it, and again on a later failed append.
+    interruption can only leave bytes after the file's last newline that
+    begin a record or are whitespace: loading truncates the file to drop
+    them. Any other such bytes, and a malformed line that ends in a newline,
+    are a DataError that leaves the file untouched, and so is a path that
+    cannot be read and appended to (a missing directory, a directory, a file
+    without read or write permission): that fails here, before any training
+    is spent on it, and again on a later failed append.
     """
 
     def __init__(self, path: str | None = None):
@@ -227,8 +225,12 @@ class EvaluationCache:
             with open(path, "a+b") as fh:
                 fh.seek(0)
                 data = fh.read()
-                whole = data.rfind(b"\n") + 1  # bytes past it: an append cut short
+                whole = data.rfind(b"\n") + 1
                 lines = data[:whole].splitlines(keepends=True)
+                tail = data[whole:]  # an append cut short, or not a cache
+                torn = tail.startswith(_RECORD_START) or _RECORD_START.startswith(tail)
+                if not (torn or tail.isspace()):
+                    lines.append(tail)
                 for lineno, line in enumerate(lines, 1):
                     if not line.strip():
                         continue
@@ -304,7 +306,6 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-@dataclass
 class TextCnnEvaluator:
     """Trains a fresh text CNN per configuration and scores it on the
     validation split, under a ``textcnn`` run config's seed and max_epochs.
@@ -314,23 +315,17 @@ class TextCnnEvaluator:
     so a shared cache never answers for another corpus or training setting.
     """
 
-    run_config: RunConfig
-    corpus: PreparedCorpus
-    cache: EvaluationCache = field(default_factory=EvaluationCache)
-    space: SearchSpace = field(init=False)
-    flops_max: int = field(init=False)
-    network: tuple[int, int, int] = field(init=False)
-    trainings: int = field(default=0, init=False)
-    _context: str = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        run_config, corpus = self.run_config, self.corpus
+    def __init__(
+        self, run_config: RunConfig, corpus: PreparedCorpus, cache: EvaluationCache
+    ) -> None:
         kind = run_config.objective_kind
         if kind != "textcnn":
             raise ValueError(f"objective_kind {kind!r} is not textcnn")
+        self.run_config, self.corpus, self.cache = run_config, corpus, cache
         self.space = run_config.space
         self.network = (corpus.sentence_length, EMBEDDING_DIM, corpus.class_count)
         self.flops_max = flops_ceiling(self.space, *self.network)
+        self.trainings = 0
         context = {"max_epochs": run_config.max_epochs, "embedding_dim": EMBEDDING_DIM,
                    "early_stop_margin": EARLY_STOP_MARGIN,
                    "early_stop_patience": EARLY_STOP_PATIENCE,

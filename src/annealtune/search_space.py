@@ -67,14 +67,12 @@ def parse_value(domain: "ParamDomain", text: str) -> Value:
 class ParamDomain:
     """One tunable parameter: a name and its ordered finite value list.
 
-    Lookups by value (index fraction, the other values) are built once
-    here, because the annealer makes them on every step.
+    The other values of each value are built once here, because the
+    annealer looks them up on every step.
     """
 
     name: str
     values: tuple[Value, ...]
-    #: value -> index / (len(values) - 1); empty when there is one value
-    fraction: dict[Value, float] = field(init=False, repr=False, compare=False)
     #: value -> every other value, in ``values`` order
     alternatives: dict[Value, tuple[Value, ...]] = field(
         init=False, repr=False, compare=False
@@ -88,14 +86,11 @@ class ParamDomain:
             raise ValueError(f"domain {self.name!r} has no values")
         if len(set(values)) != len(values):
             raise ValueError(f"domain {self.name!r} has duplicate values")
-        last = len(values) - 1
         object.__setattr__(self, "values", values)
-        fraction = {v: i / last for i, v in enumerate(values)} if last else {}
-        object.__setattr__(self, "fraction", fraction)
         object.__setattr__(
             self,
             "alternatives",
-            {v: tuple(u for u in values if u != v) for v in values},
+            {v: values[:i] + values[i + 1:] for i, v in enumerate(values)},
         )
 
     def check(self, value: Value) -> None:
@@ -207,38 +202,23 @@ class SearchSpace:
         return SearchSpace(tuple(domains))
 
 
-def default_search_space() -> SearchSpace:
-    """The full tuning space: per-window filter counts, dropouts, fc width,
-    activation, learning rate, and batch size."""
-    kernel_counts = (32, 64, 96, 100, 128, 160, 256)
-    dropout = ("0.1", "0.2", "0.3", "0.4", "0.5")
-    return SearchSpace(
-        (
-            *(ParamDomain(f"kernel_count_w{w}", kernel_counts) for w in WINDOWS),
-            ParamDomain("conv_dropout", dropout),
-            ParamDomain("fc_units", (16, 32, 64, 128, 256, 512)),
-            ParamDomain("fc_dropout", dropout),
-            ParamDomain(
-                "activation", ("relu", "leaky_relu", "elu", "tanh", "linear")
-            ),
-            ParamDomain(
-                "learning_rate",
-                (
-                    "0.0001",
-                    "0.001",
-                    "0.01",
-                    "0.0002",
-                    "0.0005",
-                    "0.0008",
-                    "0.002",
-                    "0.004",
-                    "0.005",
-                    "0.008",
-                ),
-            ),
-            ParamDomain("batch_size", (64, 128, 256)),
-        )
+#: the full tuning space: per-window filter counts, dropouts, fc width,
+#: activation, learning rate, and batch size; a run config restricts it
+DEFAULT_SPACE = SearchSpace(
+    (
+        *(
+            ParamDomain(f"kernel_count_w{w}", (32, 64, 96, 100, 128, 160, 256))
+            for w in WINDOWS
+        ),
+        ParamDomain("conv_dropout", ("0.1", "0.2", "0.3", "0.4", "0.5")),
+        ParamDomain("fc_units", (16, 32, 64, 128, 256, 512)),
+        ParamDomain("fc_dropout", ("0.1", "0.2", "0.3", "0.4", "0.5")),
+        ParamDomain("activation", ("relu", "leaky_relu", "elu", "tanh", "linear")),
+        ParamDomain("learning_rate", ("0.0001", "0.001", "0.01", "0.0002", "0.0005",
+                                      "0.0008", "0.002", "0.004", "0.005", "0.008")),
+        ParamDomain("batch_size", (64, 128, 256)),
     )
+)
 
 
 def random_configuration(space: SearchSpace, rng: random.Random) -> Configuration:
@@ -329,7 +309,7 @@ class RunConfig:
     cooling_rate: float
     objective_kind: str
     dataset_path: str | None = None
-    space: SearchSpace = field(default_factory=default_search_space)
+    space: SearchSpace = DEFAULT_SPACE
     probe_count: int = 20
     max_epochs: int = 20
 
@@ -369,13 +349,11 @@ def run_config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
     unknown = set(raw) - {f.name for f in keys}
     if unknown:
         raise ValueError(f"unknown run config keys: {brief(sorted(unknown))}")
-    required = {
-        f.name for f in keys if f.default is MISSING and f.default_factory is MISSING
-    }
+    required = {f.name for f in keys if f.default is MISSING}
     missing = required - set(raw)
     if missing:
         raise ValueError(f"missing run config keys: {sorted(missing)}")
     kwargs: dict[str, Any] = {k: raw[k] for k in raw if k != "space"}
     if raw.get("space") is not None:
-        kwargs["space"] = default_search_space().restrict(raw["space"])
+        kwargs["space"] = DEFAULT_SPACE.restrict(raw["space"])
     return RunConfig(**kwargs)

@@ -28,8 +28,8 @@ from annealtune.pareto import (
     ParetoArchive,
 )
 from annealtune.search_space import (
+    DEFAULT_SPACE,
     Configuration,
-    default_search_space,
     enumerate_space,
 )
 from annealtune.textcnn import backward, forward, init_model
@@ -116,7 +116,7 @@ def test_criterion_4_archive_equals_brute_force():
 
 
 def test_criterion_5_full_loop_oracle_equivalence():
-    space = default_search_space().restrict(RESTRICTED_36)
+    space = DEFAULT_SPACE.restrict(RESTRICTED_36)
     config = make_run_config(space, seed_number=1)
     evaluator = SyntheticEvaluator(config)
     exhaustive = brute_force_front(

@@ -21,24 +21,15 @@ from annealtune.pareto import (
     ParetoArchive,
 )
 from annealtune.search_space import (
+    DEFAULT_SPACE,
     FINAL_ACCEPTANCE_PROBABILITY,
     Configuration,
     ParamDomain,
     RunConfig,
     SearchSpace,
-    default_search_space,
     enumerate_space,
     neighbor,
 )
-
-TABLE_ROWS = [
-    (0.99, 156.2, 1.6),
-    (0.95, 30.6, 8.1),
-    (0.9, 14.9, 16.7),
-    (0.85, 9.6, 25.8),
-    (0.8, 7.0, 35.5),
-]
-
 
 @dataclass
 class StubEvaluator:
@@ -57,7 +48,7 @@ def two_value_space() -> SearchSpace:
 
 
 def restricted_space(**subsets) -> SearchSpace:
-    return default_search_space().restrict(subsets)
+    return DEFAULT_SPACE.restrict(subsets)
 
 
 class TestAcceptanceProbability:
@@ -148,12 +139,6 @@ class TestCalibration:
 
 
 class TestPlanSchedule:
-    @pytest.mark.parametrize("rate,outer,inner", TABLE_ROWS)
-    def test_published_rows_within_tolerance(self, rate, outer, inner):
-        schedule = plan_schedule(0.577, 0.12, rate, 250)
-        assert abs(schedule.outer_reported - outer) <= 0.05
-        assert abs(schedule.inner_reported - inner) <= 0.05
-
     def test_invariant_relations(self):
         s = plan_schedule(0.577, 0.12, 0.95, 250)
         assert s.outer_iterations == pytest.approx(
@@ -390,7 +375,7 @@ class TestRun:
         assert trace[-1].iteration == 3
 
     def cooled_run(self, cooling, budget):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         config = sphere_run_config(space, seed=1, budget=budget, cooling=cooling)
         evaluator = SyntheticEvaluator(config)
         trace = []

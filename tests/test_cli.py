@@ -19,7 +19,7 @@ import annealtune.cli as cli
 import annealtune.evaluator as evaluator
 from annealtune.annealer import CalibrationError, StepRecord
 from annealtune.pareto import ArchiveAction, ObjectiveVector
-from annealtune.search_space import Configuration
+from annealtune.search_space import Configuration, brief
 
 
 def eval_argv(tmp_path, *args, **overrides) -> list[str]:
@@ -228,6 +228,48 @@ class TestTune:
             assert code == 2, command
             err = capsys.readouterr().err
             assert "evaluation cache" in err and reason in err
+            assert not out.exists()
+
+    @needs_numpy
+    def test_cache_path_that_holds_no_cache_is_left_untouched(self, tmp_path, capsys):
+        config_path = self.write_textcnn_config(tmp_path)  # one line, no newline
+        notes = tmp_path / "notes.txt"
+        notes.write_text("my only line")
+        out = tmp_path / "out"
+        for cache in (tmp_path / "rc.json", notes):
+            before = cache.read_bytes()
+            code = cli.main(["tune", "--config", config_path, "--cache", str(cache),
+                             "--output-dir", str(out)])
+            assert code == 2, cache
+            err = capsys.readouterr().err
+            assert err == f"data error: {cache}:1: malformed evaluation cache line\n"
+            assert cache.read_bytes() == before
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["tune", "oracle"])
+    def test_cache_that_is_an_output_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        config_path = self.write_textcnn_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        if command == "tune":
+            output = ["--output-dir", str(out)]
+            names = ["archive.txt", "archive.json", "trace.jsonl", "calibration.json"]
+        else:
+            output = ["--output", str(out / "front.txt")]
+            names = ["front.txt", "front.json"]
+        # each output, also named relative to the working directory and
+        # through a link to the output directory
+        (tmp_path / "link").symlink_to(out, target_is_directory=True)
+        for cache in [str(out / n) for n in names] + [f"out/../out/{names[-1]}",
+                                                      f"link/{names[0]}"]:
+            code = cli.main([command, "--config", config_path, "--cache", cache,
+                             *output])
+            assert code == 1, cache
+            assert capsys.readouterr().err == (
+                f"usage error: --cache {brief(cache)} is also an output of this command\n"
+            )
             assert not out.exists()
 
     @pytest.mark.parametrize("command", ["tune", "oracle"])

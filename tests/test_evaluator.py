@@ -31,11 +31,11 @@ from annealtune.evaluator import (
     flops_ceiling,
 )
 from annealtune.search_space import (
+    DEFAULT_SPACE,
     SYNTHETIC_NAMES,
     SYNTHETIC_PREFIX,
     ParamDomain,
     SearchSpace,
-    default_search_space,
     enumerate_space,
     neighbor,
 )
@@ -48,7 +48,7 @@ TOP1_TOTAL = 541_056
 
 
 def full_config(**overrides):
-    space = default_search_space()
+    space = DEFAULT_SPACE
     assignments = {
         "kernel_count_w3": 100,
         "kernel_count_w4": 64,
@@ -130,7 +130,7 @@ class TestEstimateFlops:
 
 class TestFlopsCeiling:
     def test_ceiling_attained_by_enumeration(self):
-        space = default_search_space().restrict(
+        space = DEFAULT_SPACE.restrict(
             {
                 "kernel_count_w3": [32, 100, 256],
                 "kernel_count_w4": [32, 64],
@@ -176,7 +176,7 @@ def synthetic_evaluator(space, name) -> SyntheticEvaluator:
 
 class TestSynthetic:
     def test_sphere_extremes(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         evaluator = synthetic_evaluator(space, "sphere_proxy")
         first = evaluator.evaluate(all_index_config(space, 0))
         last = evaluator.evaluate(all_index_config(space, -1))
@@ -184,7 +184,7 @@ class TestSynthetic:
         assert last.error_rate == 1.0
 
     def test_sphere_flops_comes_from_estimator(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         config = all_index_config(space, 0)
         expected = estimate_flops(
             config,
@@ -196,7 +196,7 @@ class TestSynthetic:
         assert evaluator.evaluate(config).flops == expected
 
     def test_trap_has_deceptive_shape(self):
-        space = default_search_space().restrict(
+        space = DEFAULT_SPACE.restrict(
             {
                 "kernel_count_w3": [32, 64, 96, 100, 128, 160, 256],
             }
@@ -218,16 +218,16 @@ class TestSynthetic:
 
     def test_text_cnn_run_config_refused(self):
         with pytest.raises(ValueError, match="'textcnn' is not a synthetic objective"):
-            SyntheticEvaluator(text_cnn_run_config(default_search_space()))
+            SyntheticEvaluator(text_cnn_run_config(DEFAULT_SPACE))
 
     def test_pure_function(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         evaluator = synthetic_evaluator(space, "sphere_proxy")
         config = all_index_config(space, 2)
         assert evaluator.evaluate(config) == evaluator.evaluate(config)
 
     def test_bounds_hold_everywhere_on_small_space(self):
-        space = default_search_space().restrict(
+        space = DEFAULT_SPACE.restrict(
             {
                 "kernel_count_w3": [32, 256],
                 "kernel_count_w4": [32],
@@ -250,7 +250,7 @@ class TestSynthetic:
     @pytest.mark.parametrize("name", SYNTHETIC_NAMES)
     def test_flops_cached_per_shape_equal_the_estimate(self, name):
         # 32 configurations over 8 network shapes, each shape met 4 times
-        space = default_search_space().restrict(
+        space = DEFAULT_SPACE.restrict(
             {
                 "kernel_count_w3": [32, 256],
                 "kernel_count_w4": [64, 32],
@@ -282,10 +282,10 @@ def synthetic_draws(draw):
     configurations in all; a configuration of it; a synthetic objective."""
     subsets = {
         d.name: draw(st.lists(st.sampled_from(d.values), min_size=1, unique=True))
-        for d in default_search_space().domains
+        for d in DEFAULT_SPACE.domains
     }
     assume(any(len(values) > 1 for values in subsets.values()))
-    space = default_search_space().restrict(subsets)
+    space = DEFAULT_SPACE.restrict(subsets)
     config = space.configuration(
         {name: draw(st.sampled_from(values)) for name, values in subsets.items()}
     )
@@ -426,6 +426,39 @@ class TestEvaluationCache:
             EvaluationCache(str(path))
         assert path.read_bytes() == whole
 
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            ("my only line", 1),
+            ('{"seed_number": 1, "objective_kind": "textcnn"}', 1),
+            ('{"key": "a", "error_rate": 0.5, "flops": 7}\n{"key" : "b"', 2),
+            ('{"key": "a", "error_rate": 0.5, "flops": 7}\n {"key": "b"', 2),
+        ],
+        ids=["text", "json-object", "other-spacing", "indented"],
+    )
+    def test_tail_no_append_could_leave_is_a_data_error(self, tmp_path, text, lineno):
+        from annealtune.corpus import DataError
+
+        path = tmp_path / "cache.jsonl"
+        path.write_text(text)
+        # bytes after the last newline that no line put writes begins with
+        with pytest.raises(DataError) as raised:
+            EvaluationCache(str(path))
+        assert str(raised.value) == f"{path}:{lineno}: malformed evaluation cache line"
+        assert path.read_text() == text
+
+    @pytest.mark.parametrize(
+        "tail", ["{", '{"ke', '{"key": "', '{"key": "b", "error_rate": 0.2', " \t", ""]
+    )
+    def test_tail_that_begins_a_record_or_is_blank_is_dropped(self, tmp_path, tail):
+        from annealtune.pareto import ObjectiveVector
+
+        path = tmp_path / "cache.jsonl"
+        whole = '{"key": "a", "error_rate": 0.5, "flops": 7}\n'
+        path.write_text(whole + tail)
+        assert EvaluationCache(str(path)).get("a") == ObjectiveVector(0.5, 7)
+        assert path.read_text() == whole
+
     @pytest.mark.parametrize("objectives", WRONG_JSON_TYPES, ids=WRONG_JSON_TYPE_IDS)
     def test_objective_of_a_wrong_json_type_is_a_data_error(self, tmp_path, objectives):
         from annealtune.corpus import DataError
@@ -534,7 +567,9 @@ class TestTextCnnEvaluator:
     def test_repeated_request_hits_cache(self):
         corpus = small_corpus()
         space = small_textcnn_space()
-        evaluator = TextCnnEvaluator(text_cnn_run_config(space, max_epochs=10), corpus)
+        evaluator = TextCnnEvaluator(
+            text_cnn_run_config(space, max_epochs=10), corpus, EvaluationCache()
+        )
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         first = evaluator.evaluate(config)
         second = evaluator.evaluate(config)
@@ -544,7 +579,9 @@ class TestTextCnnEvaluator:
     def test_trainings_bounded_by_distinct_configs(self):
         corpus = small_corpus()
         space = small_textcnn_space()
-        evaluator = TextCnnEvaluator(text_cnn_run_config(space, max_epochs=5), corpus)
+        evaluator = TextCnnEvaluator(
+            text_cnn_run_config(space, max_epochs=5), corpus, EvaluationCache()
+        )
         configs = list(enumerate_space(space))
         for config in configs * 3:
             evaluator.evaluate(config)
@@ -555,7 +592,9 @@ class TestTextCnnEvaluator:
         # the corpus tests; the network should match it within 20 epochs
         corpus = small_corpus()
         space = small_textcnn_space()
-        evaluator = TextCnnEvaluator(text_cnn_run_config(space, max_epochs=20), corpus)
+        evaluator = TextCnnEvaluator(
+            text_cnn_run_config(space, max_epochs=20), corpus, EvaluationCache()
+        )
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         objectives = evaluator.evaluate(config)
         assert objectives.error_rate <= 0.05
@@ -563,7 +602,9 @@ class TestTextCnnEvaluator:
     def test_flops_reported_from_estimator(self):
         corpus = small_corpus()
         space = small_textcnn_space()
-        evaluator = TextCnnEvaluator(text_cnn_run_config(space, max_epochs=2), corpus)
+        evaluator = TextCnnEvaluator(
+            text_cnn_run_config(space, max_epochs=2), corpus, EvaluationCache()
+        )
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         objectives = evaluator.evaluate(config)
         expected = estimate_flops(
@@ -585,7 +626,8 @@ class TestTextCnnEvaluator:
         corpus = holdout_splits(shuffled, 0.0, ratio_init=0.9, seed=seed)
         space = small_textcnn_space()
         evaluator = TextCnnEvaluator(
-            text_cnn_run_config(space, seed_number=seed, max_epochs=5), corpus
+            text_cnn_run_config(space, seed_number=seed, max_epochs=5), corpus,
+            EvaluationCache(),
         )
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         objectives = evaluator.evaluate(config)
@@ -598,7 +640,7 @@ class TestTextCnnEvaluator:
         run_config = text_cnn_run_config(space, max_epochs=5)
         results = []
         for _ in range(2):
-            evaluator = TextCnnEvaluator(run_config, corpus)
+            evaluator = TextCnnEvaluator(run_config, corpus, EvaluationCache())
             results.append(evaluator.evaluate(config))
         assert results[0] == results[1]
 
@@ -637,7 +679,7 @@ class TestTextCnnEvaluator:
             small_textcnn_space(), objective_kind=SYNTHETIC_PREFIX + name
         )
         with pytest.raises(ValueError, match=f"'{SYNTHETIC_PREFIX}{name}' is not textcnn"):
-            TextCnnEvaluator(run_config, small_corpus())
+            TextCnnEvaluator(run_config, small_corpus(), EvaluationCache())
 
     def test_trains_with_settings_from_configuration_and_run_config(
         self, monkeypatch
@@ -654,7 +696,7 @@ class TestTextCnnEvaluator:
         space = small_textcnn_space()
         config = space.configuration({d.name: d.values[-1] for d in space.domains})
         run_config = text_cnn_run_config(space, max_epochs=2)
-        TextCnnEvaluator(run_config, small_corpus()).evaluate(config)
+        TextCnnEvaluator(run_config, small_corpus(), EvaluationCache()).evaluate(config)
         [settings] = trained
         assert settings.learning_rate == 0.004
         assert settings.batch_size == 64

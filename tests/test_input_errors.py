@@ -10,7 +10,7 @@ import pytest
 from helpers import DEEP_JSON, SPHERE_RUN, TOP1_SETS, write_run_config
 
 import annealtune.cli as cli
-from annealtune.search_space import default_search_space
+from annealtune.search_space import DEFAULT_SPACE
 
 #: a list nested 500 deep, within the decoder's reach; its repr is 1,000
 #: characters
@@ -140,7 +140,7 @@ NAMED_ERRORS = {
     # oracle judges its run config as tune does, so a space of one
     # configuration is refused and tune's required keys must be there
     "oracle-one-configuration": (
-        ORACLE, with_space({d.name: d.values[:1] for d in default_search_space().domains}),
+        ORACLE, with_space({d.name: d.values[:1] for d in DEFAULT_SPACE.domains}),
         1,
         "usage error: bad run config: search space must contain at least 2",
     ),

@@ -10,10 +10,10 @@ from annealtune.annealer import StepRecord
 from annealtune.cli import trace_jsonl
 from annealtune.pareto import ArchiveAction, ObjectiveVector
 from annealtune.search_space import (
+    DEFAULT_SPACE,
     FINAL_ACCEPTANCE_PROBABILITY,
     ParamDomain,
     SearchSpace,
-    default_search_space,
     enumerate_space,
     neighbor,
     parse_value,
@@ -56,7 +56,7 @@ class TestDomains:
 
 class TestDefaultSpace:
     def test_activation_domain_has_five_symbols(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         assert space.domain("activation").values == (
             "relu",
             "leaky_relu",
@@ -66,11 +66,11 @@ class TestDefaultSpace:
         )
 
     def test_learning_rate_domain_has_ten_values(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         assert len(space.domain("learning_rate").values) == 10
 
     def test_cardinality_is_product_of_domain_sizes(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         product = 1
         for d in space.domains:
             product *= len(d.values)
@@ -79,7 +79,7 @@ class TestDefaultSpace:
         assert space.cardinality() == product
 
     def test_three_separate_kernel_count_domains(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         for w in (3, 4, 5):
             assert space.domain(f"kernel_count_w{w}").values == (
                 32,
@@ -99,13 +99,13 @@ class TestRandomConfiguration:
         assert config.as_dict() == {"a": 1}
 
     def test_same_seed_same_draw(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         a = random_configuration(space, random.Random(40))
         b = random_configuration(space, random.Random(40))
         assert a == b
 
     def test_batch_size_frequencies_uniform(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         rng = random.Random(7)
         counts = {64: 0, 128: 0, 256: 0}
         n = 10_000
@@ -125,7 +125,7 @@ class TestNeighbor:
         }
 
     def test_hamming_distance_exactly_one(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         rng = random.Random(11)
         config = random_configuration(space, rng)
         for _ in range(200):
@@ -138,14 +138,14 @@ class TestNeighbor:
             config = other
 
     def test_replay_with_equal_seed_is_bit_equal(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         config = random_configuration(space, random.Random(1))
         a = neighbor(config, space, random.Random(99))
         b = neighbor(config, space, random.Random(99))
         assert a == b
 
     def test_domain_choice_frequencies_uniform(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         rng = random.Random(3)
         config = random_configuration(space, rng)
         counts = dict.fromkeys(space.names, 0)
@@ -258,13 +258,13 @@ def test_trace_of_distinct_configurations_with_equal_items():
 
 class TestRestriction:
     def test_restrict_preserves_given_order(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         sub = space.restrict({"kernel_count_w3": [256, 32]})
         assert sub.domain("kernel_count_w3").values == (256, 32)
         assert sub.domain("batch_size").values == (64, 128, 256)
 
     def test_restrict_rejects_foreign_values(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         with pytest.raises(ValueError):
             space.restrict({"kernel_count_w3": [33]})
         with pytest.raises(ValueError):
@@ -278,7 +278,7 @@ class TestRestriction:
     )
     def test_restrict_rejects_what_is_not_a_mapping_of_lists(self, restriction):
         with pytest.raises(ValueError, match="restriction"):
-            default_search_space().restrict(restriction)
+            DEFAULT_SPACE.restrict(restriction)
 
 
 class TestRunConfig:
@@ -322,8 +322,8 @@ class TestRunConfig:
             run_config_from_dict(self.base(**{field: value}))
 
     def test_space_restriction_must_keep_two_configs(self):
-        singleton = {name: [default_search_space().domain(name).values[0]]
-                     for name in default_search_space().names}
+        singleton = {name: [DEFAULT_SPACE.domain(name).values[0]]
+                     for name in DEFAULT_SPACE.names}
         with pytest.raises(ValueError, match="at least 2"):
             run_config_from_dict(self.base(space=singleton))
 
@@ -338,14 +338,14 @@ class TestRunConfig:
 
 class TestParseValue:
     def test_resolves_ints_strings_and_symbols(self):
-        space = default_search_space()
+        space = DEFAULT_SPACE
         assert parse_value(space.domain("batch_size"), "64") == 64
         assert parse_value(space.domain("conv_dropout"), "0.3") == "0.3"
         assert parse_value(space.domain("activation"), "tanh") == "tanh"
 
     def test_unknown_text_rejected(self):
         with pytest.raises(ValueError):
-            parse_value(default_search_space().domain("batch_size"), "65")
+            parse_value(DEFAULT_SPACE.domain("batch_size"), "65")
 
 
 def test_configuration_membership_enforced():

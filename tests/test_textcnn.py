@@ -9,7 +9,7 @@ import reference_textcnn as reference
 from helpers import finite_difference_gradients, holdout_splits, relative_error
 
 from annealtune.corpus import synthetic_corpus
-from annealtune.search_space import ParamDomain, SearchSpace, default_search_space
+from annealtune.search_space import DEFAULT_SPACE, ParamDomain, SearchSpace
 from annealtune.textcnn import (
     ACTIVATIONS,
     EVAL_BATCH,
@@ -105,7 +105,7 @@ class TestInit:
 
     def test_activation_domain_is_the_activation_table(self):
         # init_model takes the activation unchecked: its domain is the judge
-        values = default_search_space().domain("activation").values
+        values = DEFAULT_SPACE.domain("activation").values
         assert sorted(values) == sorted(ACTIVATIONS)
 
 
@@ -282,7 +282,7 @@ class TestAccuracyInSlices:
     def test_peak_memory_bounded_on_a_large_split(self):
         # about one MR cross-validation fold; one pass over all 960
         # sentences peaked at 174 MB, slices of EVAL_BATCH at 13 MB
-        space = default_search_space()
+        space = DEFAULT_SPACE
         config = space.configuration(
             {d.name: d.values[0] for d in space.domains}
             | {f"kernel_count_w{w}": 100 for w in (3, 4, 5)}
