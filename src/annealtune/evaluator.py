@@ -311,13 +311,16 @@ class TextCnnEvaluator:
     validation split, under a ``textcnn`` run config's seed and max_epochs.
 
     Results are cached under a key covering the configuration, the seed,
-    the prepared corpus, max_epochs, EMBEDDING_DIM and the early-stop rule,
-    so a shared cache never answers for another corpus or training setting.
+    the prepared corpus, max_epochs, EMBEDDING_DIM, the early-stop rule and
+    the text CNN's parameter dtype, so a shared cache never answers for
+    another corpus or training setting.
     """
 
     def __init__(
         self, run_config: RunConfig, corpus: PreparedCorpus, cache: EvaluationCache
     ) -> None:
+        from .textcnn import DTYPE
+
         kind = run_config.objective_kind
         if kind != "textcnn":
             raise ValueError(f"objective_kind {kind!r} is not textcnn")
@@ -329,7 +332,7 @@ class TextCnnEvaluator:
         context = {"max_epochs": run_config.max_epochs, "embedding_dim": EMBEDDING_DIM,
                    "early_stop_margin": EARLY_STOP_MARGIN,
                    "early_stop_patience": EARLY_STOP_PATIENCE,
-                   "corpus": _corpus_fingerprint(corpus)}
+                   "corpus": _corpus_fingerprint(corpus), "dtype": DTYPE.name}
         self._context = json.dumps(context, sort_keys=True)
 
     def evaluate(self, config: Configuration) -> ObjectiveVector:

@@ -8,6 +8,10 @@ every sentence padded to the corpus's one sentence length. Gradients are
 derived by hand; training makes one forward and one backward call per
 mini-batch and uses an Rmsprop update. All randomness flows through an
 explicit numpy Generator so runs replay bit-identically for a fixed seed.
+Parameters are DTYPE (float32), and the passes and training compute in the
+dtype of the model they are given; initial weights and dropout masks are
+drawn in float64 and cast after, so the random stream is the same in any
+dtype.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ import numpy as np
 
 from .evaluator import DivergenceError
 from .search_space import WINDOWS, Configuration
+
+#: the dtype of every array init_model builds
+DTYPE = np.dtype(np.float32)
 
 #: Rmsprop's squared-gradient decay and the epsilon under its square root
 RMSPROP_DECAY = 0.9
@@ -42,15 +49,22 @@ def _leaky_relu(z):
 
 
 def _dleaky_relu(z):
-    return np.where(z > 0.0, 1.0, 0.01)
+    slope = z.dtype.type
+    return np.where(z > 0.0, slope(1.0), slope(0.01))
+
+
+def _nonpositive(z):
+    """z where ELU takes its exponential branch, 0 elsewhere: exp and expm1
+    of it cannot overflow, and equal theirs of z where that branch is taken."""
+    return np.where(z > 0.0, 0.0, z)
 
 
 def _elu(z):
-    return np.where(z > 0.0, z, np.expm1(z))
+    return np.where(z > 0.0, z, np.expm1(_nonpositive(z)))
 
 
 def _delu(z):
-    return np.where(z > 0.0, 1.0, np.exp(z))
+    return np.where(z > 0.0, 1.0, np.exp(_nonpositive(z)))
 
 
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
@@ -92,6 +106,10 @@ class TextCnnModel:
         return params
 
     @property
+    def dtype(self) -> np.dtype:
+        return self.embedding.dtype
+
+    @property
     def vocab_size(self) -> int:
         return self.embedding.shape[0]
 
@@ -119,24 +137,27 @@ def init_model(
     Weight matrices use uniform Xavier bounds, biases start at zero, and
     the (trainable) embedding table is uniform on [-0.25, 0.25]. The
     activation is one of ACTIVATIONS, as every value of its domain is.
+    Each array is drawn in float64 and cast to DTYPE.
     """
     k = embedding_dim
     filters: dict[int, np.ndarray] = {}
     biases: dict[int, np.ndarray] = {}
     for w in WINDOWS:
         f_w = int(config[f"kernel_count_w{w}"])
-        filters[w] = xavier_uniform(rng, w * k, f_w, (f_w, w, k))
-        biases[w] = np.zeros(f_w)
+        filters[w] = xavier_uniform(rng, w * k, f_w, (f_w, w, k)).astype(DTYPE)
+        biases[w] = np.zeros(f_w, DTYPE)
     total_filters = sum(arr.shape[0] for arr in filters.values())
     units = int(config["fc_units"])
     return TextCnnModel(
-        embedding=rng.uniform(-0.25, 0.25, size=(vocab_size, k)),
+        embedding=rng.uniform(-0.25, 0.25, size=(vocab_size, k)).astype(DTYPE),
         conv_filters=filters,
         conv_bias=biases,
-        w1=xavier_uniform(rng, total_filters, units, (total_filters, units)),
-        b1=np.zeros(units),
-        w2=xavier_uniform(rng, units, class_count, (units, class_count)),
-        b2=np.zeros(class_count),
+        w1=xavier_uniform(
+            rng, total_filters, units, (total_filters, units)
+        ).astype(DTYPE),
+        b1=np.zeros(units, DTYPE),
+        w2=xavier_uniform(rng, units, class_count, (units, class_count)).astype(DTYPE),
+        b2=np.zeros(class_count, DTYPE),
         conv_dropout=float(config["conv_dropout"]),
         fc_dropout=float(config["fc_dropout"]),
         activation=str(config["activation"]),
@@ -169,8 +190,8 @@ def forward(
     token_ids is a (B, n) id matrix. Returns ((B, classes) probabilities,
     cache of intermediates for backward). In train mode each sentence's two
     inverted-dropout masks are drawn from rng in sentence order, the conv
-    mask before the fc mask; in eval mode the pass is a pure function of
-    (model, token_ids).
+    mask before the fc mask, and cast to the model's dtype; in eval mode
+    the pass is a pure function of (model, token_ids).
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -214,9 +235,9 @@ def forward(
         filters = h.shape[1]
         draws = rng.random((batch, filters + model.b1.shape[0]))
         keep = 1.0 - model.conv_dropout
-        mask_h = (draws[:, :filters] < keep) / keep
+        mask_h = ((draws[:, :filters] < keep) / keep).astype(model.dtype)
         keep = 1.0 - model.fc_dropout
-        mask_fc = (draws[:, filters:] < keep) / keep
+        mask_fc = ((draws[:, filters:] < keep) / keep).astype(model.dtype)
     else:
         mask_h = mask_fc = 1.0
     h_dropped = h * mask_h
@@ -246,14 +267,14 @@ def loss(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _scatter_add(ids: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
-    """Zeros of ``shape`` with each (..., k) row of ``rows`` added to the row
-    its id names, in one bincount over (id, column) cells: np.add.at's
-    result bit for bit, as both add each cell's terms in token order from
-    0.0."""
+    """Zeros of ``shape`` in the dtype of ``rows``, with each (..., k) row of
+    ``rows`` added to the row its id names, in one bincount over (id,
+    column) cells. bincount adds each cell's terms in token order from 0.0
+    in float64, so float64 rows give np.add.at's result bit for bit."""
     k = shape[1]
     cells = (ids.reshape(-1, 1) * k + np.arange(k)).ravel()
     sums = np.bincount(cells, weights=rows.ravel(), minlength=shape[0] * k)
-    return sums.reshape(shape)
+    return sums.reshape(shape).astype(rows.dtype, copy=False)
 
 
 def backward(
@@ -261,7 +282,7 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Exact gradients of the batch's summed cross-entropy loss for one
     cached train-mode forward pass, i.e. the sum of the per-sentence
-    gradients.
+    gradients, in the model's dtype.
 
     Max-pooling routes each filter's gradient to its argmax position only;
     dropout masks from the cache gate the fully connected path.
@@ -284,7 +305,7 @@ def backward(
     ids = cache["ids"]
     batch, n = ids.shape
     k = model.embedding.shape[1]
-    dembedded = np.zeros((batch, n, k))
+    dembedded = np.zeros((batch, n, k), model.dtype)
     offset = 0
     for w in sorted(model.conv_filters):
         filters = model.conv_filters[w]
@@ -293,7 +314,7 @@ def backward(
         offset += f_w
         grads[f"conv_b{w}"] = dpre.sum(axis=0)
         positions = n - w + 1
-        dz = np.zeros((batch, positions, f_w))
+        dz = np.zeros((batch, positions, f_w), model.dtype)
         dz[rows[:, None], cache["argmax"][w], np.arange(f_w)] = dpre
         dz = dz.reshape(batch * positions, f_w)
         # gathered again: windows kept from forward would raise the step's peak

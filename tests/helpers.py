@@ -1,10 +1,10 @@
 """Shared test oracles and builders: run configs and run config files,
-holdout splits, finite-difference gradients, comparison metrics,
-trace lines, a record of the evaluators the command line builds, a
-stand-in ``open``, the mark of a test that needs numpy, command lines and
-their inputs, output-directory snapshots, and the text-CNN golden run
-config over a small TREC corpus. Test modules share code through this
-module alone, never by importing one another.
+holdout splits, float64 copies of text-CNN models, finite-difference
+gradients, comparison metrics, trace lines, a record of the evaluators the
+command line builds, a stand-in ``open``, the mark of a test that needs
+numpy, command lines and their inputs, output-directory snapshots, and the
+text-CNN golden run config over a small TREC corpus. Test modules share
+code through this module alone, never by importing one another.
 numpy and the text CNN are imported only by the helpers that use them, so
 numpy-free tests can import this module."""
 
@@ -77,6 +77,26 @@ def text_cnn_run_config(space, **settings) -> RunConfig:
     ``max_epochs`` keep their defaults, apart from those in ``settings``."""
     assert set(settings) <= {"seed_number", "max_epochs"}, settings
     return make_run_config(space, objective_kind="textcnn", **settings)
+
+
+def float64_model(model):
+    """A copy of ``model`` with every parameter cast to float64, so that its
+    passes and training run in float64: the precision the finite-difference
+    and reference comparisons' tolerances were set for."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    def cast(arrays):
+        return {w: arr.astype(np.float64) for w, arr in arrays.items()}
+
+    return replace(
+        model,
+        embedding=model.embedding.astype(np.float64),
+        conv_filters=cast(model.conv_filters),
+        conv_bias=cast(model.conv_bias),
+        **cast({name: getattr(model, name) for name in ("w1", "b1", "w2", "b2")}),
+    )
 
 
 def finite_difference_gradients(model, ids, labels, mask_seed, eps=1e-4):

@@ -15,7 +15,9 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from helpers import finite_difference_gradients, make_run_config, relative_error
+from helpers import (
+    finite_difference_gradients, float64_model, make_run_config, relative_error
+)
 from reference_pareto import brute_force_front
 
 import annealtune.cli as cli
@@ -151,7 +153,8 @@ def test_criterion_6_gradient_fidelity():
         config = space.configuration(
             {d.name: d.values[0] for d in space.domains}
         )
-        model = init_model(config, 20, 6, 3, np.random.default_rng(12))
+        # float64, the precision the tolerance was set for
+        model = float64_model(init_model(config, 20, 6, 3, np.random.default_rng(12)))
         for w in (3, 4, 5):
             model.conv_bias[w] += 0.05  # clear of the relu-family kink
         model.b1 += 0.05

@@ -647,6 +647,10 @@ class TestTextCnnEvaluator:
     def test_cache_key_covers_seed_corpus_and_training_settings(
         self, tmp_path, monkeypatch
     ):
+        import numpy as np
+
+        from annealtune import textcnn
+
         space = small_textcnn_space()
         config = space.configuration({d.name: d.values[0] for d in space.domains})
         cache = EvaluationCache(str(tmp_path / "cache.jsonl"))
@@ -660,12 +664,15 @@ class TestTextCnnEvaluator:
         for evaluator in evaluators:
             evaluator.evaluate(config)
             assert evaluator.trainings == 1, evaluator.run_config
-        # a later edit of a training constant is not answered from the cache
-        constants = {"EMBEDDING_DIM": 49, "EARLY_STOP_MARGIN": 0.0,
-                     "EARLY_STOP_PATIENCE": 4}
-        for name, value in constants.items():
+        # a later edit of a training constant is not answered from the cache,
+        # nor is a record written by training in another dtype
+        constants = [(evaluator_module, "EMBEDDING_DIM", 49),
+                     (evaluator_module, "EARLY_STOP_MARGIN", 0.0),
+                     (evaluator_module, "EARLY_STOP_PATIENCE", 4),
+                     (textcnn, "DTYPE", np.dtype(np.float64))]
+        for module, name, value in constants:
             with monkeypatch.context() as patched:
-                patched.setattr(evaluator_module, name, value)
+                patched.setattr(module, name, value)
                 evaluator = TextCnnEvaluator(run_config, corpus, cache)
                 evaluator.evaluate(config)
             assert evaluator.trainings == 1, name

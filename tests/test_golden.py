@@ -16,7 +16,10 @@ and the digests hold on Python 3.10 to 3.13.
 interpreter. A text-CNN run's outputs follow from its predicted labels
 (error rates are counts over the validation split, FLOPs are integers), so
 numpy or BLAS can move those digests only by flipping a prediction; they
-are skipped where numpy is missing.
+are skipped where numpy is missing. The text CNN trains in float32;
+``test_text_cnn_float32_trains_as_float64`` checks that every configuration
+of the golden space reaches the validation accuracies the float64 code it
+replaced reaches.
 """
 
 import builtins
@@ -27,7 +30,9 @@ import random
 import sys
 
 import pytest
-from helpers import needs_numpy, record_evaluators, write_text_cnn_run_config
+from helpers import (
+    float64_model, needs_numpy, record_evaluators, write_text_cnn_run_config
+)
 
 import annealtune.cli as cli
 
@@ -174,7 +179,7 @@ TEXT_CNN_GOLDEN = {
             "cc596d9e247ac88d664b3a17a38e7ac85aa18742af0e650a2ce0f643be8e4ba8"
         ),
         "cache.jsonl": (
-            "35acfac95dfdc4b8d2be864a5d5a1ab8401e39cca588be5c80aac8a27ce78f76"
+            "8fa91a97272d49a89a94b93d98a7445c5466506628bae162260415d177e4228d"
         ),
     },
     31: {
@@ -191,7 +196,7 @@ TEXT_CNN_GOLDEN = {
             "2a5a7ea13fa50ed43904701c4de978b77afba7922a5f10bb76f47a2d29380895"
         ),
         "cache.jsonl": (
-            "5fea43f6623776f2b3cec2b1ad0ae47e0050114c3491ec84dba365cec8f3da51"
+            "738ca94a00e5bd5ee4348239d493f47cc9877ec7eb9576f9a4396dcb2c4cae64"
         ),
     },
     33: {
@@ -208,7 +213,7 @@ TEXT_CNN_GOLDEN = {
             "166cc8823f2f4c4e5c903cd352a80b79c4ee99da965f8e432d75173529793968"
         ),
         "cache.jsonl": (
-            "36556f55c295be0caebb3ef265e000e5f736b9a70f66144646068b8aea10ad80"
+            "ab8c724b3c35096276ea223cd50373c463bd34246e53fce023ec44cbc9b959d0"
         ),
     },
 }
@@ -229,6 +234,33 @@ def test_text_cnn_tune_outputs_match_recorded_digests(tmp_path, seed):
     assert len({e["error_rate"] for e in entries}) > 1
     steps = (out / "trace.jsonl").read_text().splitlines()[1:]
     assert {json.loads(line)["accepted"] for line in steps} == {True, False}
+
+
+@needs_numpy
+@pytest.mark.parametrize("seed", sorted(TEXT_CNN_GOLDEN))
+def test_text_cnn_float32_trains_as_float64(tmp_path, seed):
+    import numpy as np
+
+    from annealtune import textcnn
+    from annealtune.evaluator import EMBEDDING_DIM
+    from annealtune.search_space import enumerate_space
+
+    config = cli.load_run_config(write_text_cnn_run_config(tmp_path, seed))
+    corpus = cli.prepare_corpus(config.dataset_path, config.ratio_init, seed)
+    splits = (corpus.train_ids, corpus.train_labels,
+              corpus.validation_ids, corpus.validation_labels)
+    for configuration in enumerate_space(config.space):
+        model = textcnn.init_model(configuration, corpus.vocab_size, EMBEDDING_DIM,
+                                   corpus.class_count, np.random.default_rng(seed))
+        assert model.dtype == np.float32
+        wide = float64_model(model)  # the same initialisation
+        settings = textcnn.TrainingSettings(
+            float(configuration["learning_rate"]), int(configuration["batch_size"]),
+            config.max_epochs, seed,
+        )
+        _, history = textcnn.train(model, *splits, settings)
+        _, expected = textcnn.train(wide, *splits, settings)
+        assert history == expected, configuration.as_dict()
 
 
 #: several multi-valued domains, some listed against the default order, so

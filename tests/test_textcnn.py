@@ -1,21 +1,28 @@
 import math
 import tracemalloc
+import warnings
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
 import reference_textcnn as reference
-from helpers import finite_difference_gradients, holdout_splits, relative_error
+from helpers import (
+    finite_difference_gradients, float64_model, holdout_splits, relative_error
+)
 
+import annealtune.textcnn as textcnn_module
 from annealtune.corpus import synthetic_corpus
 from annealtune.search_space import DEFAULT_SPACE, ParamDomain, SearchSpace
 from annealtune.textcnn import (
     ACTIVATIONS,
+    DTYPE,
     EVAL_BATCH,
     DivergenceError,
     TextCnnModel,
     TrainingSettings,
+    _delu,
+    _elu,
     _scatter_add,
     accuracy,
     backward,
@@ -125,7 +132,7 @@ class TestForward:
         assert np.array_equal(p1, p2)
 
     def test_probabilities_on_simplex(self):
-        model = tiny_model(activation="elu")
+        model = float64_model(tiny_model(activation="elu"))
         rng = np.random.default_rng(3)
         probs, _ = forward(model, rng.integers(0, VOCAB, size=(50, LENGTH)))
         assert probs.shape == (50, CLASSES)
@@ -215,7 +222,9 @@ REPEATING_LABELS = np.array([2, 0, 2])
 
 
 def kink_free_model(activation):
-    model = tiny_model(activation=activation, seed=12)
+    """A float64 tiny_model, the precision the gradient checks'
+    tolerances were set for."""
+    model = float64_model(tiny_model(activation=activation, seed=12))
     # keep pre-activations away from the relu-family kink at zero
     for w in (3, 4, 5):
         model.conv_bias[w] += 0.05
@@ -265,6 +274,72 @@ class TestBackward:
                 row_grad = grads["embedding"][ids[b, row]]
                 if row not in covered:
                     assert np.all(row_grad == 0.0), (b, row)
+
+
+class TestDtype:
+    """Every array a pass or a training computes takes the dtype of the
+    model's parameters: DTYPE as init_model builds them, float64 once cast."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["float32", "float64"])
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_passes_and_training_keep_the_parameter_dtype(
+        self, monkeypatch, activation, wide
+    ):
+        model = tiny_model(activation=activation)
+        assert DTYPE == np.float32
+        assert {arr.dtype for arr in model.parameters().values()} == {DTYPE}
+        if wide:
+            model = float64_model(model)
+        dtype = np.dtype(np.float64 if wide else np.float32)
+
+        probs, cache = forward(
+            model, REPEATING_IDS, train_mode=True, rng=np.random.default_rng(5)
+        )
+        floats = [cache[name] for name in
+                  ("h_dropped", "mask_h", "z1", "mask_fc", "a1_dropped", "probs")]
+        floats += cache["pooled_pre"].values()
+        floats.append(forward(model, REPEATING_IDS)[0])
+        assert [arr.dtype for arr in floats] == [dtype] * len(floats)
+        grads = backward(model, cache, REPEATING_LABELS)
+        assert {name: g.dtype for name, g in grads.items()} == dict.fromkeys(grads, dtype)
+
+        steps, update = [], rmsprop_update
+
+        def recorded(param, grad, acc, learning_rate):
+            steps.append((param.dtype, grad.dtype, acc.dtype))
+            update(param, grad, acc, learning_rate)
+
+        monkeypatch.setattr(textcnn_module, "rmsprop_update", recorded)
+        rng = np.random.default_rng(6)
+        ids = rng.integers(0, VOCAB, size=(40, LENGTH))
+        labels = rng.integers(0, CLASSES, size=40)
+        settings = TrainingSettings(
+            learning_rate=0.01, batch_size=16, max_epochs=2, seed=6
+        )
+        trained, _ = train(model, ids, labels, ids, labels, settings)
+        assert steps and set(steps) == {(dtype, dtype, dtype)}
+        assert {arr.dtype for arr in trained.parameters().values()} == {dtype}
+
+
+class TestElu:
+    def test_branch_values_equal_the_unguarded_formulas_bit_for_bit(self):
+        z = np.array([-30.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 2.0, 700.0, np.nan])
+        assert _elu(z).tobytes() == np.where(z > 0.0, z, np.expm1(z)).tobytes()
+        assert _delu(z).tobytes() == np.where(z > 0.0, 1.0, np.exp(z)).tobytes()
+
+    def test_float32_pass_at_large_pre_activations_does_not_overflow(self):
+        model = tiny_model(activation="elu")
+        for w in (3, 4, 5):
+            model.conv_bias[w][:] = 100.0  # exp(100) overflows float32
+        model.b1[:] = 100.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rng = np.random.default_rng(2)
+            probs, cache = forward(model, REPEATING_IDS, train_mode=True, rng=rng)
+            grads = backward(model, cache, REPEATING_LABELS)
+        assert all(arr.min() > 90.0 for arr in cache["pooled_pre"].values())
+        assert np.isfinite(probs).all()
+        assert all(np.isfinite(g).all() for g in grads.values())
 
 
 class TestAccuracyInSlices:
@@ -402,8 +477,9 @@ class TestBatchedEqualsPerSentence:
             corpus.validation_ids,
             corpus.validation_labels,
         )
-        trained, history = train(model_for_corpus(corpus), *splits, settings)
-        expected = model_for_corpus(corpus)
+        model = float64_model(model_for_corpus(corpus))
+        expected = float64_model(model_for_corpus(corpus))
+        trained, history = train(model, *splits, settings)
         assert history == reference.train_history(expected, *splits, settings)
         # both keep the last epoch's parameters
         for name, arr in trained.parameters().items():
